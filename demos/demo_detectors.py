@@ -2,7 +2,8 @@
 
 Samples the 8-mode fixture through an ideal detector, a lossy one, a
 dark-count-afflicted one, and a threshold (click) detector, reporting
-fidelity of each against the like-for-like exact reference.
+fidelity of each against the exact reference of the ideal detector,
+so the drop in F measures how far each detector distorts the spectrum.
 
 Run:  python3 demos/demo_detectors.py
 """

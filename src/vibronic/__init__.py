@@ -1,8 +1,9 @@
 """Vibronic (Franck-Condon) spectra under the linear coupling model.
 
-Two engines share one core: an exact sum-over-states enumerator for
-reference stick spectra, and a linear-scaling Poisson sampler that
-emulates attenuated coherent light hitting a photon detector.
+Two engines share one integer energy lattice: an exact sum-over-states
+convolution for reference stick spectra, and a linear-scaling Poisson
+sampler that emulates attenuated coherent light hitting a photon
+detector.
 Analysis utilities quantify their agreement (fidelity) and broaden
 sticks into band profiles.
 """
@@ -30,7 +31,6 @@ from .sampling import (
     DetectorModel,
     SampledSpectrum,
     SamplerConfig,
-    apply_detector,
     poisson_draw,
     sample_mode,
     sample_spectrum,
@@ -40,11 +40,8 @@ from .sos import (
     LineSpectrum,
     SosConfig,
     build_reference_spectrum,
-    enumerate_configurations,
     fc_factor_1d,
-    fc_factor_config,
     state_count,
-    transition_energy,
 )
 
 __version__ = "0.1.0"
@@ -60,17 +57,13 @@ __all__ = [
     "LineSpectrum",
     "BudgetExceededError",
     "fc_factor_1d",
-    "fc_factor_config",
-    "transition_energy",
     "state_count",
-    "enumerate_configurations",
     "build_reference_spectrum",
     "SamplerConfig",
     "DetectorModel",
     "SampledSpectrum",
     "IDEAL_DETECTOR",
     "poisson_draw",
-    "apply_detector",
     "sample_mode",
     "sample_spectrum",
     "BroadeningKernel",

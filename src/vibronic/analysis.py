@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import Molecule
+from .model import Molecule, energy_keys
 from .sampling import DetectorModel, SampledSpectrum, SamplerConfig, sample_spectrum
 from .sos import LineSpectrum, SosConfig, build_reference_spectrum
 
@@ -23,13 +23,7 @@ __all__ = [
     "fidelity",
     "broaden",
     "convergence_study",
-    "KEY_DECIMALS",
 ]
-
-# Energy keys are canonicalized to this many decimals (1e-6 cm^-1)
-# before spectra are aligned; lattice energies are exact input sums,
-# so only float noise needs absorbing.
-KEY_DECIMALS = 6
 
 NORMALIZATION_MODES = ("raw", "unit_l1", "unit_l2", "max_one", "zero_zero_one")
 
@@ -138,7 +132,7 @@ def normalize(spec, mode: str, e00: float | None = None) -> LineSpectrum:
 
     Modes: "raw" (no-op copy), "unit_l1" (sum 1), "unit_l2" (sum of
     squares 1), "max_one", and "zero_zero_one" (intensity 1 at the
-    stick matching `e00`).
+    stick whose lattice key equals that of `e00`).
     """
     if mode not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization mode {mode!r}")
@@ -157,7 +151,7 @@ def normalize(spec, mode: str, e00: float | None = None) -> LineSpectrum:
     else:
         if e00 is None:
             raise ValueError("zero_zero_one normalization requires e00")
-        hit = np.isclose(line.energies, e00, rtol=0.0, atol=10.0**-KEY_DECIMALS)
+        hit = energy_keys(line.energies) == energy_keys(e00)
         if not hit.any():
             raise ValueError(f"no stick at the 0-0 energy {e00}")
         scale = float(inten[hit][0])
@@ -171,21 +165,15 @@ def normalize(spec, mode: str, e00: float | None = None) -> LineSpectrum:
     )
 
 
-def _aligned_vectors(p, q) -> tuple[np.ndarray, np.ndarray]:
-    """Intensity vectors of two spectra on the union of their energy
-    keys, rounded to the canonical lattice; absent keys read as 0."""
-    out = []
-    keymaps = []
-    for spec in (p, q):
-        line = as_line_spectrum(spec)
-        if len(line) == 0 or not np.any(line.intensities > 0):
-            raise ValueError("fidelity requires non-empty spectra with intensity")
-        keys = np.round(line.energies, KEY_DECIMALS)
-        keymaps.append(dict(zip(keys.tolist(), line.intensities.tolist())))
-    union = sorted(set(keymaps[0]) | set(keymaps[1]))
-    for km in keymaps:
-        out.append(np.array([km.get(k, 0.0) for k in union]))
-    return out[0], out[1]
+def _keyed(spec) -> tuple[np.ndarray, np.ndarray]:
+    """Strictly increasing lattice keys of a spectrum and the summed
+    intensity on each; distinct energies within one tick share a key."""
+    line = as_line_spectrum(spec)
+    if len(line) == 0 or not np.any(line.intensities > 0):
+        raise ValueError("fidelity requires non-empty spectra with intensity")
+    keys = energy_keys(line.energies)  # non-decreasing, as energies increase
+    first = np.flatnonzero(np.diff(keys, prepend=keys[0] - 1))
+    return keys[first], np.add.reduceat(line.intensities, first)
 
 
 def fidelity(p, q, norm: str = "l2") -> float:
@@ -195,15 +183,18 @@ def fidelity(p, q, norm: str = "l2") -> float:
     1 iff the spectra are proportional, 0 for disjoint support.
     "bhattacharyya": sum of sqrt(p_i * q_i) over L1-normalized vectors.
     Both are symmetric and invariant to overall intensity scale.
+    Lines are joined on exact lattice keys, searching the smaller
+    spectrum's keys in the larger one's.
     """
     if norm not in ("l2", "bhattacharyya"):
         raise ValueError(f"norm must be 'l2' or 'bhattacharyya', got {norm!r}")
-    vp, vq = _aligned_vectors(p, q)
+    (kp, vp), (kq, vq) = sorted((_keyed(p), _keyed(q)), key=lambda kv: kv[0].size)
+    at = np.minimum(np.searchsorted(kq, kp), kq.size - 1)
+    hit = kq[at] == kp
+    a, b = vp[hit], vq[at[hit]]
     if norm == "l2":
-        return float(vp @ vq / (np.linalg.norm(vp) * np.linalg.norm(vq)))
-    vp = vp / vp.sum()
-    vq = vq / vq.sum()
-    return float(np.sqrt(vp * vq).sum())
+        return float(a @ b / (np.linalg.norm(vp) * np.linalg.norm(vq)))
+    return float(np.sqrt(a * b).sum() / math.sqrt(vp.sum() * vq.sum()))
 
 
 def broaden(spec, kernel: BroadeningKernel, grid: EnergyGrid) -> LineSpectrum:
@@ -271,13 +262,7 @@ def convergence_study(
     for pi, events in enumerate(event_counts):
         vals = []
         for r in range(runs):
-            cfg = SamplerConfig(
-                events=events,
-                seed=run_seed(cfg_base.seed, (pi, r)),
-                max_quanta=cfg_base.max_quanta,
-                chunk_size=cfg_base.chunk_size,
-                per_photon_thinning=cfg_base.per_photon_thinning,
-            )
+            cfg = replace(cfg_base, events=events, seed=run_seed(cfg_base.seed, (pi, r)))
             sampled = sample_spectrum(m, cfg, d)
             vals.append(fidelity(sampled, reference))
         means.append(np.mean(vals))

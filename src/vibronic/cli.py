@@ -1,12 +1,14 @@
 """Command-line interface.
 
 Subcommands: hr, sos, sample, fidelity, broaden, converge.
-Exit codes: 0 success, 2 parse/validation error, 3 enumeration budget
+Exit codes: 0 success, 2 parse/validation error, 3 SOS work budget
 exceeded, 4 grid violation.
 
-Every subcommand accepts --seed; when omitted, a process-entropy seed
-is drawn (or taken from the VIBRONIC_SEED environment variable) and
-recorded in the output provenance so any run can be replayed.
+The molecule subcommands (sos, sample, converge) accept --seed; when
+omitted, a process-entropy seed is drawn (or taken from the
+VIBRONIC_SEED environment variable) and recorded in the output
+provenance so any run can be replayed.  `broaden` carries its source
+spectrum's provenance into its own output.
 """
 
 from __future__ import annotations
@@ -44,6 +46,12 @@ def _load_molecule(path, prune_s: float | None):
     return m
 
 
+def _detector(args) -> sampling.DetectorModel:
+    return sampling.DetectorModel(
+        efficiency=args.efficiency, dark_mean=args.dark, threshold_mode=args.threshold
+    )
+
+
 def _provenance_lines(d: dict) -> list[str]:
     return [f"{k}: {v}" for k, v in d.items()]
 
@@ -60,7 +68,7 @@ def cmd_sos(args) -> int:
         fc_prune=args.fc_prune,
         overflow=args.overflow,
     )
-    count = sos.state_count(m.n_modes, cfg.max_quanta, cfg.enumeration_budget)
+    count = sos.state_count(m.n_modes, cfg.max_quanta)
     t0 = time.perf_counter()
     spec = sos.build_reference_spectrum(m, cfg)
     raw_total = spec.total
@@ -85,13 +93,8 @@ def cmd_sample(args) -> int:
         max_quanta=args.max_quanta,
         chunk_size=args.chunk_size,
     )
-    det = sampling.DetectorModel(
-        efficiency=args.efficiency,
-        dark_mean=args.dark,
-        threshold_mode=args.threshold,
-    )
     t0 = time.perf_counter()
-    sampled = sampling.sample_spectrum(m, cfg, det, workers=args.workers)
+    sampled = sampling.sample_spectrum(m, cfg, _detector(args), workers=args.workers)
     elapsed = time.perf_counter() - t0
     spec = analysis.normalize(sampled, "unit_l1")
     comments = _provenance_lines({**sampled.provenance, "normalization": "unit_l1"})
@@ -123,12 +126,11 @@ def cmd_broaden(args) -> int:
     else:
         grid = analysis.EnergyGrid.around(spec.energies, kernel.fwhm)
     out = analysis.broaden(spec, kernel, grid)
-    comments = _provenance_lines(
+    comments = spec.provenance["comments"] + _provenance_lines(
         {
             "broadening": kernel.shape,
             "fwhm": kernel.fwhm,
             "grid": f"{grid.start}:{grid.stop}:{grid.step}",
-            "seed": args.seed_value,
         }
     )
     io.write_spectrum(out, args.out, comments)
@@ -145,13 +147,10 @@ def cmd_converge(args) -> int:
         seed=args.seed_value,
         max_quanta=args.max_quanta,
     )
-    det = sampling.DetectorModel(
-        efficiency=args.efficiency,
-        dark_mean=args.dark,
-        threshold_mode=args.threshold,
-    )
     sos_cfg = sos.SosConfig(max_quanta=args.max_quanta, overflow=args.overflow)
-    report = analysis.convergence_study(m, cfg, det, event_counts, args.runs, sos_cfg)
+    report = analysis.convergence_study(
+        m, cfg, _detector(args), event_counts, args.runs, sos_cfg
+    )
     lines = _provenance_lines({**report.provenance, "runs": report.runs})
     lines = [f"# {c}" for c in lines]
     lines.append("events,mean_fidelity,std_fidelity")
@@ -166,22 +165,20 @@ def cmd_converge(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vibronic",
-        description="Vibronic (Franck-Condon) spectra: exact enumeration and linear-scaling sampling.",
+        description="Vibronic (Franck-Condon) spectra: exact sum-over-states and linear-scaling sampling.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, molecule=True):
-        if molecule:
-            p.add_argument("molecule", help="molecule JSON file")
-            p.add_argument("--prune-s", type=float, default=None,
-                           help="drop modes with Huang-Rhys factor <= this")
+    def add_common(p):
+        p.add_argument("molecule", help="molecule JSON file")
+        p.add_argument("--prune-s", type=float, default=None,
+                       help="drop modes with Huang-Rhys factor <= this")
         p.add_argument("--seed", type=int, default=None,
                        help="reproducibility seed (default: process entropy)")
 
     p = sub.add_parser("hr", help="Huang-Rhys factor from omega and gradient")
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--gradient", type=float, required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_hr)
 
     p = sub.add_parser("sos", help="exact sum-over-states reference spectrum")
@@ -209,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spectrum_a")
     p.add_argument("spectrum_b")
     p.add_argument("--norm", default="l2", choices=("l2", "bhattacharyya"))
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_fidelity)
 
     p = sub.add_parser("broaden", help="convolve sticks with a line-shape kernel")
@@ -219,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None, help="start:stop:step in cm^-1")
     p.add_argument("--out", required=True)
     p.add_argument("--svg", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_broaden)
 
     p = sub.add_parser("converge", help="fidelity vs event count study")
@@ -240,8 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.seed_value = _resolve_seed(getattr(args, "seed", None))
     try:
+        if "seed" in args:
+            args.seed_value = _resolve_seed(args.seed)
         return args.func(args)
     except sos.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,13 +42,24 @@ class SpectrumFileError(ValueError):
     """A spectrum CSV file is malformed."""
 
 
+def _number(value, label: str) -> float:
+    """A JSON number as a float; bools, strings and the rest are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MoleculeFileError(f"{label} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise MoleculeFileError(f"{label} is out of float range") from None
+
+
 def read_molecule(path) -> Molecule:
     """Parse a molecule JSON file.
 
     Each mode supplies either `huang_rhys` directly, or `omega` plus
     `gradient` (Huang-Rhys is then computed as G^2 / (2 omega) in the
     caller's consistent unit system).  Supplying both forms on one
-    mode is an error.
+    mode is an error.  Numeric fields must be JSON numbers (not bools
+    or strings), and `atom_count` an integer.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -67,6 +78,11 @@ def read_molecule(path) -> Molecule:
         raise MoleculeFileError(
             f"{path}: transition must be 'absorption' or 'emission', got {doc['transition']!r}"
         )
+    if not isinstance(doc["modes"], list):
+        raise MoleculeFileError(f"{path}: modes must be a list")
+    atom_count = doc.get("atom_count")
+    if "atom_count" in doc and (isinstance(atom_count, bool) or not isinstance(atom_count, int)):
+        raise MoleculeFileError(f"{path}: atom_count must be an integer, got {atom_count!r}")
 
     modes = []
     for i, md in enumerate(doc["modes"]):
@@ -85,24 +101,27 @@ def read_molecule(path) -> Molecule:
                 f"{label}: supply either huang_rhys or omega+gradient, not both"
             )
         if has_s:
-            s = float(md["huang_rhys"])
+            s = _number(md["huang_rhys"], f"{label}: huang_rhys")
         elif "omega" in md and "gradient" in md:
+            omega = _number(md["omega"], f"{label}: omega")
+            gradient = _number(md["gradient"], f"{label}: gradient")
             try:
-                s = hr_from_gradient(float(md["omega"]), float(md["gradient"]))
+                s = hr_from_gradient(omega, gradient)
             except ValueError as exc:
                 raise MoleculeFileError(f"{label}: {exc}") from exc
         else:
             raise MoleculeFileError(
                 f"{label}: need huang_rhys, or both omega and gradient"
             )
-        modes.append(Mode(index=i + 1, energy=float(md["energy_cm1"]), huang_rhys=s))
+        energy = _number(md["energy_cm1"], f"{label}: energy_cm1")
+        modes.append(Mode(index=i + 1, energy=energy, huang_rhys=s))
 
     return Molecule(
         name=str(doc["name"]),
-        e00=float(doc["e00_cm1"]),
+        e00=_number(doc["e00_cm1"], f"{path}: e00_cm1"),
         transition=doc["transition"],
         modes=tuple(modes),
-        atom_count=doc.get("atom_count"),
+        atom_count=atom_count,
     )
 
 
@@ -186,11 +205,6 @@ def read_spectrum(path) -> LineSpectrum:
     return LineSpectrum(
         e, np.array(intensities), normalization="raw", provenance={"comments": comments}
     )
-
-
-def spectrum_comments(spec: LineSpectrum) -> list[str] | None:
-    """Verbatim comment lines if this spectrum was read from a file."""
-    return spec.provenance.get("comments")
 
 
 def write_svg(spec: LineSpectrum, path, width: int = 800, height: int = 500) -> None:

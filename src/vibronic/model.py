@@ -3,12 +3,18 @@
 All spectral energies (mode quanta, zero-phonon line) are in cm^-1.
 Huang-Rhys factors are dimensionless, so everything downstream of
 `hr_from_gradient` is unit-free.
+
+Energies are quantized once, to int64 keys on one lattice of
+`TICKS_PER_CM1` ticks per cm^-1, so transition energies are exact
+integer sums that both engines and the fidelity join agree on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 __all__ = [
     "Mode",
@@ -18,11 +24,20 @@ __all__ = [
     "validate_molecule",
     "prune_modes",
     "DEFAULT_PRUNE_THRESHOLD",
+    "TICKS_PER_CM1",
+    "energy_keys",
+    "key_energies",
 ]
 
 # Modes with S below this contribute factors indistinguishable from 1
 # and are conventionally dropped.
 DEFAULT_PRUNE_THRESHOLD = 1e-5
+
+# Resolution of the energy lattice: 1e-6 cm^-1.
+TICKS_PER_CM1 = 10**6
+# Keys up to 2**53 convert to float64 exactly, so `key_energies`
+# returns the correctly rounded lattice value (|E| < ~9e9 cm^-1).
+KEY_LIMIT = 2**53
 
 
 class ValidationError(ValueError):
@@ -81,6 +96,33 @@ class Molecule:
     @property
     def sign(self) -> int:
         return -1 if self.transition == "emission" else +1
+
+
+def energy_keys(energies) -> np.ndarray:
+    """int64 lattice keys of energies in cm^-1: round(E * TICKS_PER_CM1).
+
+    Raises ValueError for non-finite energies or energies whose key
+    would exceed `KEY_LIMIT`.
+    """
+    ticks = np.asarray(energies, dtype=float) * TICKS_PER_CM1
+    if not np.all(np.abs(ticks) <= KEY_LIMIT):
+        raise ValueError(
+            f"energies must be finite and within +/-{KEY_LIMIT / TICKS_PER_CM1:.6g} cm^-1"
+        )
+    return np.rint(ticks).astype(np.int64)
+
+
+def key_energies(keys) -> np.ndarray:
+    """Energies in cm^-1 of lattice keys; true division makes each the
+    correctly rounded lattice value."""
+    return np.asarray(keys, dtype=np.int64) / TICKS_PER_CM1
+
+
+def check_key_reach(reach: int) -> None:
+    """Refuse a bound on |key| past `KEY_LIMIT` before int64 sums wrap."""
+    if reach > KEY_LIMIT:
+        raise ValueError(f"transition energies reach {reach / TICKS_PER_CM1:.6g} cm^-1, "
+                         "beyond the energy lattice")
 
 
 def hr_from_gradient(omega: float, gradient: float) -> float:

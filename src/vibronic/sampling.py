@@ -4,8 +4,9 @@ Each vibrational mode is emulated by an attenuated coherent pulse
 train: per-event photon counts are Poisson with mean equal to the
 mode's Huang-Rhys factor.  Counts pass through an optional detector
 model (loss, dark counts, threshold click behavior), are weighted by
-the mode energy, summed event-wise across modes, and histogrammed on
-the exact transition-energy lattice.  Work is O(events * modes).
+the mode's integer lattice key, summed event-wise across modes, and
+histogrammed on the exact transition-energy lattice.  Work is
+O(events * modes).
 
 Reproducibility: every (seed, mode, chunk) triple owns an independent
 counter-based Philox sub-stream, so results are bit-identical for any
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Molecule
+from .model import Molecule, check_key_reach, energy_keys, key_energies
 
 __all__ = [
     "SamplerConfig",
@@ -27,7 +28,6 @@ __all__ = [
     "SampledSpectrum",
     "substream",
     "poisson_draw",
-    "apply_detector",
     "sample_mode",
     "sample_spectrum",
     "IDEAL_DETECTOR",
@@ -50,7 +50,6 @@ class SamplerConfig:
     seed: int = 0
     max_quanta: int | None = None
     chunk_size: int = DEFAULT_CHUNK_SIZE
-    per_photon_thinning: bool = False
 
     def __post_init__(self):
         if self.events < 1:
@@ -62,15 +61,8 @@ class SamplerConfig:
 
     def chunks(self) -> list[tuple[int, int]]:
         """(chunk_index, size) pairs covering all events."""
-        out = []
-        done = 0
-        idx = 0
-        while done < self.events:
-            size = min(self.chunk_size, self.events - done)
-            out.append((idx, size))
-            done += size
-            idx += 1
-        return out
+        starts = range(0, self.events, self.chunk_size)
+        return [(i, min(self.chunk_size, self.events - s)) for i, s in enumerate(starts)]
 
 
 @dataclass(frozen=True)
@@ -96,10 +88,6 @@ class DetectorModel:
         if self.dark_mean < 0:
             raise ValueError(f"dark_mean must be >= 0, got {self.dark_mean}")
 
-    @property
-    def is_ideal(self) -> bool:
-        return self.efficiency == 1.0 and self.dark_mean == 0.0 and not self.threshold_mode
-
 
 IDEAL_DETECTOR = DetectorModel()
 
@@ -122,33 +110,6 @@ def poisson_draw(mean: float, rng: np.random.Generator, size: int | None = None)
     return rng.poisson(mean, size=size)
 
 
-def apply_detector(
-    j,
-    d: DetectorModel,
-    rng: np.random.Generator,
-    max_quanta: int | None = None,
-):
-    """Pass photon counts through the detector chain.
-
-    Order: loss thinning (binomial with p = efficiency), then dark
-    counts, then threshold clipping, then the optional count cap.
-    Accepts a scalar or an array of counts.
-    """
-    j = np.asarray(j)
-    if np.any(j < 0):
-        raise ValueError("photon counts must be >= 0")
-    out = j
-    if d.efficiency < 1.0:
-        out = rng.binomial(out, d.efficiency)
-    if d.dark_mean > 0.0:
-        out = out + rng.poisson(d.dark_mean, size=out.shape)
-    if d.threshold_mode:
-        out = np.minimum(out, 1)
-    if max_quanta is not None:
-        out = np.minimum(out, max_quanta)
-    return out
-
-
 def _sample_mode_chunk(
     s: float,
     mode_index: int,
@@ -158,9 +119,6 @@ def _sample_mode_chunk(
     d: DetectorModel,
 ) -> np.ndarray:
     rng = substream(cfg.seed, mode_index, chunk_index)
-    if cfg.per_photon_thinning:
-        counts = poisson_draw(s, rng, size)
-        return apply_detector(counts, d, rng, cfg.max_quanta)
     # Thinned Poisson(S) is Poisson(eta*S); drawing it directly skips a
     # binomial pass per photon and is distributionally identical.
     counts = poisson_draw(d.efficiency * s, rng, size)
@@ -213,14 +171,18 @@ class SampledSpectrum:
 def _spectrum_chunk(
     m: Molecule, chunk_index: int, size: int, cfg: SamplerConfig, d: DetectorModel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unique energies and counts for one chunk of events."""
-    acc = np.zeros(size)
-    # Fixed mode order keeps the float accumulation deterministic.
-    for mode in m.modes:
+    """Unique lattice keys and counts for one chunk of events."""
+    origin = int(energy_keys(m.e00))
+    acc = np.zeros(size, dtype=np.int64)
+    reach = abs(origin)
+    for mode, t in zip(m.modes, energy_keys(m.energies) * m.sign):
         j = _sample_mode_chunk(mode.huang_rhys, mode.index, chunk_index, size, cfg, d)
-        acc += mode.energy * j
-    energies = m.e00 + m.sign * acc
-    return np.unique(energies, return_counts=True)
+        reach += abs(int(t)) * int(j.max())
+        check_key_reach(reach)
+        j *= t  # j is this chunk's own fresh array
+        acc += j
+    keys, counts = np.unique(acc, return_counts=True)
+    return keys + origin, counts
 
 
 def sample_spectrum(
@@ -238,25 +200,17 @@ def sample_spectrum(
     chunks = cfg.chunks()
     if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda c: _spectrum_chunk(m, c[0], c[1], cfg, d),
-                    chunks,
-                )
-            )
+            results = list(pool.map(lambda c: _spectrum_chunk(m, *c, cfg, d), chunks))
     else:
-        results = [_spectrum_chunk(m, ci, size, cfg, d) for ci, size in chunks]
+        results = [_spectrum_chunk(m, *c, cfg, d) for c in chunks]
 
-    totals: dict[float, int] = {}
-    for energies, counts in results:
-        for e, c in zip(energies.tolist(), counts.tolist()):
-            totals[e] = totals.get(e, 0) + c
-    keys = np.array(sorted(totals), dtype=float)
-    vals = np.array([totals[k] for k in keys.tolist()], dtype=np.int64)
+    keys, inverse = np.unique(np.concatenate([k for k, _ in results]), return_inverse=True)
+    counts = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(counts, inverse, np.concatenate([c for _, c in results]))
 
     return SampledSpectrum(
-        keys,
-        vals,
+        key_energies(keys),
+        counts,
         total_events=cfg.events,
         provenance={
             "molecule": m.name,

@@ -1,59 +1,56 @@
 """Exact sum-over-states reference spectra.
 
-Enumerates every vibrational configuration (j_1, ..., j_N) with each
-j_i <= K, evaluates the product of one-dimensional Franck-Condon
-factors, and aggregates sticks on the transition-energy lattice.
-Cost is (1+K)^N, so a configurable budget guards against runaway
-enumeration; past it, use the sampler instead.
+The spectrum is the distribution of E00 +/- sum_i E_i j_i over all
+configurations (j_1, ..., j_N) with each j_i <= K, weighted by the
+product of one-dimensional Franck-Condon factors.  It is built by one
+algorithm, a mode-by-mode convolution on the integer energy lattice:
+each mode contributes K+1 sticks, and sticks that land on one lattice
+key are summed after every mode.  Cost is live sticks x (K+1) per
+mode, not (1+K)^N; a work budget refuses any single step past it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
-from .model import Molecule
+from .model import Molecule, check_key_reach, energy_keys, key_energies
 
 __all__ = [
     "SosConfig",
     "LineSpectrum",
     "BudgetExceededError",
     "fc_factor_1d",
-    "fc_factor_config",
-    "transition_energy",
     "state_count",
-    "enumerate_configurations",
     "build_reference_spectrum",
     "mode_distribution",
     "DEFAULT_ENUMERATION_BUDGET",
-    "DEFAULT_MERGE_TOLERANCE",
 ]
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
-DEFAULT_MERGE_TOLERANCE = 1e-6  # cm^-1; absorbs only float noise
 
-# Above this j the direct factorial product risks over/underflow, so
-# switch to log-space evaluation.
+# Above this j, or this log(s^j), the direct product risks overflow,
+# so switch to log-space evaluation.
 _LOG_SPACE_J = 20
+_LOG_DIRECT_MAX = 700.0
 
 
 class BudgetExceededError(RuntimeError):
-    """State count exceeds the enumeration budget.
+    """A convolution step's work exceeds the enumeration budget.
 
     Attributes
     ----------
     count : int
-        The exact (1+K)^N state count that was refused.
+        The refused step's term count, live sticks x (K+1).
     """
 
     def __init__(self, count: int, budget: int):
         self.count = count
         self.budget = budget
         super().__init__(
-            f"enumeration of {count} states exceeds budget {budget}; "
+            f"convolution step of {count} terms exceeds the work budget {budget}; "
             "use the sampling engine for systems this large"
         )
 
@@ -70,20 +67,20 @@ class SosConfig:
     - "cap": tail mass of each mode is aggregated onto j_i = K, the
       same rule the sampler applies when it clips drawn counts.  Use
       this when comparing against clipped samples.
+
+    `enumeration_budget` bounds the terms (live sticks x (K+1)) that
+    any one convolution step may materialize.
     """
 
     max_quanta: int = 1
     fc_prune: float | None = None
-    merge_tolerance: float = DEFAULT_MERGE_TOLERANCE
     enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET
     overflow: str = "truncate"  # "truncate" | "cap"
 
     def __post_init__(self):
         if self.max_quanta < 0:
             raise ValueError(f"max_quanta must be >= 0, got {self.max_quanta}")
-        if self.merge_tolerance < 0:
-            raise ValueError(f"merge_tolerance must be >= 0, got {self.merge_tolerance}")
-        if self.fc_prune is not None and self.fc_prune < 0:
+        if self.fc_prune is not None and not self.fc_prune >= 0:
             raise ValueError(f"fc_prune must be >= 0, got {self.fc_prune}")
         if self.overflow not in ("truncate", "cap"):
             raise ValueError(f"overflow must be 'truncate' or 'cap', got {self.overflow!r}")
@@ -121,7 +118,8 @@ def fc_factor_1d(s: float, j: int) -> float:
     """One-dimensional Franck-Condon factor s^j e^-s / j!.
 
     Equals the Poisson pmf at j with mean s; always in [0, 1].
-    Evaluated in log space for j > 20 to dodge factorial overflow.
+    Evaluated in log space for j > 20 to dodge factorial overflow, and
+    for any j where s^j alone would overflow.
     """
     if not math.isfinite(s) or s < 0:
         raise ValueError(f"Huang-Rhys factor must be >= 0, got {s!r}")
@@ -129,85 +127,16 @@ def fc_factor_1d(s: float, j: int) -> float:
         raise ValueError(f"quantum number must be >= 0, got {j}")
     if s == 0.0:
         return 1.0 if j == 0 else 0.0
-    if j <= _LOG_SPACE_J:
+    if j <= _LOG_SPACE_J and j * math.log(s) < _LOG_DIRECT_MAX:
         return s**j * math.exp(-s) / math.factorial(j)
     return math.exp(j * math.log(s) - s - math.lgamma(j + 1))
 
 
-def fc_factor_config(m: Molecule, quanta) -> float:
-    """Multi-mode Franck-Condon factor: product of per-mode factors."""
-    if len(quanta) != m.n_modes:
-        raise ValueError(
-            f"configuration length {len(quanta)} != mode count {m.n_modes}"
-        )
-    out = 1.0
-    for mode, j in zip(m.modes, quanta):
-        out *= fc_factor_1d(mode.huang_rhys, j)
-    return out
-
-
-def transition_energy(m: Molecule, quanta) -> float:
-    """Transition energy E00 +/- sum_i E_i j_i (sign from transition kind).
-
-    Mode contributions are summed in mode order so the result is a
-    reproducible lattice value.
-    """
-    if len(quanta) != m.n_modes:
-        raise ValueError(
-            f"configuration length {len(quanta)} != mode count {m.n_modes}"
-        )
-    acc = 0.0
-    for mode, j in zip(m.modes, quanta):
-        acc += mode.energy * j
-    return m.e00 + m.sign * acc
-
-
-def state_count(n_modes: int, k: int, budget: int | None = None) -> int:
-    """Exact state count (1+K)^N, arbitrary precision.
-
-    With `budget` set, refuse counts above it by raising
-    BudgetExceededError (carrying the exact count).
-    """
+def state_count(n_modes: int, k: int) -> int:
+    """Exact configuration count (1+K)^N, arbitrary precision."""
     if n_modes < 0 or k < 0:
         raise ValueError("n_modes and k must be >= 0")
-    count = (1 + k) ** n_modes
-    if budget is not None and count > budget:
-        raise BudgetExceededError(count, budget)
-    return count
-
-
-def enumerate_configurations(
-    m: Molecule, cfg: SosConfig
-) -> Iterator[tuple[tuple[int, ...], float, float]]:
-    """Yield (quanta, fc, energy) for every configuration in {0..K}^N.
-
-    Order is mixed-radix counting with the last mode fastest.  When
-    `cfg.fc_prune` is set, any subtree whose partial FC product is
-    already below the threshold is skipped; this is sound because
-    every additional factor is <= 1.
-    """
-    n = m.n_modes
-    k = cfg.max_quanta
-    state_count(n, k, cfg.enumeration_budget)
-
-    s = [mode.huang_rhys for mode in m.modes]
-    e = [mode.energy for mode in m.modes]
-    sign = m.sign
-    # Per-mode FC tables; tiny, so precompute once.
-    fc_tab = [[fc_factor_1d(s[i], j) for j in range(k + 1)] for i in range(n)]
-    prune = cfg.fc_prune
-
-    def rec(i: int, partial_fc: float, partial_e: float, prefix: tuple[int, ...]):
-        if i == n:
-            yield prefix, partial_fc, m.e00 + sign * partial_e
-            return
-        for j in range(k + 1):
-            fc = partial_fc * fc_tab[i][j]
-            if prune is not None and fc < prune:
-                continue
-            yield from rec(i + 1, fc, partial_e + e[i] * j, prefix + (j,))
-
-    yield from rec(0, 1.0, 0.0, ())
+    return (1 + k) ** n_modes
 
 
 def mode_distribution(s: float, k: int, overflow: str = "truncate") -> np.ndarray:
@@ -223,72 +152,54 @@ def mode_distribution(s: float, k: int, overflow: str = "truncate") -> np.ndarra
     return p
 
 
-def _merge_sticks(
-    energies: np.ndarray, intensities: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sort sticks and sum intensities of energies within `tol`."""
-    order = np.lexsort((intensities, energies))
-    e, inten = energies[order], intensities[order]
-    if e.size == 0:
-        return e, inten
-    # Group boundaries where the gap exceeds the tolerance.
-    group = np.concatenate(([0], np.cumsum(np.diff(e) > tol)))
-    out_i = np.zeros(group[-1] + 1)
-    np.add.at(out_i, group, inten)
-    # Representative energy: first (lowest) member of each group.
-    first = np.concatenate(([True], np.diff(group) > 0))
-    return e[first], out_i
-
-
 def build_reference_spectrum(m: Molecule, cfg: SosConfig) -> LineSpectrum:
     """Exact reference stick spectrum up to cutoff K.
 
-    Without pruning this runs as a mode-by-mode convolution: each mode
-    contributes K+1 sticks, combined pairwise with merging after every
-    mode, which is algebraically identical to full enumeration but
-    avoids materializing (1+K)^N terms.  With `fc_prune` set, the
-    explicit enumeration path is used so the subtree-skip semantics
-    hold exactly.
+    Modes are convolved one at a time on the integer energy lattice;
+    sticks sharing a key are summed after every mode, which is
+    algebraically identical to enumerating all (1+K)^N configurations.
+    Before each step materializes live sticks x (K+1) terms, a step
+    larger than `cfg.enumeration_budget` raises BudgetExceededError.
+
+    With `cfg.fc_prune` set, every stick whose merged intensity falls
+    below the threshold is dropped after each mode.  A merged stick
+    below it means every configuration feeding it is below it too,
+    and later factors are <= 1, so each configuration with FC product
+    >= the threshold survives: the pruned spectrum keeps at least the
+    mass that pruning the enumeration of configurations keeps.
 
     Raw total intensity equals prod_i CDF_Poisson(K; S_i) under
-    "truncate" overflow, and exactly 1 under "cap".
+    "truncate" overflow, and exactly 1 under "cap" (both without
+    pruning).
     """
     k = cfg.max_quanta
-    tol = cfg.merge_tolerance
-    state_count(m.n_modes, k, cfg.enumeration_budget)
+    # Canonical mode order fixes the float order of the intensity
+    # products, so the result is independent of the caller's mode
+    # permutation, bit for bit.
+    modes = sorted(m.modes, key=lambda md: (md.energy, md.huang_rhys))
+    ticks = energy_keys([md.energy for md in modes]) * m.sign
+    origin = int(energy_keys(m.e00))
+    check_key_reach(abs(origin) + k * sum(abs(int(t)) for t in ticks))
 
-    if cfg.fc_prune is not None:
-        energies_l: list[float] = []
-        intens_l: list[float] = []
-        for _, fc, energy in enumerate_configurations(m, cfg):
-            energies_l.append(energy)
-            intens_l.append(fc)
-        energies = np.array(energies_l, dtype=float)
-        intens = np.array(intens_l, dtype=float)
-        e, inten = _merge_sticks(energies, intens, tol)
-    else:
-        # Canonical mode order makes the result independent of the
-        # caller's mode permutation, bit for bit.
-        modes = sorted(m.modes, key=lambda md: (md.energy, md.huang_rhys))
-        e = np.array([0.0])
-        inten = np.array([1.0])
-        for mode in modes:
-            p = mode_distribution(mode.huang_rhys, k, cfg.overflow)
-            shifts = mode.energy * np.arange(k + 1)
-            new_e = (e[:, None] + shifts[None, :]).ravel()
-            new_i = (inten[:, None] * p[None, :]).ravel()
-            e, inten = _merge_sticks(new_e, new_i, tol)
-            # Exactly-zero sticks only arise from S = 0 modes; dropping
-            # them keeps such modes invisible, matching enumeration.
-            live = inten > 0.0
-            e, inten = e[live], inten[live]
-        e = m.e00 + m.sign * e
-        if m.sign < 0:
-            e = e[::-1].copy()
-            inten = inten[::-1].copy()
+    keys = np.array([origin], dtype=np.int64)
+    inten = np.array([1.0])
+    for mode, t in zip(modes, ticks):
+        work = keys.size * (k + 1)
+        if work > cfg.enumeration_budget:
+            raise BudgetExceededError(work, cfg.enumeration_budget)
+        p = mode_distribution(mode.huang_rhys, k, cfg.overflow)
+        shifted = keys[:, None] + t * np.arange(k + 1)
+        keys, inverse = np.unique(shifted.ravel(), return_inverse=True)
+        inten = np.bincount(inverse, weights=(inten[:, None] * p).ravel())
+        # Exactly-zero sticks only arise from S = 0 modes (or underflow);
+        # dropping them keeps such modes invisible.
+        live = inten > 0.0
+        if cfg.fc_prune is not None:
+            live &= inten >= cfg.fc_prune
+        keys, inten = keys[live], inten[live]
 
     return LineSpectrum(
-        e,
+        key_energies(keys),
         inten,
         normalization="raw",
         provenance={

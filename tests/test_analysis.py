@@ -97,6 +97,13 @@ class TestFidelity:
         with pytest.raises(ValueError):
             fidelity(sticks([(0, 0.0)]), sticks([(0, 1.0)]))
 
+    def test_one_tick_lines_merge(self):
+        # energies closer than one lattice tick are one line: summed,
+        # not overwritten
+        p = sticks([(0.0, 1.0), (0.1, 1.0), (0.1 + 1e-10, 1.0)])
+        q = sticks([(0.0, 1.0), (0.1, 2.0)])
+        assert fidelity(p, q) == pytest.approx(1.0, abs=1e-12)
+
     def test_float_noise_keys_align(self):
         e = 0.1 + 0.2  # 0.30000000000000004
         p = LineSpectrum(np.array([e]), np.array([1.0]))

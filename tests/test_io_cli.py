@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from vibronic.cli import main
 from vibronic.fixtures import pentacene_like_8
@@ -77,6 +82,55 @@ class TestMoleculeFile:
         with pytest.raises(MoleculeFileError):
             read_molecule(path)
 
+    @pytest.mark.parametrize("field", ["e00_cm1", "energy_cm1", "huang_rhys",
+                                       "omega", "gradient"])
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, [1.0]])
+    def test_non_number_rejected(self, tmp_path, field, value):
+        mode = ({"energy_cm1": 500.0, "omega": 2.0, "gradient": 2.0}
+                if field in ("omega", "gradient") else
+                {"energy_cm1": 500.0, "huang_rhys": 0.1})
+        doc = {"name": "t", "e00_cm1": 0.0, "transition": "absorption", "modes": [mode]}
+        if field == "e00_cm1":
+            doc[field] = value
+        else:
+            mode[field] = value
+        path = write_json(tmp_path, doc)
+        with pytest.raises(MoleculeFileError, match=field):
+            read_molecule(path)
+        assert main(["sos", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("value", ["36", 36.0, True, None])
+    def test_non_integer_atom_count_rejected(self, tmp_path, value):
+        path = write_json(tmp_path, {
+            "name": "a", "e00_cm1": 0.0, "transition": "absorption",
+            "atom_count": value, "modes": [{"energy_cm1": 500.0, "huang_rhys": 0.1}],
+        })
+        with pytest.raises(MoleculeFileError, match="atom_count"):
+            read_molecule(path)
+        assert main(["sample", str(path), "--events", "10",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_integer_numbers_accepted(self, tmp_path):
+        path = write_json(tmp_path, {
+            "name": "i", "e00_cm1": 18650, "transition": "absorption", "atom_count": 3,
+            "modes": [{"energy_cm1": 500, "huang_rhys": 1}],
+        })
+        m = read_molecule(path)
+        assert (m.e00, m.modes[0].energy, m.modes[0].huang_rhys) == (18650.0, 500.0, 1.0)
+
+    def test_out_of_float_range_rejected(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"name": "b", "e00_cm1": 1' + "0" * 400 + ', '
+                        '"transition": "absorption", "modes": []}', encoding="utf-8")
+        with pytest.raises(MoleculeFileError, match="e00_cm1"):
+            read_molecule(path)
+
+    def test_modes_must_be_list(self, tmp_path):
+        path = write_json(tmp_path, {"name": "l", "e00_cm1": 0.0,
+                                     "transition": "absorption", "modes": 3})
+        with pytest.raises(MoleculeFileError, match="list"):
+            read_molecule(path)
+
 
 class TestSpectrumFile:
     def test_round_trip_byte_identity(self, tmp_path):
@@ -129,12 +183,16 @@ class TestCliSos:
         assert spec.energies[0] == 18650.0
 
     def test_budget_exceeded_exit_3(self, tmp_path):
+        # 4 incommensurate modes, S ~ 50, K = 100: no sticks merge, so
+        # the fourth convolution step would hold ~1e6 x 101 terms
         m = {
             "name": "big", "e00_cm1": 0.0, "transition": "absorption",
-            "modes": [{"energy_cm1": 100.0 + i, "huang_rhys": 0.1} for i in range(30)],
+            "modes": [{"energy_cm1": e, "huang_rhys": s} for e, s in
+                      [(100.0, 50.0), (141.421356, 49.0), (173.205081, 51.0),
+                       (223.606798, 50.5)]],
         }
         path = write_json(tmp_path, m)
-        assert main(["sos", str(path), "--max-quanta", "3",
+        assert main(["sos", str(path), "--max-quanta", "100",
                      "--out", str(tmp_path / "x.csv"), "--seed", "1"]) == 3
 
     def test_parse_error_exit_2(self, tmp_path):
@@ -209,6 +267,86 @@ class TestCliBroaden:
         a.write_text("energy_cm1,intensity\n", encoding="utf-8")
         assert main(["broaden", str(a), "--fwhm", "30",
                      "--out", str(tmp_path / "o.csv")]) == 2
+
+    def test_source_provenance_carried(self, tmp_path, molecule_path):
+        src = tmp_path / "s.csv"
+        assert main(["sample", str(molecule_path), "--events", "1000",
+                     "--seed", "42", "--out", str(src)]) == 0
+        out = tmp_path / "b.csv"
+        assert main(["broaden", str(src), "--fwhm", "30", "--out", str(out)]) == 0
+        source_comments = read_spectrum(src).provenance["comments"]
+        comments = read_spectrum(out).provenance["comments"]
+        assert comments[: len(source_comments)] == source_comments
+        assert "# seed: 42" in comments
+        assert comments[len(source_comments):][0] == "# broadening: lorentzian"
+
+
+class TestCliSeed:
+    @pytest.mark.parametrize("argv", [
+        ["hr", "--omega", "2", "--gradient", "2"],
+        ["fidelity", "a.csv", "b.csv"],
+        ["broaden", "a.csv", "--fwhm", "30", "--out", "o.csv"],
+    ])
+    def test_seed_only_where_it_acts(self, argv):
+        with pytest.raises(SystemExit) as err, contextlib.redirect_stderr(io.StringIO()):
+            main(argv + ["--seed", "1"])
+        assert err.value.code == 2
+
+
+def well_typed_doc(e00, energy, hr):
+    return st.fixed_dictionaries(
+        {
+            "name": st.text(max_size=4),
+            "e00_cm1": e00,
+            "transition": st.sampled_from(["absorption", "emission"]),
+            "modes": st.lists(st.fixed_dictionaries({"energy_cm1": energy, "huang_rhys": hr}),
+                              max_size=8),
+        },
+        optional={"atom_count": st.integers(-2, 40)},
+    )
+
+
+# Plausible molecules, valid molecules with extreme numbers, any
+# floats at all, and documents with arbitrary values in any field.
+junk = st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.integers(),
+                 st.floats(), st.lists(st.integers(), max_size=2))
+any_mode = st.one_of(
+    junk,
+    st.dictionaries(st.sampled_from(["energy_cm1", "huang_rhys", "omega", "gradient", "x"]),
+                    st.one_of(st.floats(-1.0, 5.0), junk), max_size=4),
+)
+junk_doc = st.fixed_dictionaries(
+    {
+        "name": junk,
+        "e00_cm1": st.one_of(st.floats(0.0, 40000.0), junk),
+        "transition": st.one_of(st.sampled_from(["absorption", "emission"]), junk),
+        "modes": st.one_of(st.lists(any_mode, max_size=8), junk),
+    },
+    optional={"atom_count": junk, "extra": junk},
+)
+molecule_doc = st.one_of(
+    well_typed_doc(st.floats(0.0, 40000.0), st.floats(1.0, 3000.0), st.floats(0.0, 3.0)),
+    well_typed_doc(st.floats(0.0, 1e300), st.floats(1e-300, 1e300), st.floats(0.0, 1e300)),
+    well_typed_doc(st.floats(), st.floats(), st.floats()),
+    junk_doc,
+)
+
+
+@given(doc=molecule_doc, command=st.sampled_from(["sos", "sample"]),
+       k=st.integers(0, 3), events=st.integers(1, 1000),
+       overflow=st.sampled_from(["truncate", "cap"]))
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_fuzz_molecule_json_exit_codes(doc, command, k, events, overflow):
+    """Any molecule JSON gives a documented exit code, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [command, str(path), "--max-quanta", str(k), "--out", str(Path(tmp) / "o.csv")]
+        argv += (["--overflow", overflow] if command == "sos"
+                 else ["--events", str(events), "--seed", "1"])
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 2, 3, 4)
 
 
 class TestCliConverge:

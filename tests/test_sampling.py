@@ -5,9 +5,9 @@ import pytest
 
 from vibronic.model import Mode, Molecule
 from vibronic.sampling import (
+    IDEAL_DETECTOR,
     DetectorModel,
     SamplerConfig,
-    apply_detector,
     poisson_draw,
     sample_mode,
     sample_spectrum,
@@ -22,6 +22,41 @@ def molecule(hr, energies=None, e00=0.0):
         for i, (e, s) in enumerate(zip(energies, hr))
     )
     return Molecule("m", e00, "absorption", modes)
+
+
+def apply_detector(j, d, rng, max_quanta=None):
+    """Oracle: the detector chain photon by photon.
+
+    Loss thins each photon with probability `efficiency` (binomial),
+    then dark counts add, then a click detector saturates at 1, then
+    the optional cap applies.  The sampler instead draws the thinned
+    count directly as Poisson(efficiency * S).
+    """
+    out = np.asarray(j)
+    if d.efficiency < 1.0:
+        out = rng.binomial(out, d.efficiency)
+    if d.dark_mean > 0.0:
+        out = out + rng.poisson(d.dark_mean, size=out.shape)
+    if d.threshold_mode:
+        out = np.minimum(out, 1)
+    if max_quanta is not None:
+        out = np.minimum(out, max_quanta)
+    return out
+
+
+def assert_same_counts(a, b):
+    """Two samples of per-event counts agree in frequency for every
+    count value, within 4 sigma of the difference of two proportions."""
+    n = a.size
+    for v in np.union1d(np.unique(a), np.unique(b)):
+        pa, pb = (a == v).mean(), (b == v).mean()
+        p = (pa + pb) / 2.0
+        assert abs(pa - pb) <= 4.0 * math.sqrt(2.0 * p * (1.0 - p) / n) + 1e-12, v
+
+
+def oracle_counts(s, d, seed, n, max_quanta=None):
+    rng = substream(seed, 1, 0)
+    return apply_detector(poisson_draw(s, rng, size=n), d, rng, max_quanta)
 
 
 class TestPoissonDraw:
@@ -48,37 +83,50 @@ class TestPoissonDraw:
 
 
 class TestApplyDetector:
+    """The sampler's recorded counts against the photon-by-photon oracle."""
+
     def test_ideal_is_identity(self):
-        rng = substream(0, 1, 0)
         j = np.arange(10)
-        out = apply_detector(j, DetectorModel(), rng)
-        assert np.array_equal(out, j)
+        assert np.array_equal(apply_detector(j, IDEAL_DETECTOR, substream(0, 1, 0)), j)
+        # with no detector effects the sampler records the raw draws
+        n = 10**4
+        got = sample_mode(0.7, 1, SamplerConfig(events=n, seed=3))
+        assert np.array_equal(got, oracle_counts(0.7, IDEAL_DETECTOR, 3, n))
 
     def test_threshold_saturates(self):
-        rng = substream(0, 1, 0)
-        out = apply_detector(5, DetectorModel(threshold_mode=True), rng)
-        assert out == 1
+        d = DetectorModel(threshold_mode=True)
+        assert apply_detector(5, d, substream(0, 1, 0)) == 1
+        n = 10**5
+        got = sample_mode(2.0, 1, SamplerConfig(events=n, seed=4), d)
+        assert np.array_equal(got, oracle_counts(2.0, d, 4, n))
 
     def test_thinning_mean(self):
         n = 10**6
-        rng = substream(77, 1, 0)
-        j = poisson_draw(0.25, rng, size=n)
-        out = apply_detector(j, DetectorModel(efficiency=0.8), rng)
+        d = DetectorModel(efficiency=0.8)
+        got = sample_mode(0.25, 1, SamplerConfig(events=n, seed=77), d)
+        want = oracle_counts(0.25, d, 78, n)
         mean = 0.8 * 0.25
-        assert abs(out.mean() - mean) < 3.0 * math.sqrt(mean / n)
+        for out in (got, want):
+            assert abs(out.mean() - mean) < 3.0 * math.sqrt(mean / n)
+        assert_same_counts(got, want)
 
     def test_dark_counts_add(self):
         n = 10**5
-        rng = substream(78, 1, 0)
-        out = apply_detector(
-            np.zeros(n, dtype=np.int64), DetectorModel(dark_mean=0.5), rng
-        )
-        assert abs(out.mean() - 0.5) < 3.0 * math.sqrt(0.5 / n)
+        d = DetectorModel(dark_mean=0.5)
+        got = sample_mode(0.0, 1, SamplerConfig(events=n, seed=78), d)
+        want = oracle_counts(0.0, d, 79, n)
+        for out in (got, want):
+            assert abs(out.mean() - 0.5) < 3.0 * math.sqrt(0.5 / n)
+        assert_same_counts(got, want)
 
     def test_max_quanta_cap(self):
-        rng = substream(0, 1, 0)
-        out = apply_detector(np.array([0, 1, 5, 9]), DetectorModel(), rng, max_quanta=3)
-        assert np.array_equal(out, [0, 1, 3, 3])
+        assert np.array_equal(
+            apply_detector(np.array([0, 1, 5, 9]), IDEAL_DETECTOR, substream(0, 1, 0), 3),
+            [0, 1, 3, 3],
+        )
+        n = 10**4
+        got = sample_mode(2.5, 1, SamplerConfig(events=n, seed=5, max_quanta=3))
+        assert np.array_equal(got, oracle_counts(2.5, IDEAL_DETECTOR, 5, n, max_quanta=3))
 
     def test_invalid_efficiency(self):
         with pytest.raises(ValueError):
@@ -115,20 +163,16 @@ class TestSampleMode:
         assert np.array_equal(sample_mode(0.2, 1, cfg1), sample_mode(0.2, 1, cfg2))
 
     def test_per_photon_thinning_matches_direct_statistically(self):
+        # every detector effect at once, capped: the sampler's direct
+        # Poisson(eta*S) draw against photon-by-photon thinning
         n = 10**6
-        eta, s = 0.7, 0.4
-        direct = sample_mode(
-            s, 1, SamplerConfig(events=n, seed=40), DetectorModel(efficiency=eta)
-        )
-        thinned = sample_mode(
-            s, 1,
-            SamplerConfig(events=n, seed=41, per_photon_thinning=True),
-            DetectorModel(efficiency=eta),
-        )
-        mean = eta * s
-        tol = 3.0 * math.sqrt(mean / n)
-        assert abs(direct.mean() - mean) < tol
-        assert abs(thinned.mean() - mean) < tol
+        d = DetectorModel(efficiency=0.7, dark_mean=0.1)
+        direct = sample_mode(0.4, 1, SamplerConfig(events=n, seed=40, max_quanta=2), d)
+        thinned = oracle_counts(0.4, d, 41, n, max_quanta=2)
+        mean = 0.7 * 0.4 + 0.1
+        uncapped = sample_mode(0.4, 1, SamplerConfig(events=n, seed=42), d)
+        assert abs(uncapped.mean() - mean) < 3.0 * math.sqrt(mean / n)
+        assert_same_counts(direct, thinned)
 
 
 class TestSampleSpectrum:
