@@ -19,6 +19,8 @@ from .analysis import (
     normalize,
 )
 from .model import (
+    IDEAL_DETECTOR,
+    DetectorModel,
     Mode,
     Molecule,
     ValidationError,
@@ -27,8 +29,6 @@ from .model import (
     validate_molecule,
 )
 from .sampling import (
-    IDEAL_DETECTOR,
-    DetectorModel,
     SampledSpectrum,
     SamplerConfig,
     poisson_draw,

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import Molecule, energy_keys
-from .sampling import DetectorModel, SampledSpectrum, SamplerConfig, sample_spectrum
+from .model import DetectorModel, Molecule, energy_keys
+from .sampling import SampledSpectrum, SamplerConfig, sample_spectrum
 from .sos import LineSpectrum, SosConfig, build_reference_spectrum
 
 __all__ = [
@@ -167,13 +167,13 @@ def normalize(spec, mode: str, e00: float | None = None) -> LineSpectrum:
 
 def _keyed(spec) -> tuple[np.ndarray, np.ndarray]:
     """Strictly increasing lattice keys of a spectrum and the summed
-    intensity on each; distinct energies within one tick share a key."""
+    intensity (scaled to max 1, so norms stay finite) on each key."""
     line = as_line_spectrum(spec)
     if len(line) == 0 or not np.any(line.intensities > 0):
         raise ValueError("fidelity requires non-empty spectra with intensity")
     keys = energy_keys(line.energies)  # non-decreasing, as energies increase
     first = np.flatnonzero(np.diff(keys, prepend=keys[0] - 1))
-    return keys[first], np.add.reduceat(line.intensities, first)
+    return keys[first], np.add.reduceat(line.intensities / line.intensities.max(), first)
 
 
 def fidelity(p, q, norm: str = "l2") -> float:
@@ -249,14 +249,14 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Mean and standard deviation of fidelity versus event count.
 
-    For each requested event count, `runs` independent samplers (each
-    with a seed derived from the base seed) are compared against the
-    exact reference built once from `sos_cfg`.  Means typically rise
-    toward 1 with event count but are not forced to.
+    For each requested event count, `runs` independent samplers through
+    detector `d` (each seeded from the base seed) are compared against
+    the exact reference of what `d` records, built once from `sos_cfg`.
+    Means typically rise toward 1 with event count but are not forced to.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    reference = build_reference_spectrum(m, sos_cfg)
+    reference = build_reference_spectrum(m, sos_cfg, d)
     means = []
     stds = []
     for pi, events in enumerate(event_counts):
@@ -277,5 +277,6 @@ def convergence_study(
             "seed": cfg_base.seed,
             "max_quanta": cfg_base.max_quanta,
             "overflow": sos_cfg.overflow,
+            **vars(d),
         },
     )

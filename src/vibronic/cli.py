@@ -176,6 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="reproducibility seed (default: process entropy)")
 
+    def add_detector(p):
+        p.add_argument("--efficiency", type=float, default=1.0, help="photon survival in (0, 1]")
+        p.add_argument("--dark", type=float, default=0.0, help="mean dark counts per gate")
+        p.add_argument("--threshold", action="store_true", help="click detector: clip at 1")
+
     p = sub.add_parser("hr", help="Huang-Rhys factor from omega and gradient")
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--gradient", type=float, required=True)
@@ -194,9 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--events", type=int, required=True)
     p.add_argument("--max-quanta", type=int, default=None)
-    p.add_argument("--efficiency", type=float, default=1.0)
-    p.add_argument("--dark", type=float, default=0.0)
-    p.add_argument("--threshold", action="store_true")
+    add_detector(p)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--chunk-size", type=int, default=sampling.DEFAULT_CHUNK_SIZE)
     p.add_argument("--out", required=True)
@@ -222,9 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events-list", required=True, help="comma-separated event counts")
     p.add_argument("--runs", type=int, default=30)
     p.add_argument("--max-quanta", type=int, default=1)
-    p.add_argument("--efficiency", type=float, default=1.0)
-    p.add_argument("--dark", type=float, default=0.0)
-    p.add_argument("--threshold", action="store_true")
+    add_detector(p)
     p.add_argument("--overflow", default="cap", choices=("truncate", "cap"))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_converge)

@@ -10,6 +10,7 @@ emit -> parse -> emit is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -166,11 +167,11 @@ def write_spectrum(spec: LineSpectrum, path, comments: list[str] | None = None) 
 
 def read_spectrum(path) -> LineSpectrum:
     """Parse a spectrum CSV; provenance comments are preserved verbatim
-    under provenance["comments"] so re-emission is byte-identical."""
+    under provenance["comments"] so re-emission is byte-identical.
+    Non-finite values (inf, nan) are refused."""
     text = Path(path).read_text(encoding="utf-8")
     comments: list[str] = []
-    energies: list[float] = []
-    intensities: list[float] = []
+    rows: list[tuple[float, float]] = []
     saw_header = False
     for lineno, line in enumerate(text.splitlines(), 1):
         if line.startswith("#"):
@@ -191,20 +192,19 @@ def read_spectrum(path) -> LineSpectrum:
         if len(parts) != 2:
             raise SpectrumFileError(f"{path}:{lineno}: expected two columns")
         try:
-            energies.append(float(parts[0]))
-            intensities.append(float(parts[1]))
+            rows.append((float(parts[0]), float(parts[1])))
         except ValueError as exc:
             raise SpectrumFileError(f"{path}:{lineno}: {exc}") from exc
+        if not all(map(math.isfinite, rows[-1])):
+            raise SpectrumFileError(f"{path}:{lineno}: values must be finite")
     if not saw_header:
         raise SpectrumFileError(f"{path}: missing header line")
-    if len(energies) == 0:
+    if not rows:
         raise SpectrumFileError(f"{path}: spectrum has no data rows")
-    e = np.array(energies)
+    e, i = np.array(rows).T
     if e.size > 1 and not np.all(np.diff(e) > 0):
         raise SpectrumFileError(f"{path}: energies must be strictly increasing")
-    return LineSpectrum(
-        e, np.array(intensities), normalization="raw", provenance={"comments": comments}
-    )
+    return LineSpectrum(e, i, normalization="raw", provenance={"comments": comments})
 
 
 def write_svg(spec: LineSpectrum, path, width: int = 800, height: int = 500) -> None:

@@ -1,4 +1,4 @@
-"""Domain types: vibrational modes, molecules, and Huang-Rhys ingestion.
+"""Domain types: modes, molecules, the detector model, Huang-Rhys ingestion.
 
 All spectral energies (mode quanta, zero-phonon line) are in cm^-1.
 Huang-Rhys factors are dimensionless, so everything downstream of
@@ -19,6 +19,8 @@ import numpy as np
 __all__ = [
     "Mode",
     "Molecule",
+    "DetectorModel",
+    "IDEAL_DETECTOR",
     "ValidationError",
     "hr_from_gradient",
     "validate_molecule",
@@ -96,6 +98,43 @@ class Molecule:
     @property
     def sign(self) -> int:
         return -1 if self.transition == "emission" else +1
+
+
+@dataclass(frozen=True)
+class DetectorModel:
+    """Detector imperfections: loss, dark counts, click saturation.
+
+    efficiency : float in (0, 1]
+        Photon survival probability (Poisson thinning).
+    dark_mean : float >= 0, finite
+        Expected dark counts per gate, added as an independent Poisson.
+    threshold_mode : bool
+        True emulates SPAD/SNSPD click detectors: any count >= 1 is 1.
+    """
+
+    efficiency: float = 1.0
+    dark_mean: float = 0.0
+    threshold_mode: bool = False
+
+    def __post_init__(self):
+        if not (0.0 < self.efficiency <= 1.0):
+            raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
+        if not (0.0 <= self.dark_mean < math.inf):
+            raise ValueError(f"dark_mean must be >= 0 and finite, got {self.dark_mean}")
+
+    def recorded(self, s: float, k: int | None) -> tuple[float, int | None]:
+        """(mean, top): one mode's recorded count is Poisson(mean) clipped at top.
+
+        Loss thins Poisson(s) photons to Poisson(efficiency * s) and dark
+        counts add Poisson(dark_mean); a click detector clips at 1 and the
+        cap at `k` (None: no cap).  Both engines take the law from here.
+        """
+        if self.threshold_mode:
+            k = 1 if k is None else min(k, 1)
+        return self.efficiency * s + self.dark_mean, k
+
+
+IDEAL_DETECTOR = DetectorModel()
 
 
 def energy_keys(energies) -> np.ndarray:

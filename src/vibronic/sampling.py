@@ -1,12 +1,12 @@
 """Linear-scaling sampling engine.
 
 Each vibrational mode is emulated by an attenuated coherent pulse
-train: per-event photon counts are Poisson with mean equal to the
-mode's Huang-Rhys factor.  Counts pass through an optional detector
-model (loss, dark counts, threshold click behavior), are weighted by
-the mode's integer lattice key, summed event-wise across modes, and
-histogrammed on the exact transition-energy lattice.  Work is
-O(events * modes).
+train seen by a photon detector.  Per event, each mode's recorded
+count is drawn once from the law `DetectorModel.recorded` states:
+Poisson(efficiency * S + dark_mean), clipped at 1 for a click detector
+and at the cap K.  Counts are weighted by the mode's integer lattice
+key, summed event-wise across modes, and histogrammed on the exact
+transition-energy lattice.  Work is O(events * modes).
 
 Reproducibility: every (seed, mode, chunk) triple owns an independent
 counter-based Philox sub-stream, so results are bit-identical for any
@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Molecule, check_key_reach, energy_keys, key_energies
+from .model import (IDEAL_DETECTOR, DetectorModel, Molecule, check_key_reach, energy_keys,
+                    key_energies)
 
 __all__ = [
     "SamplerConfig",
@@ -65,33 +66,6 @@ class SamplerConfig:
         return [(i, min(self.chunk_size, self.events - s)) for i, s in enumerate(starts)]
 
 
-@dataclass(frozen=True)
-class DetectorModel:
-    """Detector imperfections: loss, dark counts, click saturation.
-
-    efficiency : float in (0, 1]
-        Photon survival probability (Poisson thinning).
-    dark_mean : float >= 0
-        Expected dark counts per gate, added as an independent Poisson.
-    threshold_mode : bool
-        True emulates SPAD/SNSPD click detectors: any count >= 1 is
-        recorded as exactly 1.
-    """
-
-    efficiency: float = 1.0
-    dark_mean: float = 0.0
-    threshold_mode: bool = False
-
-    def __post_init__(self):
-        if not (0.0 < self.efficiency <= 1.0):
-            raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
-        if self.dark_mean < 0:
-            raise ValueError(f"dark_mean must be >= 0, got {self.dark_mean}")
-
-
-IDEAL_DETECTOR = DetectorModel()
-
-
 def substream(seed: int, mode_index: int, chunk_index: int) -> np.random.Generator:
     """Independent counter-based RNG stream for one (mode, chunk) cell."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(mode_index, chunk_index))
@@ -110,25 +84,12 @@ def poisson_draw(mean: float, rng: np.random.Generator, size: int | None = None)
     return rng.poisson(mean, size=size)
 
 
-def _sample_mode_chunk(
-    s: float,
-    mode_index: int,
-    chunk_index: int,
-    size: int,
-    cfg: SamplerConfig,
-    d: DetectorModel,
-) -> np.ndarray:
+def _sample_mode_chunk(s: float, mode_index: int, chunk_index: int, size: int,
+                       cfg: SamplerConfig, d: DetectorModel) -> np.ndarray:
     rng = substream(cfg.seed, mode_index, chunk_index)
-    # Thinned Poisson(S) is Poisson(eta*S); drawing it directly skips a
-    # binomial pass per photon and is distributionally identical.
-    counts = poisson_draw(d.efficiency * s, rng, size)
-    if d.dark_mean > 0.0:
-        counts = counts + rng.poisson(d.dark_mean, size=size)
-    if d.threshold_mode:
-        counts = np.minimum(counts, 1)
-    if cfg.max_quanta is not None:
-        counts = np.minimum(counts, cfg.max_quanta)
-    return counts
+    mean, top = d.recorded(s, cfg.max_quanta)
+    counts = poisson_draw(mean, rng, size)
+    return counts if top is None else np.minimum(counts, top)
 
 
 def sample_mode(
@@ -219,8 +180,6 @@ def sample_spectrum(
             "seed": cfg.seed,
             "max_quanta": cfg.max_quanta,
             "generator": "philox-seedseq",
-            "efficiency": d.efficiency,
-            "dark_mean": d.dark_mean,
-            "threshold_mode": d.threshold_mode,
+            **vars(d),
         },
     )

@@ -2,11 +2,14 @@
 
 The spectrum is the distribution of E00 +/- sum_i E_i j_i over all
 configurations (j_1, ..., j_N) with each j_i <= K, weighted by the
-product of one-dimensional Franck-Condon factors.  It is built by one
-algorithm, a mode-by-mode convolution on the integer energy lattice:
-each mode contributes K+1 sticks, and sticks that land on one lattice
-key are summed after every mode.  Cost is live sticks x (K+1) per
-mode, not (1+K)^N; a work budget refuses any single step past it.
+product of the probabilities that a detector records each j_i
+(`DetectorModel.recorded`; for the ideal detector, the one-dimensional
+Franck-Condon factors), so a reference is exact for samples taken
+through its detector.  It is built by one algorithm, a mode-by-mode
+convolution on the integer energy lattice: each mode contributes K+1
+sticks, and sticks that land on one lattice key are summed after every
+mode.  Cost is live sticks x (K+1) per mode, not (1+K)^N; a work
+budget refuses any single step past it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Molecule, check_key_reach, energy_keys, key_energies
+from .model import (IDEAL_DETECTOR, DetectorModel, Molecule, check_key_reach, energy_keys,
+                    key_energies)
 
 __all__ = [
     "SosConfig",
@@ -139,27 +143,34 @@ def state_count(n_modes: int, k: int) -> int:
     return (1 + k) ** n_modes
 
 
-def mode_distribution(s: float, k: int, overflow: str = "truncate") -> np.ndarray:
-    """Per-mode probability over j = 0..K.
+def mode_distribution(s: float, k: int, overflow: str = "truncate",
+                      d: DetectorModel = IDEAL_DETECTOR) -> np.ndarray:
+    """Probability of each count `d` records for one mode, j = 0..top.
 
-    "truncate" keeps raw Poisson pmf values (sums to the regularized
-    CDF, < 1); "cap" piles the tail mass P(j >= K) onto the K bin, so
-    the vector sums to 1 exactly like clipped samples do.
+    The count is Poisson(mean) clipped at top, (mean, top) =
+    `d.recorded(s, K)`; a click detector's clip piles P(j >= 1) onto 1
+    under either overflow.  At the cutoff K, "truncate" keeps raw
+    Poisson pmf values (sums to the regularized CDF, < 1); "cap" piles
+    the tail mass P(j >= K) onto the K bin, so the vector sums to 1
+    exactly like clipped samples do.
     """
-    p = np.array([fc_factor_1d(s, j) for j in range(k + 1)])
-    if overflow == "cap":
-        p[k] = 1.0 - p[:k].sum()
+    mean, top = d.recorded(s, k)
+    p = np.array([fc_factor_1d(mean, j) for j in range(top + 1)])
+    if overflow == "cap" or top == d.recorded(s, None)[1]:
+        p[top] = 1.0 - p[:top].sum()
     return p
 
 
-def build_reference_spectrum(m: Molecule, cfg: SosConfig) -> LineSpectrum:
-    """Exact reference stick spectrum up to cutoff K.
+def build_reference_spectrum(m: Molecule, cfg: SosConfig,
+                             d: DetectorModel = IDEAL_DETECTOR) -> LineSpectrum:
+    """Exact reference stick spectrum up to cutoff K, as detector `d` records it.
 
     Modes are convolved one at a time on the integer energy lattice;
     sticks sharing a key are summed after every mode, which is
     algebraically identical to enumerating all (1+K)^N configurations.
-    Before each step materializes live sticks x (K+1) terms, a step
-    larger than `cfg.enumeration_budget` raises BudgetExceededError.
+    Before each step materializes live sticks x (top+1) terms, top =
+    min(K, the detector's clip), a step larger than
+    `cfg.enumeration_budget` raises BudgetExceededError.
 
     With `cfg.fc_prune` set, every stick whose merged intensity falls
     below the threshold is dropped after each mode.  A merged stick
@@ -168,31 +179,32 @@ def build_reference_spectrum(m: Molecule, cfg: SosConfig) -> LineSpectrum:
     >= the threshold survives: the pruned spectrum keeps at least the
     mass that pruning the enumeration of configurations keeps.
 
-    Raw total intensity equals prod_i CDF_Poisson(K; S_i) under
-    "truncate" overflow, and exactly 1 under "cap" (both without
-    pruning).
+    With the ideal detector, raw total intensity equals
+    prod_i CDF_Poisson(K; S_i) under "truncate" overflow, and exactly 1
+    under "cap" (both without pruning).
     """
     k = cfg.max_quanta
+    top = d.recorded(0.0, k)[1]  # the clip does not depend on S
     # Canonical mode order fixes the float order of the intensity
     # products, so the result is independent of the caller's mode
     # permutation, bit for bit.
     modes = sorted(m.modes, key=lambda md: (md.energy, md.huang_rhys))
     ticks = energy_keys([md.energy for md in modes]) * m.sign
     origin = int(energy_keys(m.e00))
-    check_key_reach(abs(origin) + k * sum(abs(int(t)) for t in ticks))
+    check_key_reach(abs(origin) + top * sum(abs(int(t)) for t in ticks))
 
     keys = np.array([origin], dtype=np.int64)
     inten = np.array([1.0])
     for mode, t in zip(modes, ticks):
-        work = keys.size * (k + 1)
+        work = keys.size * (top + 1)
         if work > cfg.enumeration_budget:
             raise BudgetExceededError(work, cfg.enumeration_budget)
-        p = mode_distribution(mode.huang_rhys, k, cfg.overflow)
-        shifted = keys[:, None] + t * np.arange(k + 1)
+        p = mode_distribution(mode.huang_rhys, k, cfg.overflow, d)
+        shifted = keys[:, None] + t * np.arange(top + 1)
         keys, inverse = np.unique(shifted.ravel(), return_inverse=True)
         inten = np.bincount(inverse, weights=(inten[:, None] * p).ravel())
-        # Exactly-zero sticks only arise from S = 0 modes (or underflow);
-        # dropping them keeps such modes invisible.
+        # Exactly-zero sticks only arise from modes whose recorded mean
+        # is 0 (or underflow); dropping them keeps such modes invisible.
         live = inten > 0.0
         if cfg.fc_prune is not None:
             live &= inten >= cfg.fc_prune
@@ -208,5 +220,6 @@ def build_reference_spectrum(m: Molecule, cfg: SosConfig) -> LineSpectrum:
             "max_quanta": k,
             "overflow": cfg.overflow,
             "fc_prune": cfg.fc_prune,
+            **vars(d),
         },
     )

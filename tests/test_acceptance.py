@@ -88,15 +88,24 @@ def test_criterion_2_completeness_identity():
 def test_criterion_3_small_instance_oracle():
     """Sampled spectra match exact per-line probabilities for tiny
     systems: max deviation <= 5e-3 and chi-square p > 1e-4."""
-    rng = np.random.default_rng(31)
-    events = 10**6
+    worst_dev, worst_p = small_instance_gate(DetectorModel(), seed=31, trials=20)
+    ok = worst_dev <= 5e-3 and worst_p > 1e-4
+    report("criterion 3 (small-instance sampled vs exact)", ok,
+           f"max dev {worst_dev:.2e}, min chi2 p {worst_p:.2e}")
+
+
+def small_instance_gate(d, seed, trials, events=10**6):
+    """Worst per-line deviation and least chi-square p of `trials`
+    random tiny molecules sampled through detector `d` against the
+    exact capped reference of what `d` records."""
+    rng = np.random.default_rng(seed)
     worst_dev, worst_p = 0.0, 1.0
-    for trial in range(20):
+    for trial in range(trials):
         m = random_molecule(rng, n_max=3, s_max=1.0)
         k = int(rng.integers(1, 4))
-        ref = build_reference_spectrum(m, SosConfig(max_quanta=k, overflow="cap"))
+        ref = build_reference_spectrum(m, SosConfig(max_quanta=k, overflow="cap"), d)
         cfg = SamplerConfig(events=events, seed=run_seed(555, trial), max_quanta=k)
-        sampled = sample_spectrum(m, cfg)
+        sampled = sample_spectrum(m, cfg, d)
 
         probs = dict(zip(np.round(ref.energies, 6).tolist(), ref.intensities.tolist()))
         counts = dict(zip(np.round(sampled.energies, 6).tolist(), sampled.counts.tolist()))
@@ -112,9 +121,7 @@ def test_criterion_3_small_instance_oracle():
         exp_b = np.concatenate([exp[big], [exp[~big].sum()]]) if (~big).any() else exp[big]
         _, p_value = scipy.stats.chisquare(obs_b, exp_b)
         worst_p = min(worst_p, float(p_value))
-    ok = worst_dev <= 5e-3 and worst_p > 1e-4
-    report("criterion 3 (small-instance sampled vs exact)", ok,
-           f"max dev {worst_dev:.2e}, min chi2 p {worst_p:.2e}")
+    return worst_dev, worst_p
 
 
 def test_criterion_4_pentacene_like_convergence():
@@ -209,6 +216,20 @@ def test_criterion_9_detector_thinning_mean():
         ok = ok and dev < tol
         details.append(f"S={s}: dev {dev:.2e} (tol {tol:.2e})")
     report("criterion 9 (detector thinning mean)", ok, "; ".join(details))
+
+
+@pytest.mark.parametrize("d", [
+    DetectorModel(efficiency=0.6),
+    DetectorModel(dark_mean=0.3),
+    DetectorModel(threshold_mode=True),
+    DetectorModel(efficiency=0.7, dark_mean=0.2, threshold_mode=True),
+], ids=["loss", "dark", "click", "all"])
+def test_criterion_9_detector_small_instance_oracle(d):
+    """Criterion 3's gate through each detector kind, against the
+    reference of what that detector records."""
+    worst_dev, worst_p = small_instance_gate(d, seed=93, trials=5)
+    ok = worst_dev <= 5e-3 and worst_p > 1e-4
+    report(f"criterion 9 ({d})", ok, f"max dev {worst_dev:.2e}, min chi2 p {worst_p:.2e}")
 
 
 def test_criterion_10_broadening_and_round_trip(tmp_path):

@@ -13,6 +13,7 @@ from vibronic.analysis import (
     fidelity,
     normalize,
 )
+from vibronic.fixtures import pentacene_like_8
 from vibronic.model import Mode, Molecule
 from vibronic.sampling import DetectorModel, SamplerConfig
 from vibronic.sos import LineSpectrum, SosConfig
@@ -204,3 +205,18 @@ class TestConvergenceStudy:
         # stochastic, but 1000x more events should not be worse here
         assert report.mean_fidelity[1] > report.mean_fidelity[0]
         assert report.mean_fidelity[1] > 0.999
+
+    @pytest.mark.parametrize("d", [DetectorModel(efficiency=0.5), DetectorModel(dark_mean=0.2)],
+                             ids=["loss", "dark"])
+    def test_detector_scored_against_its_own_reference(self, d):
+        # against the ideal reference these plateau near 0.979 and 0.80
+        report = convergence_study(
+            pentacene_like_8(),
+            SamplerConfig(events=1, seed=8, max_quanta=1),
+            d,
+            [10**5],
+            runs=3,
+            sos_cfg=SosConfig(max_quanta=1, overflow="cap"),
+        )
+        assert report.mean_fidelity[0] >= 0.999
+        assert {k: report.provenance[k] for k in vars(d)} == vars(d)

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from vibronic.cli import main
 from vibronic.fixtures import pentacene_like_8
 from vibronic.io import (
+    SPECTRUM_HEADER,
     MoleculeFileError,
     SpectrumFileError,
     read_molecule,
@@ -164,6 +167,13 @@ class TestSpectrumFile:
         with pytest.raises(SpectrumFileError, match="no data"):
             read_spectrum(path)
 
+    @pytest.mark.parametrize("row", ["0.0,inf", "nan,1.0", "-inf,1.0", "0.0,nan", "1e400,1.0"])
+    def test_non_finite_rejected(self, tmp_path, row):
+        path = tmp_path / "n.csv"
+        path.write_text(f"energy_cm1,intensity\n{row}\n", encoding="utf-8")
+        with pytest.raises(SpectrumFileError, match=":2: values must be finite"):
+            read_spectrum(path)
+
 
 class TestCliSos:
     def test_k1_enumeration(self, tmp_path, molecule_path, capsys):
@@ -242,6 +252,21 @@ class TestCliFidelity:
         bad.write_text("garbage\n", encoding="utf-8")
         assert main(["fidelity", str(bad), str(bad)]) == 2
 
+    def test_infinite_intensity_exit_2(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_text("energy_cm1,intensity\n0.0,inf\n", encoding="utf-8")
+        assert main(["fidelity", str(a), str(a)]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_huge_and_tiny_intensities(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("energy_cm1,intensity\n0.0,1e308\n500.0,1e308\n", encoding="utf-8")
+        b.write_text("energy_cm1,intensity\n0.0,5e-324\n500.0,5e-324\n", encoding="utf-8")
+        for norm in ("l2", "bhattacharyya"):
+            assert main(["fidelity", str(a), str(b), "--norm", norm]) == 0
+            assert capsys.readouterr().out.strip() == "1.000000"
+
 
 class TestCliBroaden:
     def test_lorentzian_profile(self, tmp_path, molecule_path):
@@ -265,6 +290,12 @@ class TestCliBroaden:
     def test_empty_input_exit_2(self, tmp_path):
         a = tmp_path / "a.csv"
         a.write_text("energy_cm1,intensity\n", encoding="utf-8")
+        assert main(["broaden", str(a), "--fwhm", "30",
+                     "--out", str(tmp_path / "o.csv")]) == 2
+
+    def test_nan_row_exit_2(self, tmp_path):
+        a = tmp_path / "a.csv"
+        a.write_text("energy_cm1,intensity\nnan,1.0\n", encoding="utf-8")
         assert main(["broaden", str(a), "--fwhm", "30",
                      "--out", str(tmp_path / "o.csv")]) == 2
 
@@ -349,6 +380,55 @@ def test_fuzz_molecule_json_exit_codes(doc, command, k, events, overflow):
     assert code in (0, 2, 3, 4)
 
 
+# Spectrum CSV bodies: well-formed files on a few shared energies,
+# some with one row of float extremes or non-finite values, and files
+# of junk text in rows, headers and comments.
+extreme = st.sampled_from([-0.0, 5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan])
+shared = st.integers(-3, 3).map(lambda n: 500.0 * n)
+finite_rows = st.lists(st.tuples(st.one_of(shared, st.floats(-1e4, 1e4)), st.floats(0.0, 1e4)),
+                       min_size=1, max_size=5, unique_by=lambda r: r[0])
+extreme_rows = st.lists(st.tuples(st.one_of(shared, extreme),
+                                  st.one_of(st.floats(0.0, 1e4), extreme)), max_size=1)
+well_formed = st.builds(lambda rows, more: "\n".join(
+    [SPECTRUM_HEADER] + [f"{e!r},{i!r}" for e, i in sorted(rows + more, key=lambda r: r[0])]
+) + "\n", finite_rows, extreme_rows)
+csv_text = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+csv_number = st.one_of(st.floats(-1e4, 1e4).map(repr), st.sampled_from(["1e400", "nan"]),
+                       csv_text)
+junk_csv = st.builds(
+    lambda comments, header, rows: "\n".join(comments + [header] + rows) + "\n",
+    st.lists(st.just("# c: 1"), max_size=1),
+    st.one_of(st.just(SPECTRUM_HEADER), csv_text),
+    st.lists(st.one_of(st.tuples(csv_number, csv_number).map(",".join), csv_text), max_size=6),
+)
+csv_body = st.one_of(well_formed, junk_csv)
+
+
+@given(a=csv_body, b=csv_body, command=st.sampled_from(["fidelity", "broaden"]),
+       option=st.sampled_from(["l2", "bhattacharyya", "lorentzian", "gaussian"]))
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_fuzz_spectrum_csv_exit_codes(a, b, command, option):
+    """Any spectrum CSV gives a documented exit code and never a nan result."""
+    with tempfile.TemporaryDirectory() as tmp:
+        pa, pb = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+        pa.write_text(a, encoding="utf-8")
+        pb.write_text(b, encoding="utf-8")
+        if command == "fidelity":
+            norm = option if option in ("l2", "bhattacharyya") else "l2"
+            argv = ["fidelity", str(pa), str(pb), "--norm", norm]
+        else:
+            shape = option if option in ("lorentzian", "gaussian") else "lorentzian"
+            argv = ["broaden", str(pa), "--shape", shape, "--fwhm", "30",
+                    "--out", str(Path(tmp) / "o.csv")]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(argv)
+    assert code in (0, 2, 4)
+    assert "nan" not in out.getvalue()
+
+
 class TestCliConverge:
     def test_single_run_zero_std(self, tmp_path, molecule_path):
         out = tmp_path / "conv.csv"
@@ -360,6 +440,42 @@ class TestCliConverge:
         assert rows[0] == "events,mean_fidelity,std_fidelity"
         for row in rows[1:]:
             assert float(row.split(",")[2]) == 0.0
+
+
+class TestCliDetector:
+    DETECTOR_KEYS = ("efficiency", "dark_mean", "threshold_mode")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    @pytest.mark.parametrize("command", ["sample", "converge"])
+    def test_bad_dark_exit_2(self, tmp_path, molecule_path, command, value):
+        out = tmp_path / "o.csv"
+        argv = [command, str(molecule_path), "--dark", value, "--seed", "1", "--out", str(out)]
+        argv += ["--events", "100"] if command == "sample" else ["--events-list", "100"]
+        assert main(argv) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--efficiency", "0.5"], ["--dark", "0.2"]])
+    def test_converge_scores_against_detector_reference(self, tmp_path, molecule_path, flags):
+        # the K=1 capped study reaches F ~ 1 only against the reference
+        # of what the detector records (0.979 and 0.80 against the ideal one)
+        out = tmp_path / "conv.csv"
+        assert main(["converge", str(molecule_path), "--events-list", "100000",
+                     "--runs", "2", "--max-quanta", "1", "--seed", "3",
+                     *flags, "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert float(lines[-1].split(",")[1]) >= 0.999
+        for key in self.DETECTOR_KEYS:
+            assert any(l.startswith(f"# {key}: ") for l in lines), key
+
+    def test_provenance_records_detector(self, tmp_path, molecule_path):
+        for argv in (["sos"], ["sample", "--events", "100", "--threshold"]):
+            out = tmp_path / f"{argv[0]}.csv"
+            assert main([argv[0], str(molecule_path), *argv[1:], "--seed", "1",
+                         "--out", str(out)]) == 0
+            comments = read_spectrum(out).provenance["comments"]
+            for key in self.DETECTOR_KEYS:
+                assert any(c.startswith(f"# {key}: ") for c in comments), (argv[0], key)
+        assert "# threshold_mode: True" in comments
 
 
 class TestCliHr:

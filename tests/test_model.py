@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vibronic.model import (
+    DetectorModel,
     Mode,
     Molecule,
     ValidationError,
@@ -120,3 +121,22 @@ class TestPruneModes:
         once = prune_modes(m, threshold)
         twice = prune_modes(once, threshold)
         assert once == twice
+
+
+class TestDetectorModel:
+    @pytest.mark.parametrize("kw", [
+        {"efficiency": 0.0}, {"efficiency": 1.5}, {"efficiency": math.nan},
+        {"dark_mean": -0.1}, {"dark_mean": math.nan}, {"dark_mean": math.inf},
+    ])
+    def test_invalid_rejected(self, kw):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            DetectorModel(**kw)
+
+    def test_recorded_law(self):
+        assert DetectorModel().recorded(0.3, None) == (0.3, None)
+        assert DetectorModel().recorded(0.3, 2) == (0.3, 2)
+        assert DetectorModel(efficiency=0.5, dark_mean=0.1).recorded(0.4, 3) == (0.5 * 0.4 + 0.1, 3)
+        click = DetectorModel(threshold_mode=True)
+        assert click.recorded(2.0, None) == (2.0, 1)
+        assert click.recorded(2.0, 3) == (2.0, 1)
+        assert click.recorded(2.0, 0) == (2.0, 0)

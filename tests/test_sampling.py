@@ -128,6 +128,16 @@ class TestApplyDetector:
         got = sample_mode(2.5, 1, SamplerConfig(events=n, seed=5, max_quanta=3))
         assert np.array_equal(got, oracle_counts(2.5, IDEAL_DETECTOR, 5, n, max_quanta=3))
 
+    def test_one_draw_of_the_recorded_law(self):
+        # every detector records one Poisson(eta*S + dark) draw per
+        # event from the cell's stream, clipped at min(K, 1 if click)
+        n = 10**4
+        d = DetectorModel(efficiency=0.7, dark_mean=0.3, threshold_mode=True)
+        for k, top in ((None, 1), (0, 0), (3, 1)):
+            got = sample_mode(0.9, 2, SamplerConfig(events=n, seed=6, max_quanta=k), d)
+            want = np.minimum(poisson_draw(0.7 * 0.9 + 0.3, substream(6, 2, 0), n), top)
+            assert np.array_equal(got, want)
+
     def test_invalid_efficiency(self):
         with pytest.raises(ValueError):
             DetectorModel(efficiency=0.0)

@@ -9,7 +9,7 @@ from vibronic.analysis import fidelity, normalize
 from vibronic.cli import main
 from vibronic.fixtures import large_acene_like
 from vibronic.io import read_spectrum, write_molecule
-from vibronic.model import Mode, Molecule, energy_keys
+from vibronic.model import DetectorModel, Mode, Molecule, energy_keys
 from vibronic.sampling import SamplerConfig, sample_spectrum
 from vibronic.sos import (
     BudgetExceededError,
@@ -17,6 +17,7 @@ from vibronic.sos import (
     SosConfig,
     build_reference_spectrum,
     fc_factor_1d,
+    mode_distribution,
     state_count,
 )
 
@@ -189,6 +190,14 @@ class TestStateCount:
             build_reference_spectrum(m, SosConfig(max_quanta=3, enumeration_budget=63))
         assert err.value.count == 16 * 4
         assert err.value.budget == 63
+        # a click detector records 0 or 1 whatever K: its steps hold
+        # live sticks x 2 terms, and the third step's 4 x 2 fits in 8
+        click = DetectorModel(threshold_mode=True)
+        spec = build_reference_spectrum(m, SosConfig(max_quanta=100, enumeration_budget=8), click)
+        assert len(spec) == 8
+        with pytest.raises(BudgetExceededError) as err:
+            build_reference_spectrum(m, SosConfig(max_quanta=100, enumeration_budget=7), click)
+        assert err.value.count == 4 * 2
 
 
 class TestEnumerate:
@@ -352,6 +361,65 @@ class TestReferenceSpectrum:
         spec = build_reference_spectrum(m, SosConfig(max_quanta=1))
         assert len(spec) == 3
         assert np.all(np.diff(spec.energies) > 0)
+
+
+def photon_by_photon_pmf(s, d, k, overflow, n=80):
+    """Oracle: the recorded-count pmf built one detector stage at a time.
+
+    Poisson(S) photons, each surviving with probability `efficiency`
+    (binomial thinning), plus independent Poisson(dark_mean) dark
+    counts, then the click clip at 1, then the cutoff K: "truncate"
+    drops counts above K, "cap" piles them onto K.
+    """
+    j = np.arange(n)
+    photons = scipy.stats.poisson.pmf(j, s)
+    survived = scipy.stats.binom.pmf(j[:, None], j[None, :], d.efficiency) @ photons
+    seen = np.convolve(survived, scipy.stats.poisson.pmf(j, d.dark_mean))[:n]
+    if d.threshold_mode:
+        seen = np.array([seen[0], seen[1:].sum()])
+    if seen.size > k + 1:
+        tail = seen[k:].sum()
+        seen = seen[: k + 1]
+        if overflow == "cap":
+            seen[k] = tail
+    return seen
+
+
+DETECTORS = {
+    "ideal": DetectorModel(),
+    "loss": DetectorModel(efficiency=0.35),
+    "dark": DetectorModel(dark_mean=0.4),
+    "click": DetectorModel(threshold_mode=True),
+    "loss+dark": DetectorModel(efficiency=0.7, dark_mean=0.05),
+    "loss+click": DetectorModel(efficiency=0.6, threshold_mode=True),
+    "dark+click": DetectorModel(dark_mean=0.2, threshold_mode=True),
+    "all": DetectorModel(efficiency=0.8, dark_mean=1.5, threshold_mode=True),
+}
+
+
+class TestModeDistribution:
+    @pytest.mark.parametrize("name", list(DETECTORS))
+    @pytest.mark.parametrize("overflow", ["truncate", "cap"])
+    def test_matches_photon_by_photon_oracle(self, name, overflow):
+        d = DETECTORS[name]
+        for s in (0.0, 0.1, 1.3, 4.0):
+            for k in (0, 1, 3):
+                got = mode_distribution(s, k, overflow, d)
+                want = photon_by_photon_pmf(s, d, k, overflow)
+                assert got.shape == want.shape, (s, k)
+                assert np.abs(got - want).max() <= 1e-12, (s, k)
+
+    def test_reference_through_detector(self):
+        # a click detector's reference has only 0/1 per mode and sums
+        # to 1 even under truncation; dark counts light up an S = 0 mode
+        m = molecule([0.5, 0.0], energies=[500.0, 700.0])
+        click = build_reference_spectrum(m, SosConfig(max_quanta=3), DETECTORS["click"])
+        assert click.energies.tolist() == [0.0, 500.0]
+        assert click.total == pytest.approx(1.0, abs=1e-15)
+        dark = build_reference_spectrum(m, SosConfig(max_quanta=1, overflow="cap"),
+                                        DETECTORS["dark"])
+        assert dark.energies.tolist() == [0.0, 500.0, 700.0, 1200.0]
+        assert dark.provenance["dark_mean"] == 0.4
 
 
 class TestLattice:
