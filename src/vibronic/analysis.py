@@ -27,6 +27,10 @@ __all__ = [
 
 NORMALIZATION_MODES = ("raw", "unit_l1", "unit_l2", "max_one", "zero_zero_one")
 
+# EnergyGrid.around: margin beyond the outer sticks and step, in FWHM.
+GRID_MARGIN_FWHM = 10.0
+GRID_STEP_FWHM = 0.05
+
 
 class GridError(ValueError):
     """An energy grid violates its invariants."""
@@ -56,14 +60,6 @@ class BroadeningKernel:
         sigma = self.fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
         return np.exp(-(x * x) / (2.0 * sigma * sigma)) / (sigma * math.sqrt(2.0 * math.pi))
 
-    @property
-    def peak(self) -> float:
-        """Kernel value at zero offset."""
-        if self.shape == "lorentzian":
-            return 2.0 / (math.pi * self.fwhm)
-        sigma = self.fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-        return 1.0 / (sigma * math.sqrt(2.0 * math.pi))
-
 
 @dataclass(frozen=True)
 class EnergyGrid:
@@ -91,14 +87,14 @@ class EnergyGrid:
         return self.start + self.step * np.arange(n)
 
     @classmethod
-    def around(cls, energies, fwhm: float, margin: float = 10.0, step_frac: float = 0.05):
-        """Grid spanning the sticks with `margin` * FWHM padding and
-        step = `step_frac` * FWHM (defaults: 10 FWHM, FWHM/20)."""
+    def around(cls, energies, fwhm: float):
+        """Grid spanning the sticks with GRID_MARGIN_FWHM * FWHM padding
+        and step GRID_STEP_FWHM * FWHM."""
         energies = np.asarray(energies, dtype=float)
         return cls(
-            float(energies.min()) - margin * fwhm,
-            float(energies.max()) + margin * fwhm,
-            step_frac * fwhm,
+            float(energies.min()) - GRID_MARGIN_FWHM * fwhm,
+            float(energies.max()) + GRID_MARGIN_FWHM * fwhm,
+            GRID_STEP_FWHM * fwhm,
         )
 
 
@@ -121,7 +117,6 @@ def as_line_spectrum(spec) -> LineSpectrum:
         return LineSpectrum(
             spec.energies,
             spec.counts.astype(float),
-            normalization="raw",
             provenance=dict(spec.provenance),
         )
     raise TypeError(f"cannot interpret {type(spec).__name__} as a spectrum")
@@ -130,18 +125,20 @@ def as_line_spectrum(spec) -> LineSpectrum:
 def normalize(spec, mode: str, e00: float | None = None) -> LineSpectrum:
     """Rescale a spectrum's intensities.
 
-    Modes: "raw" (no-op copy), "unit_l1" (sum 1), "unit_l2" (sum of
-    squares 1), "max_one", and "zero_zero_one" (intensity 1 at the
-    stick whose lattice key equals that of `e00`).
+    Modes: "raw" (no-op copy, also of an empty spectrum), "unit_l1"
+    (sum 1), "unit_l2" (sum of squares 1), "max_one", and
+    "zero_zero_one" (intensity 1 at the stick whose lattice key equals
+    that of `e00`).  The result's provenance records the mode as
+    "normalization".
     """
     if mode not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization mode {mode!r}")
     line = as_line_spectrum(spec)
-    if len(line) == 0:
-        raise ValueError("cannot normalize an empty spectrum")
     inten = line.intensities
     if mode == "raw":
         scale = 1.0
+    elif len(line) == 0:
+        raise ValueError("cannot normalize an empty spectrum")
     elif mode == "unit_l1":
         scale = inten.sum()
     elif mode == "unit_l2":
@@ -160,8 +157,7 @@ def normalize(spec, mode: str, e00: float | None = None) -> LineSpectrum:
     return LineSpectrum(
         line.energies.copy(),
         inten / scale,
-        normalization=mode,
-        provenance=dict(line.provenance),
+        provenance={**line.provenance, "normalization": mode},
     )
 
 
@@ -204,6 +200,7 @@ def broaden(spec, kernel: BroadeningKernel, grid: EnergyGrid) -> LineSpectrum:
     kernel contributions as intensities, so grid-summed area times the
     step approximates the total stick intensity (Lorentzian tails
     converge slowly; see the package docs for the truncation bound).
+    Its provenance is the source's plus the kernel and the grid.
     """
     line = as_line_spectrum(spec)
     x = grid.points()
@@ -224,11 +221,11 @@ def broaden(spec, kernel: BroadeningKernel, grid: EnergyGrid) -> LineSpectrum:
     return LineSpectrum(
         x,
         y,
-        normalization="raw",
         provenance={
-            **dict(line.provenance),
+            **line.provenance,
             "broadening": kernel.shape,
             "fwhm": kernel.fwhm,
+            "grid": f"{grid.start}:{grid.stop}:{grid.step}",
         },
     )
 

@@ -4,11 +4,13 @@ Subcommands: hr, sos, sample, fidelity, broaden, converge.
 Exit codes: 0 success, 2 parse/validation error, 3 SOS work budget
 exceeded, 4 grid violation.
 
-The molecule subcommands (sos, sample, converge) accept --seed; when
-omitted, a process-entropy seed is drawn (or taken from the
-VIBRONIC_SEED environment variable) and recorded in the output
-provenance so any run can be replayed.  `broaden` carries its source
-spectrum's provenance into its own output.
+Every CSV header is the written result's provenance
+(`io.provenance_lines`).  `sample` and `converge` draw, so they accept
+--seed; when omitted, a process-entropy seed is drawn (or taken from
+VIBRONIC_SEED) and recorded in the provenance so any run can be
+replayed.  `sos` is deterministic.  `broaden` carries its source's
+provenance into its output; `converge` scores against the capped
+reference at --max-quanta.
 """
 
 from __future__ import annotations
@@ -52,10 +54,6 @@ def _detector(args) -> sampling.DetectorModel:
     )
 
 
-def _provenance_lines(d: dict) -> list[str]:
-    return [f"{k}: {v}" for k, v in d.items()]
-
-
 def cmd_hr(args) -> int:
     print(hr_from_gradient(args.omega, args.gradient))
     return EXIT_OK
@@ -70,17 +68,12 @@ def cmd_sos(args) -> int:
     )
     count = sos.state_count(m.n_modes, cfg.max_quanta)
     t0 = time.perf_counter()
-    spec = sos.build_reference_spectrum(m, cfg)
-    raw_total = spec.total
-    if args.normalize != "raw":
-        spec = analysis.normalize(spec, args.normalize, e00=m.e00)
+    ref = sos.build_reference_spectrum(m, cfg)
+    spec = analysis.normalize(ref, args.normalize, e00=m.e00)
     elapsed = time.perf_counter() - t0
-    comments = _provenance_lines(
-        {**spec.provenance, "normalization": args.normalize, "seed": args.seed_value}
-    )
-    io.write_spectrum(spec, args.out, comments)
+    io.write_spectrum(spec, args.out)
     print(f"states: {count}")
-    print(f"raw intensity captured: {raw_total:.12g}")
+    print(f"raw intensity captured: {ref.total:.12g}")
     print(f"wall time: {elapsed:.3f} s")
     return EXIT_OK
 
@@ -96,9 +89,7 @@ def cmd_sample(args) -> int:
     t0 = time.perf_counter()
     sampled = sampling.sample_spectrum(m, cfg, _detector(args), workers=args.workers)
     elapsed = time.perf_counter() - t0
-    spec = analysis.normalize(sampled, "unit_l1")
-    comments = _provenance_lines({**sampled.provenance, "normalization": "unit_l1"})
-    io.write_spectrum(spec, args.out, comments)
+    io.write_spectrum(analysis.normalize(sampled, "unit_l1"), args.out)
     throughput = cfg.events * max(m.n_modes, 1) / max(elapsed, 1e-9)
     print(f"events: {cfg.events}")
     print(f"throughput: {throughput:.4g} events*modes/s")
@@ -126,14 +117,7 @@ def cmd_broaden(args) -> int:
     else:
         grid = analysis.EnergyGrid.around(spec.energies, kernel.fwhm)
     out = analysis.broaden(spec, kernel, grid)
-    comments = spec.provenance["comments"] + _provenance_lines(
-        {
-            "broadening": kernel.shape,
-            "fwhm": kernel.fwhm,
-            "grid": f"{grid.start}:{grid.stop}:{grid.step}",
-        }
-    )
-    io.write_spectrum(out, args.out, comments)
+    io.write_spectrum(out, args.out)
     if args.svg:
         io.write_svg(out, args.svg)
     return EXIT_OK
@@ -147,12 +131,11 @@ def cmd_converge(args) -> int:
         seed=args.seed_value,
         max_quanta=args.max_quanta,
     )
-    sos_cfg = sos.SosConfig(max_quanta=args.max_quanta, overflow=args.overflow)
+    sos_cfg = sos.SosConfig(max_quanta=args.max_quanta, overflow="cap")
     report = analysis.convergence_study(
         m, cfg, _detector(args), event_counts, args.runs, sos_cfg
     )
-    lines = _provenance_lines({**report.provenance, "runs": report.runs})
-    lines = [f"# {c}" for c in lines]
+    lines = io.provenance_lines({**report.provenance, "runs": report.runs})
     lines.append("events,mean_fidelity,std_fidelity")
     for p, mu, sd in zip(report.event_counts, report.mean_fidelity, report.std_fidelity):
         lines.append(f"{p},{float(mu)!r},{float(sd)!r}")
@@ -173,10 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("molecule", help="molecule JSON file")
         p.add_argument("--prune-s", type=float, default=None,
                        help="drop modes with Huang-Rhys factor <= this")
+
+    def add_draw_flags(p):
         p.add_argument("--seed", type=int, default=None,
                        help="reproducibility seed (default: process entropy)")
-
-    def add_detector(p):
         p.add_argument("--efficiency", type=float, default=1.0, help="photon survival in (0, 1]")
         p.add_argument("--dark", type=float, default=0.0, help="mean dark counts per gate")
         p.add_argument("--threshold", action="store_true", help="click detector: clip at 1")
@@ -199,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--events", type=int, required=True)
     p.add_argument("--max-quanta", type=int, default=None)
-    add_detector(p)
+    add_draw_flags(p)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--chunk-size", type=int, default=sampling.DEFAULT_CHUNK_SIZE)
     p.add_argument("--out", required=True)
@@ -225,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events-list", required=True, help="comma-separated event counts")
     p.add_argument("--runs", type=int, default=30)
     p.add_argument("--max-quanta", type=int, default=1)
-    add_detector(p)
-    p.add_argument("--overflow", default="cap", choices=("truncate", "cap"))
+    add_draw_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_converge)
 

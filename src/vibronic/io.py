@@ -2,7 +2,8 @@
 
 Molecule files are strict JSON: unknown keys are rejected so typos
 surface immediately.  Spectrum files are UTF-8 CSV with LF endings,
-a `#`-prefixed provenance block, the exact header
+a `#`-prefixed provenance block (the result's provenance dict, one
+`# key: value` line per entry), the exact header
 `energy_cm1,intensity`, and shortest-round-trip float formatting so
 emit -> parse -> emit is byte-identical.
 """
@@ -25,6 +26,7 @@ __all__ = [
     "molecule_to_dict",
     "write_molecule",
     "read_spectrum",
+    "provenance_lines",
     "write_spectrum",
     "write_svg",
 ]
@@ -146,19 +148,27 @@ def write_molecule(m: Molecule, path) -> None:
     )
 
 
-def write_spectrum(spec: LineSpectrum, path, comments: list[str] | None = None) -> None:
-    """Emit a spectrum CSV.
+def provenance_lines(prov: dict) -> list[str]:
+    """The `#` header lines of a provenance dict.
 
-    `comments` are raw provenance lines written verbatim (each
-    prefixed with `# ` unless already starting with `#`).  When None,
-    lines are generated from the spectrum's provenance dict.
+    A source file's lines (`prov["comments"]`, as `read_spectrum`
+    stores them) come first and verbatim, then `# key: value` for
+    every other key in order.  A value with a line break is refused:
+    the file could not be read back.
     """
-    if comments is None:
-        comments = [f"{k}: {v}" for k, v in spec.provenance.items()]
-        comments.append(f"normalization: {spec.normalization}")
-    lines = []
-    for c in comments:
-        lines.append(c if c.startswith("#") else f"# {c}")
+    lines = list(prov.get("comments", []))
+    lines += [f"# {k}: {v}" for k, v in prov.items() if k != "comments"]
+    for line in lines:
+        if line.splitlines() != [line]:
+            raise ValueError(f"provenance line {line!r} is not a single line")
+    return lines
+
+
+def write_spectrum(spec: LineSpectrum, path) -> None:
+    """Emit a spectrum CSV whose header is the spectrum's provenance
+    (`provenance_lines`), so a spectrum read from a file is written
+    back byte for byte."""
+    lines = provenance_lines(spec.provenance)
     lines.append(SPECTRUM_HEADER)
     for e, i in zip(spec.energies.tolist(), spec.intensities.tolist()):
         lines.append(f"{e!r},{i!r}")
@@ -204,7 +214,7 @@ def read_spectrum(path) -> LineSpectrum:
     e, i = np.array(rows).T
     if e.size > 1 and not np.all(np.diff(e) > 0):
         raise SpectrumFileError(f"{path}: energies must be strictly increasing")
-    return LineSpectrum(e, i, normalization="raw", provenance={"comments": comments})
+    return LineSpectrum(e, i, provenance={"comments": comments})
 
 
 def write_svg(spec: LineSpectrum, path, width: int = 800, height: int = 500) -> None:

@@ -36,6 +36,9 @@ __all__ = [
 
 DEFAULT_CHUNK_SIZE = 1_000_000
 
+# The largest mean numpy's Poisson generator accepts (int64 max - 10 sd).
+POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -75,10 +78,12 @@ def substream(seed: int, mode_index: int, chunk_index: int) -> np.random.Generat
 def poisson_draw(mean: float, rng: np.random.Generator, size: int | None = None):
     """Exact-distribution Poisson variate(s) with the given mean.
 
-    Mean 0 short-circuits to zeros without consuming the stream.
+    Mean 0 short-circuits to zeros without consuming the stream.  A
+    mean outside [0, POISSON_MEAN_MAX] (or nan) is refused before any
+    draw.
     """
-    if not np.isfinite(mean) or mean < 0:
-        raise ValueError(f"Poisson mean must be >= 0 and finite, got {mean!r}")
+    if not 0 <= mean <= POISSON_MEAN_MAX:
+        raise ValueError(f"Poisson mean must be in [0, {POISSON_MEAN_MAX:.6g}], got {mean!r}")
     if mean == 0.0:
         return 0 if size is None else np.zeros(size, dtype=np.int64)
     return rng.poisson(mean, size=size)
@@ -88,7 +93,12 @@ def _sample_mode_chunk(s: float, mode_index: int, chunk_index: int, size: int,
                        cfg: SamplerConfig, d: DetectorModel) -> np.ndarray:
     rng = substream(cfg.seed, mode_index, chunk_index)
     mean, top = d.recorded(s, cfg.max_quanta)
-    counts = poisson_draw(mean, rng, size)
+    try:
+        counts = poisson_draw(mean, rng, size)
+    except ValueError as exc:
+        raise ValueError(
+            f"mode {mode_index}: recorded mean efficiency*S + dark_mean: {exc}"
+        ) from None
     return counts if top is None else np.minimum(counts, top)
 
 

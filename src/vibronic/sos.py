@@ -93,11 +93,11 @@ class SosConfig:
 @dataclass
 class LineSpectrum:
     """A discrete stick spectrum: strictly increasing energies (cm^-1)
-    with non-negative intensities."""
+    with non-negative intensities.  `provenance` is the spectrum's one
+    metadata record; `io.write_spectrum` writes it as the file header."""
 
     energies: np.ndarray
     intensities: np.ndarray
-    normalization: str = "raw"
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -213,7 +213,6 @@ def build_reference_spectrum(m: Molecule, cfg: SosConfig,
     return LineSpectrum(
         key_energies(keys),
         inten,
-        normalization="raw",
         provenance={
             "molecule": m.name,
             "engine": "sos",

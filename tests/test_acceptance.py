@@ -259,7 +259,7 @@ def test_criterion_10_broadening_and_round_trip(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_spectrum(gau, p1)
     again = read_spectrum(p1)
-    write_spectrum(again, p2, comments=again.provenance["comments"])
+    write_spectrum(again, p2)
     rt_ok = p1.read_bytes() == p2.read_bytes()
 
     ok = peak_ok and area_ok and lor_ok and rt_ok

@@ -53,6 +53,18 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize(sticks([(0, 1.0)]), "unit_l3")
 
+    @pytest.mark.parametrize("mode", ["raw", "unit_l1", "max_one"])
+    def test_mode_recorded_in_provenance(self, mode):
+        spec = LineSpectrum([0.0, 500.0], [2.0, 1.0], provenance={"molecule": "x"})
+        out = normalize(spec, mode)
+        assert out.provenance == {"molecule": "x", "normalization": mode}
+        assert spec.provenance == {"molecule": "x"}
+
+    def test_raw_keeps_an_empty_spectrum(self):
+        assert len(normalize(LineSpectrum([], []), "raw")) == 0
+        with pytest.raises(ValueError, match="empty"):
+            normalize(LineSpectrum([], []), "unit_l1")
+
 
 class TestFidelity:
     def test_self_is_one(self):
@@ -155,6 +167,17 @@ class TestBroaden:
                 BroadeningKernel("lorentzian", 30.0),
                 EnergyGrid(-50.0, 50.0, 1.0),
             )
+
+    def test_provenance_records_kernel_and_grid(self):
+        spec = LineSpectrum([0.0], [1.0], provenance={"comments": ["# engine: sos"]})
+        grid = EnergyGrid(-600.0, 600.0, 1.5)
+        out = broaden(spec, BroadeningKernel("gaussian", 30.0), grid)
+        assert out.provenance == {"comments": ["# engine: sos"], "broadening": "gaussian",
+                                  "fwhm": 30.0, "grid": "-600.0:600.0:1.5"}
+
+    def test_around_spans_ten_fwhm_at_fwhm_over_twenty(self):
+        grid = EnergyGrid.around([100.0, 400.0], 30.0)
+        assert (grid.start, grid.stop, grid.step) == (-200.0, 700.0, 1.5)
 
     def test_grid_guard(self):
         with pytest.raises(GridError):

@@ -4,6 +4,7 @@ import json
 import math
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from vibronic.io import (
     read_molecule,
     read_spectrum,
     write_molecule,
+    provenance_lines,
     write_spectrum,
 )
 from vibronic.sos import LineSpectrum
@@ -146,8 +148,29 @@ class TestSpectrumFile:
         p2 = tmp_path / "b.csv"
         write_spectrum(spec, p1)
         again = read_spectrum(p1)
-        write_spectrum(again, p2, comments=again.provenance["comments"])
+        write_spectrum(again, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_provenance_lines(self):
+        prov = {"molecule": "x", "comments": ["# engine: sos", "#raw"], "fwhm": 30.0}
+        assert provenance_lines(prov) == ["# engine: sos", "#raw", "# molecule: x",
+                                          "# fwhm: 30.0"]
+
+    @pytest.mark.parametrize("name", ["a\nb", "a\r", "a\x85b"])
+    def test_multiline_value_refused(self, tmp_path, name):
+        # the file would not read back: refused before anything is written
+        path = write_json(tmp_path, {"name": name, "e00_cm1": 0.0, "transition": "absorption",
+                                     "modes": [{"energy_cm1": 100.0, "huang_rhys": 0.1}]})
+        out = tmp_path / "o.csv"
+        assert main(["sos", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_header_is_provenance(self, tmp_path):
+        spec = LineSpectrum([0.0], [1.0], provenance={"engine": "sos", "fc_prune": None})
+        path = tmp_path / "p.csv"
+        write_spectrum(spec, path)
+        assert path.read_text(encoding="utf-8") == (
+            f"# engine: sos\n# fc_prune: None\n{SPECTRUM_HEADER}\n0.0,1.0\n")
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "h.csv"
@@ -179,7 +202,7 @@ class TestCliSos:
     def test_k1_enumeration(self, tmp_path, molecule_path, capsys):
         out = tmp_path / "ref.csv"
         code = main(["sos", str(molecule_path), "--max-quanta", "1",
-                     "--out", str(out), "--seed", "1"])
+                     "--out", str(out)])
         assert code == 0
         assert "states: 256" in capsys.readouterr().out
         assert len(read_spectrum(out)) > 1
@@ -187,7 +210,7 @@ class TestCliSos:
     def test_k0_single_stick(self, tmp_path, molecule_path):
         out = tmp_path / "ref.csv"
         assert main(["sos", str(molecule_path), "--max-quanta", "0",
-                     "--out", str(out), "--seed", "1"]) == 0
+                     "--out", str(out)]) == 0
         spec = read_spectrum(out)
         assert len(spec) == 1
         assert spec.energies[0] == 18650.0
@@ -203,13 +226,24 @@ class TestCliSos:
         }
         path = write_json(tmp_path, m)
         assert main(["sos", str(path), "--max-quanta", "100",
-                     "--out", str(tmp_path / "x.csv"), "--seed", "1"]) == 3
+                     "--out", str(tmp_path / "x.csv")]) == 3
+
+    def test_deterministic_bytes(self, tmp_path, molecule_path, monkeypatch):
+        # SOS draws nothing, so no seed (given or drawn) enters its output
+        monkeypatch.delenv("VIBRONIC_SEED", raising=False)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for out in (a, b):
+            assert main(["sos", str(molecule_path), "--max-quanta", "2",
+                         "--out", str(out)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        comments = read_spectrum(a).provenance["comments"]
+        assert comments[-1] == "# normalization: raw"
+        assert not any(c.startswith("# seed:") for c in comments)
 
     def test_parse_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("nope", encoding="utf-8")
-        assert main(["sos", str(bad), "--out", str(tmp_path / "x.csv"),
-                     "--seed", "1"]) == 2
+        assert main(["sos", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
 
 
 class TestCliSample:
@@ -271,8 +305,7 @@ class TestCliFidelity:
 class TestCliBroaden:
     def test_lorentzian_profile(self, tmp_path, molecule_path):
         ref = tmp_path / "ref.csv"
-        main(["sos", str(molecule_path), "--max-quanta", "1",
-              "--out", str(ref), "--seed", "1"])
+        main(["sos", str(molecule_path), "--max-quanta", "1", "--out", str(ref)])
         out = tmp_path / "broad.csv"
         svg = tmp_path / "broad.svg"
         assert main(["broaden", str(ref), "--shape", "lorentzian",
@@ -312,11 +345,26 @@ class TestCliBroaden:
         assert comments[len(source_comments):][0] == "# broadening: lorentzian"
 
 
+def test_cli_output_round_trip(tmp_path, molecule_path):
+    # every spectrum the CLI writes is read and written back byte for byte
+    outs = [tmp_path / n for n in ("sos.csv", "sample.csv", "band.csv")]
+    assert main(["sos", str(molecule_path), "--max-quanta", "2", "--normalize",
+                 "zero_zero_one", "--out", str(outs[0])]) == 0
+    assert main(["sample", str(molecule_path), "--events", "2000", "--seed", "4",
+                 "--out", str(outs[1])]) == 0
+    assert main(["broaden", str(outs[1]), "--fwhm", "30", "--out", str(outs[2])]) == 0
+    for path in outs:
+        again = tmp_path / f"again-{path.name}"
+        write_spectrum(read_spectrum(path), again)
+        assert again.read_bytes() == path.read_bytes(), path.name
+
+
 class TestCliSeed:
     @pytest.mark.parametrize("argv", [
         ["hr", "--omega", "2", "--gradient", "2"],
         ["fidelity", "a.csv", "b.csv"],
         ["broaden", "a.csv", "--fwhm", "30", "--out", "o.csv"],
+        ["sos", "m.json", "--out", "o.csv"],
     ])
     def test_seed_only_where_it_acts(self, argv):
         with pytest.raises(SystemExit) as err, contextlib.redirect_stderr(io.StringIO()):
@@ -440,6 +488,15 @@ class TestCliConverge:
         assert rows[0] == "events,mean_fidelity,std_fidelity"
         for row in rows[1:]:
             assert float(row.split(",")[2]) == 0.0
+        assert "# overflow: cap" in out.read_text(encoding="utf-8").splitlines()
+
+    def test_no_overflow_flag(self):
+        # the study always scores against the capped reference, the law
+        # of what its sampler records
+        with pytest.raises(SystemExit) as err, contextlib.redirect_stderr(io.StringIO()):
+            main(["converge", "m.json", "--events-list", "100", "--out", "o.csv",
+                  "--overflow", "cap"])
+        assert err.value.code == 2
 
 
 class TestCliDetector:
@@ -452,6 +509,29 @@ class TestCliDetector:
         argv = [command, str(molecule_path), "--dark", value, "--seed", "1", "--out", str(out)]
         argv += ["--events", "100"] if command == "sample" else ["--events-list", "100"]
         assert main(argv) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cause", ["dark", "huang_rhys"])
+    @pytest.mark.parametrize("command", ["sample", "converge"])
+    def test_poisson_mean_too_large_exit_2(self, tmp_path, molecule_path, capsys, command,
+                                           cause):
+        # numpy draws no Poisson mean above ~9.2e18; the refusal names
+        # the mode and its recorded mean
+        out = tmp_path / "o.csv"
+        argv = [command, str(molecule_path), "--seed", "1", "--out", str(out)]
+        argv += ["--events", "100"] if command == "sample" else ["--events-list", "100"]
+        if cause == "dark":
+            argv += ["--dark", "1e300"]
+            want = "mode 1: recorded mean efficiency*S + dark_mean"
+        else:
+            m = pentacene_like_8()
+            modes = list(m.modes)
+            modes[2] = replace(modes[2], huang_rhys=1e19)
+            write_molecule(replace(m, modes=tuple(modes)), molecule_path)
+            want = "mode 3: recorded mean efficiency*S + dark_mean"
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert want in err and ("1e+300" if cause == "dark" else "1e+19") in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--efficiency", "0.5"], ["--dark", "0.2"]])
@@ -468,10 +548,9 @@ class TestCliDetector:
             assert any(l.startswith(f"# {key}: ") for l in lines), key
 
     def test_provenance_records_detector(self, tmp_path, molecule_path):
-        for argv in (["sos"], ["sample", "--events", "100", "--threshold"]):
+        for argv in (["sos"], ["sample", "--events", "100", "--threshold", "--seed", "1"]):
             out = tmp_path / f"{argv[0]}.csv"
-            assert main([argv[0], str(molecule_path), *argv[1:], "--seed", "1",
-                         "--out", str(out)]) == 0
+            assert main([argv[0], str(molecule_path), *argv[1:], "--out", str(out)]) == 0
             comments = read_spectrum(out).provenance["comments"]
             for key in self.DETECTOR_KEYS:
                 assert any(c.startswith(f"# {key}: ") for c in comments), (argv[0], key)
