@@ -8,6 +8,10 @@ Analysis utilities quantify their agreement (fidelity) and broaden
 sticks into band profiles.
 """
 
+# The one copy of the version (pyproject.toml reads it); bound before
+# the submodule imports, which record it in every result's provenance.
+__version__ = "0.1.0"
+
 from .analysis import (
     BroadeningKernel,
     ConvergenceReport,
@@ -26,7 +30,6 @@ from .model import (
     ValidationError,
     hr_from_gradient,
     prune_modes,
-    validate_molecule,
 )
 from .sampling import (
     SampledSpectrum,
@@ -44,15 +47,12 @@ from .sos import (
     state_count,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
     "Mode",
     "Molecule",
     "ValidationError",
     "hr_from_gradient",
     "prune_modes",
-    "validate_molecule",
     "SosConfig",
     "LineSpectrum",
     "BudgetExceededError",

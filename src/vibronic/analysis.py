@@ -9,6 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import __version__
 from .model import DetectorModel, Molecule, energy_keys
 from .sampling import SampledSpectrum, SamplerConfig, sample_spectrum
 from .sos import LineSpectrum, SosConfig, build_reference_spectrum
@@ -275,5 +276,6 @@ def convergence_study(
             "max_quanta": cfg_base.max_quanta,
             "overflow": sos_cfg.overflow,
             **vars(d),
+            "version": __version__,
         },
     )

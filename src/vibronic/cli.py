@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import analysis, io, sampling, sos
-from .model import ValidationError, hr_from_gradient, prune_modes, validate_molecule
+from .model import hr_from_gradient, prune_modes
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -42,10 +42,7 @@ def _resolve_seed(seed: int | None) -> int:
 
 def _load_molecule(path, prune_s: float | None):
     m = io.read_molecule(path)
-    validate_molecule(m)
-    if prune_s is not None:
-        m = prune_modes(m, prune_s)
-    return m
+    return m if prune_s is None else prune_modes(m, prune_s)
 
 
 def _detector(args) -> sampling.DetectorModel:
@@ -228,7 +225,7 @@ def main(argv=None) -> int:
     except analysis.GridError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GRID
-    except (ValidationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

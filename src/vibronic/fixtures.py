@@ -24,10 +24,7 @@ __all__ = [
 
 
 def _molecule(name: str, e00: float, energies, hr, atom_count=None) -> Molecule:
-    modes = tuple(
-        Mode(index=i + 1, energy=float(e), huang_rhys=float(s))
-        for i, (e, s) in enumerate(zip(energies, hr))
-    )
+    modes = tuple(Mode(energy=float(e), huang_rhys=float(s)) for e, s in zip(energies, hr))
     return Molecule(
         name=name, e00=e00, transition="absorption", modes=modes, atom_count=atom_count
     )

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Mode, Molecule, hr_from_gradient
+from .model import Mode, Molecule, ValidationError, hr_from_gradient
 from .sos import LineSpectrum
 
 __all__ = [
@@ -62,7 +62,9 @@ def read_molecule(path) -> Molecule:
     `gradient` (Huang-Rhys is then computed as G^2 / (2 omega) in the
     caller's consistent unit system).  Supplying both forms on one
     mode is an error.  Numeric fields must be JSON numbers (not bools
-    or strings), and `atom_count` an integer.
+    or strings), and `atom_count` an integer.  The molecule's own
+    invariants are checked by its constructor; a violation is reported
+    as a MoleculeFileError naming the file.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -77,10 +79,6 @@ def read_molecule(path) -> Molecule:
     for key in ("name", "e00_cm1", "transition", "modes"):
         if key not in doc:
             raise MoleculeFileError(f"{path}: missing required key {key!r}")
-    if doc["transition"] not in ("absorption", "emission"):
-        raise MoleculeFileError(
-            f"{path}: transition must be 'absorption' or 'emission', got {doc['transition']!r}"
-        )
     if not isinstance(doc["modes"], list):
         raise MoleculeFileError(f"{path}: modes must be a list")
     atom_count = doc.get("atom_count")
@@ -117,15 +115,13 @@ def read_molecule(path) -> Molecule:
                 f"{label}: need huang_rhys, or both omega and gradient"
             )
         energy = _number(md["energy_cm1"], f"{label}: energy_cm1")
-        modes.append(Mode(index=i + 1, energy=energy, huang_rhys=s))
+        modes.append(Mode(energy=energy, huang_rhys=s))
 
-    return Molecule(
-        name=str(doc["name"]),
-        e00=_number(doc["e00_cm1"], f"{path}: e00_cm1"),
-        transition=doc["transition"],
-        modes=tuple(modes),
-        atom_count=atom_count,
-    )
+    e00 = _number(doc["e00_cm1"], f"{path}: e00_cm1")
+    try:
+        return Molecule(str(doc["name"]), e00, doc["transition"], tuple(modes), atom_count)
+    except ValidationError as exc:
+        raise MoleculeFileError(f"{path}: {exc}") from None
 
 
 def molecule_to_dict(m: Molecule) -> dict:
@@ -167,7 +163,10 @@ def provenance_lines(prov: dict) -> list[str]:
 def write_spectrum(spec: LineSpectrum, path) -> None:
     """Emit a spectrum CSV whose header is the spectrum's provenance
     (`provenance_lines`), so a spectrum read from a file is written
-    back byte for byte."""
+    back byte for byte.  A spectrum with no lines is refused before the
+    file is opened, as `read_spectrum` would refuse the file."""
+    if len(spec) == 0:
+        raise ValueError("spectrum has no lines; refusing to write a file with no data rows")
     lines = provenance_lines(spec.provenance)
     lines.append(SPECTRUM_HEADER)
     for e, i in zip(spec.energies.tolist(), spec.intensities.tolist()):

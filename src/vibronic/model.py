@@ -1,5 +1,10 @@
 """Domain types: modes, molecules, the detector model, Huang-Rhys ingestion.
 
+A `Molecule` checks its own invariants when it is constructed, so every
+entry point (the library, the file reader, the CLI) holds a valid one.
+A mode is numbered by its 1-based position in `Molecule.modes`; that
+number keys the sampler's random sub-streams.
+
 All spectral energies (mode quanta, zero-phonon line) are in cm^-1.
 Huang-Rhys factors are dimensionless, so everything downstream of
 `hr_from_gradient` is unit-free.
@@ -23,17 +28,11 @@ __all__ = [
     "IDEAL_DETECTOR",
     "ValidationError",
     "hr_from_gradient",
-    "validate_molecule",
     "prune_modes",
-    "DEFAULT_PRUNE_THRESHOLD",
     "TICKS_PER_CM1",
     "energy_keys",
     "key_energies",
 ]
-
-# Modes with S below this contribute factors indistinguishable from 1
-# and are conventionally dropped.
-DEFAULT_PRUNE_THRESHOLD = 1e-5
 
 # Resolution of the energy lattice: 1e-6 cm^-1.
 TICKS_PER_CM1 = 10**6
@@ -48,12 +47,11 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class Mode:
-    """One vibrational normal mode.
+    """One vibrational normal mode.  Its number is its 1-based position
+    in the molecule's `modes`.
 
     Parameters
     ----------
-    index : int
-        1-based ordinal of the mode within its molecule.
     energy : float
         Vibrational quantum energy in cm^-1; must be positive.
     huang_rhys : float
@@ -61,7 +59,6 @@ class Mode:
         quanta excited in this mode by the electronic transition.
     """
 
-    index: int
     energy: float
     huang_rhys: float
 
@@ -72,6 +69,12 @@ class Molecule:
 
     `transition` selects the sign of the vibrational energy offsets:
     "absorption" adds quanta above e00, "emission" subtracts.
+
+    Construction checks every invariant: the transition, a finite
+    e00 >= 0, each mode's finite energy > 0 and finite S >= 0, and at
+    most 3M-5 modes for `atom_count` M.  Every violation is reported
+    together in one ValidationError, naming modes by position.  A
+    molecule with zero modes is legal (its spectrum is a pure 0-0 line).
     """
 
     name: str
@@ -82,6 +85,26 @@ class Molecule:
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
+        problems: list[str] = []
+        if self.transition not in ("absorption", "emission"):
+            problems.append(
+                f"transition must be 'absorption' or 'emission', got {self.transition!r}"
+            )
+        if not math.isfinite(self.e00) or self.e00 < 0:
+            problems.append(f"e00 must be >= 0, got {self.e00!r}")
+        for i, mode in enumerate(self.modes, 1):
+            if not math.isfinite(mode.energy) or mode.energy <= 0:
+                problems.append(f"mode {i}: energy > 0 violated (got {mode.energy!r})")
+            if not math.isfinite(mode.huang_rhys) or mode.huang_rhys < 0:
+                problems.append(f"mode {i}: huang_rhys >= 0 violated (got {mode.huang_rhys!r})")
+        if self.atom_count is not None:
+            if self.atom_count < 1:
+                problems.append(f"atom_count must be positive, got {self.atom_count}")
+            elif len(self.modes) > 3 * self.atom_count - 5:
+                problems.append(f"{len(self.modes)} modes exceeds 3M-5 = "
+                                f"{3 * self.atom_count - 5} for {self.atom_count} atoms")
+        if problems:
+            raise ValidationError(f"invalid molecule {self.name!r}: " + "; ".join(problems))
 
     @property
     def n_modes(self) -> int:
@@ -185,67 +208,12 @@ def hr_from_gradient(omega: float, gradient: float) -> float:
     return gradient * gradient / (2.0 * omega)
 
 
-def validate_molecule(
-    m: Molecule, prune_threshold: float = DEFAULT_PRUNE_THRESHOLD
-) -> Molecule:
-    """Check all structural invariants of a molecule.
-
-    Returns the molecule unchanged on success.  Every violated
-    invariant is collected and reported together, each naming the
-    offending mode index and field.
-
-    Notes
-    -----
-    A molecule with zero modes is legal (its spectrum is a pure 0-0
-    line).  Modes with S <= `prune_threshold` are permitted here; use
-    `prune_modes` to drop them.
-    """
-    problems: list[str] = []
-
-    if m.transition not in ("absorption", "emission"):
-        problems.append(f"transition must be 'absorption' or 'emission', got {m.transition!r}")
-    if not math.isfinite(m.e00) or m.e00 < 0:
-        problems.append(f"e00 must be >= 0, got {m.e00!r}")
-
-    seen: set[int] = set()
-    for k, mode in enumerate(m.modes):
-        if not math.isfinite(mode.energy) or mode.energy <= 0:
-            problems.append(f"mode {mode.index}: energy > 0 violated (got {mode.energy!r})")
-        if not math.isfinite(mode.huang_rhys) or mode.huang_rhys < 0:
-            problems.append(
-                f"mode {mode.index}: huang_rhys >= 0 violated (got {mode.huang_rhys!r})"
-            )
-        if mode.index in seen:
-            problems.append(f"mode {mode.index}: duplicate index")
-        seen.add(mode.index)
-        if mode.index != k + 1:
-            problems.append(
-                f"mode at position {k}: index must be {k + 1}, got {mode.index}"
-            )
-
-    if m.atom_count is not None:
-        if m.atom_count < 1:
-            problems.append(f"atom_count must be positive, got {m.atom_count}")
-        else:
-            bound = 3 * m.atom_count - 5
-            if len(m.modes) > bound:
-                problems.append(
-                    f"{len(m.modes)} modes exceeds 3M-5 = {bound} for {m.atom_count} atoms"
-                )
-
-    if problems:
-        raise ValidationError(f"invalid molecule {m.name!r}: " + "; ".join(problems))
-    return m
-
-
-def prune_modes(m: Molecule, threshold: float = DEFAULT_PRUNE_THRESHOLD) -> Molecule:
+def prune_modes(m: Molecule, threshold: float) -> Molecule:
     """Drop modes with Huang-Rhys factor <= threshold, keeping order.
 
-    Surviving modes are reindexed contiguously from 1.  Idempotent:
+    Survivors are renumbered by their new positions.  Idempotent:
     pruning twice at the same threshold is a no-op the second time.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    kept = [mode for mode in m.modes if mode.huang_rhys > threshold]
-    reindexed = tuple(replace(mode, index=i + 1) for i, mode in enumerate(kept))
-    return replace(m, modes=reindexed)
+    return replace(m, modes=tuple(mode for mode in m.modes if mode.huang_rhys > threshold))

@@ -8,9 +8,10 @@ and at the cap K.  Counts are weighted by the mode's integer lattice
 key, summed event-wise across modes, and histogrammed on the exact
 transition-energy lattice.  Work is O(events * modes).
 
-Reproducibility: every (seed, mode, chunk) triple owns an independent
-counter-based Philox sub-stream, so results are bit-identical for any
-worker count or execution order.
+Reproducibility: every (seed, mode position, chunk) triple owns an
+independent counter-based Philox sub-stream, so results are
+bit-identical for any worker count or execution order.  Chunk size
+therefore selects the draws, and the provenance records it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .model import (IDEAL_DETECTOR, DetectorModel, Molecule, check_key_reach, energy_keys,
                     key_energies)
 
@@ -146,8 +148,8 @@ def _spectrum_chunk(
     origin = int(energy_keys(m.e00))
     acc = np.zeros(size, dtype=np.int64)
     reach = abs(origin)
-    for mode, t in zip(m.modes, energy_keys(m.energies) * m.sign):
-        j = _sample_mode_chunk(mode.huang_rhys, mode.index, chunk_index, size, cfg, d)
+    for i, (s, t) in enumerate(zip(m.huang_rhys, energy_keys(m.energies) * m.sign), 1):
+        j = _sample_mode_chunk(s, i, chunk_index, size, cfg, d)
         reach += abs(int(t)) * int(j.max())
         check_key_reach(reach)
         j *= t  # j is this chunk's own fresh array
@@ -189,7 +191,9 @@ def sample_spectrum(
             "events": cfg.events,
             "seed": cfg.seed,
             "max_quanta": cfg.max_quanta,
+            "chunk_size": cfg.chunk_size,
             "generator": "philox-seedseq",
             **vars(d),
+            "version": __version__,
         },
     )

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .model import (IDEAL_DETECTOR, DetectorModel, Molecule, check_key_reach, energy_keys,
                     key_energies)
 
@@ -220,5 +221,6 @@ def build_reference_spectrum(m: Molecule, cfg: SosConfig,
             "overflow": cfg.overflow,
             "fc_prune": cfg.fc_prune,
             **vars(d),
+            "version": __version__,
         },
     )

@@ -40,8 +40,8 @@ def random_molecule(rng, n_max: int, s_max: float) -> Molecule:
     energies = rng.choice(np.arange(100, 2000), size=n, replace=False)
     hr = rng.uniform(0.02, s_max, size=n)
     modes = tuple(
-        Mode(index=i + 1, energy=float(e), huang_rhys=float(s))
-        for i, (e, s) in enumerate(zip(sorted(energies), hr))
+        Mode(energy=float(e), huang_rhys=float(s))
+        for e, s in zip(sorted(energies), hr)
     )
     return Molecule("random", 0.0, "absorption", modes)
 

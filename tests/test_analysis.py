@@ -199,7 +199,7 @@ class TestConvergenceStudy:
     def toy_molecule():
         return Molecule(
             "toy", 0.0, "absorption",
-            (Mode(1, 500.0, 0.25), Mode(2, 900.0, 0.1)),
+            (Mode(500.0, 0.25), Mode(900.0, 0.1)),
         )
 
     def test_single_run_zero_std(self):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from vibronic import __version__
 from vibronic.cli import main
 from vibronic.fixtures import pentacene_like_8
 from vibronic.io import (
@@ -240,6 +241,33 @@ class TestCliSos:
         assert comments[-1] == "# normalization: raw"
         assert not any(c.startswith("# seed:") for c in comments)
 
+    def test_everything_pruned_exit_2_no_file(self, tmp_path, molecule_path, capsys):
+        # no stick reaches 2, so the spectrum is empty: a file with no
+        # data rows would be refused by read_spectrum, so none is written
+        out = tmp_path / "ref.csv"
+        assert main(["sos", str(molecule_path), "--fc-prune", "2", "--out", str(out)]) == 2
+        assert "no lines" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sos", "sample"])
+    @pytest.mark.parametrize("field, value, want", [
+        ("transition", "Emission", "transition must be"),
+        ("e00_cm1", -1.0, "e00 must be >= 0"),
+        ("energy_cm1", -500.0, "mode 2: energy > 0"),
+    ])
+    def test_invalid_molecule_exit_2_names_file(self, tmp_path, molecule_path, capsys,
+                                                command, field, value, want):
+        # the constructor's check, reported with the file's name
+        doc = json.loads(molecule_path.read_text(encoding="utf-8"))
+        (doc["modes"][1] if field == "energy_cm1" else doc)[field] = value
+        path = write_json(tmp_path, doc)
+        argv = [command, str(path), "--out", str(tmp_path / "o.csv")]
+        argv += ["--events", "10", "--seed", "1"] if command == "sample" else []
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid molecule") and want in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_parse_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("nope", encoding="utf-8")
@@ -254,6 +282,21 @@ class TestCliSample:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_header_replays_chunk_size(self, tmp_path, molecule_path):
+        # sub-streams are keyed per (mode, chunk), so chunk size selects
+        # the draws; the header records it, and its values replay the run
+        base = ["sample", str(molecule_path), "--events", "20000", "--seed", "1"]
+        a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+        assert main(base + ["--out", str(a)]) == 0
+        assert main(base + ["--chunk-size", "7000", "--out", str(b)]) == 0
+        ha, hb = (read_spectrum(p).provenance["comments"] for p in (a, b))
+        assert ha != hb and "# chunk_size: 7000" in hb
+        header = dict(line[2:].split(": ", 1) for line in hb)
+        assert main(["sample", str(molecule_path), "--events", header["events"],
+                     "--seed", header["seed"], "--chunk-size", header["chunk_size"],
+                     "--out", str(c)]) == 0
+        assert c.read_bytes() == b.read_bytes()
 
     def test_single_event(self, tmp_path, molecule_path):
         out = tmp_path / "one.csv"
@@ -555,6 +598,17 @@ class TestCliDetector:
             for key in self.DETECTOR_KEYS:
                 assert any(c.startswith(f"# {key}: ") for c in comments), (argv[0], key)
         assert "# threshold_mode: True" in comments
+
+
+@pytest.mark.parametrize("argv", [
+    ["sos", "--max-quanta", "2"],
+    ["sample", "--events", "100", "--seed", "1"],
+    ["converge", "--events-list", "100", "--runs", "1", "--seed", "1"],
+])
+def test_csv_header_records_version(tmp_path, molecule_path, argv):
+    out = tmp_path / "o.csv"
+    assert main([argv[0], str(molecule_path), *argv[1:], "--out", str(out)]) == 0
+    assert f"# version: {__version__}" in out.read_text(encoding="utf-8").splitlines()
 
 
 class TestCliHr:

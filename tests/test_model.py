@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,15 +11,11 @@ from vibronic.model import (
     ValidationError,
     hr_from_gradient,
     prune_modes,
-    validate_molecule,
 )
 
 
 def make_molecule(hr_values, energy=500.0, **kw):
-    modes = tuple(
-        Mode(index=i + 1, energy=energy + i, huang_rhys=s)
-        for i, s in enumerate(hr_values)
-    )
+    modes = tuple(Mode(energy=energy + i, huang_rhys=s) for i, s in enumerate(hr_values))
     return Molecule(name="test", e00=10000.0, transition="absorption", modes=modes, **kw)
 
 
@@ -49,46 +46,56 @@ class TestHrFromGradient:
 class TestValidateMolecule:
     def test_valid_passes_through(self):
         m = make_molecule([0.1, 0.2])
-        assert validate_molecule(m) is m
+        assert m.huang_rhys == [0.1, 0.2]
 
     def test_negative_energy_named(self):
-        m = Molecule(
-            "bad", 1000.0, "absorption",
-            (Mode(1, -10.0, 0.1),),
-        )
         with pytest.raises(ValidationError, match="mode 1.*energy > 0"):
-            validate_molecule(m)
+            Molecule("bad", 1000.0, "absorption", (Mode(-10.0, 0.1),))
 
     def test_mode_count_within_atom_bound(self):
         # 8 modes, 36 atoms: well under 3*36 - 5 = 103
-        m = make_molecule([0.1] * 8, atom_count=36)
-        validate_molecule(m)
+        make_molecule([0.1] * 8, atom_count=36)
 
     def test_mode_count_exceeding_atom_bound(self):
-        m = make_molecule([0.1] * 5, atom_count=3)
         with pytest.raises(ValidationError, match="3M-5"):
-            validate_molecule(m)
+            make_molecule([0.1] * 5, atom_count=3)
 
     def test_empty_mode_list_valid(self):
-        validate_molecule(make_molecule([]))
-
-    def test_duplicate_index(self):
-        m = Molecule(
-            "dup", 0.0, "absorption",
-            (Mode(1, 500.0, 0.1), Mode(1, 600.0, 0.1)),
-        )
-        with pytest.raises(ValidationError, match="duplicate|index"):
-            validate_molecule(m)
+        make_molecule([])
 
     def test_negative_hr(self):
-        m = Molecule("neg", 0.0, "absorption", (Mode(1, 500.0, -0.2),))
         with pytest.raises(ValidationError, match="huang_rhys"):
-            validate_molecule(m)
+            Molecule("neg", 0.0, "absorption", (Mode(500.0, -0.2),))
 
     def test_bad_transition(self):
-        m = Molecule("t", 0.0, "fluorescence", ())
         with pytest.raises(ValidationError, match="transition"):
-            validate_molecule(m)
+            Molecule("t", 0.0, "fluorescence", ())
+
+    @pytest.mark.parametrize("kw, match", [
+        ({"transition": "Emission"}, "transition"),
+        ({"e00": math.inf}, "e00"),
+        ({"e00": math.nan}, "e00"),
+        ({"modes": (Mode(500.0, 0.1), Mode(-600.0, 0.1))}, "mode 2: energy > 0"),
+    ])
+    def test_library_construction_refuses(self, kw, match):
+        # No CLI involved: the constructor itself refuses the molecule.
+        args = {"name": "lib", "e00": 0.0, "transition": "absorption", "modes": (), **kw}
+        with pytest.raises(ValidationError, match=match):
+            Molecule(**args)
+
+    def test_every_problem_reported_by_position(self):
+        modes = (Mode(500.0, 0.1), Mode(0.0, 0.1), Mode(700.0, math.nan))
+        with pytest.raises(ValidationError) as err:
+            Molecule("many", -1.0, "emission", modes, atom_count=2)
+        msg = str(err.value)
+        for part in ("e00 must be >= 0", "mode 2: energy > 0", "mode 3: huang_rhys >= 0",
+                     "3 modes exceeds 3M-5 = 1"):
+            assert part in msg
+
+    def test_replace_revalidates(self):
+        m = make_molecule([0.1])
+        with pytest.raises(ValidationError, match="transition"):
+            replace(m, transition="both")
 
 
 class TestPruneModes:
@@ -100,17 +107,20 @@ class TestPruneModes:
         m = make_molecule([0.2, 1e-7, 0.05])
         pruned = prune_modes(m, 1e-5)
         assert [md.huang_rhys for md in pruned.modes] == [0.2, 0.05]
-        assert [md.index for md in pruned.modes] == [1, 2]
 
     def test_all_below_threshold(self):
         m = make_molecule([1e-8, 1e-9])
         pruned = prune_modes(m, 1e-5)
         assert pruned.n_modes == 0
-        validate_molecule(pruned)
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             prune_modes(make_molecule([0.1]), -1.0)
+
+    def test_nan_threshold_rejected(self):
+        # nan compares false with every S, so it would drop every mode
+        with pytest.raises(ValueError, match="threshold"):
+            prune_modes(make_molecule([0.1]), math.nan)
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=2.0), max_size=12),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vibronic.model import Mode, Molecule
+from vibronic.model import Mode, Molecule, energy_keys, key_energies
 from vibronic.sampling import (
     IDEAL_DETECTOR,
     DetectorModel,
@@ -17,10 +17,7 @@ from vibronic.sampling import (
 
 def molecule(hr, energies=None, e00=0.0):
     energies = energies or [500.0 + 100.0 * i for i in range(len(hr))]
-    modes = tuple(
-        Mode(index=i + 1, energy=e, huang_rhys=s)
-        for i, (e, s) in enumerate(zip(energies, hr))
-    )
+    modes = tuple(Mode(energy=e, huang_rhys=s) for e, s in zip(energies, hr))
     return Molecule("m", e00, "absorption", modes)
 
 
@@ -238,6 +235,21 @@ class TestSampleSpectrum:
         par = sample_spectrum(m, cfg, workers=workers)
         assert np.array_equal(base.energies, par.energies)
         assert np.array_equal(base.counts, par.counts)
+
+    @pytest.mark.parametrize("hr, energies", [
+        ([0.5, 0.2, 0.8], [100.0, 300.0, 700.0]),
+        ([0.8, 0.2, 0.5], [700.0, 300.0, 100.0]),
+    ])
+    def test_streams_keyed_by_position(self, hr, energies):
+        # the mode at 1-based position i draws from sub-stream i, so the
+        # spectrum is the histogram of sum_i key_i * sample_mode(S_i, i)
+        cfg = SamplerConfig(events=20000, seed=6, chunk_size=7000)
+        spec = sample_spectrum(molecule(hr, energies=energies, e00=1000.0), cfg)
+        acc = sum(int(energy_keys(e)) * sample_mode(s, i, cfg)
+                  for i, (e, s) in enumerate(zip(energies, hr), 1))
+        keys, counts = np.unique(acc + int(energy_keys(1000.0)), return_counts=True)
+        assert np.array_equal(spec.energies, key_energies(keys))
+        assert np.array_equal(spec.counts, counts)
 
     def test_max_quanta_caps_lattice(self):
         m = molecule([2.5], energies=[500.0])

@@ -24,10 +24,7 @@ from vibronic.sos import (
 
 def molecule(hr, energies=None, e00=0.0, transition="absorption"):
     energies = energies or [500.0 + 100.0 * i for i in range(len(hr))]
-    modes = tuple(
-        Mode(index=i + 1, energy=e, huang_rhys=s)
-        for i, (e, s) in enumerate(zip(energies, hr))
-    )
+    modes = tuple(Mode(energy=e, huang_rhys=s) for e, s in zip(energies, hr))
     return Molecule("m", e00, transition, modes)
 
 
