@@ -10,8 +10,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .model import DetectorModel, Molecule, energy_keys
-from .sampling import SampledSpectrum, SamplerConfig, sample_spectrum
+from .model import DetectorModel, Molecule, energy_keys, sum_by_key
+from .sampling import SamplerConfig, sample_spectrum
 from .sos import LineSpectrum, SosConfig, build_reference_spectrum
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "EnergyGrid",
     "ConvergenceReport",
     "GridError",
-    "as_line_spectrum",
     "normalize",
     "fidelity",
     "broaden",
@@ -110,20 +109,7 @@ class ConvergenceReport:
     provenance: dict = field(default_factory=dict)
 
 
-def as_line_spectrum(spec) -> LineSpectrum:
-    """View any spectrum (stick or sampled histogram) as a LineSpectrum."""
-    if isinstance(spec, LineSpectrum):
-        return spec
-    if isinstance(spec, SampledSpectrum):
-        return LineSpectrum(
-            spec.energies,
-            spec.counts.astype(float),
-            provenance=dict(spec.provenance),
-        )
-    raise TypeError(f"cannot interpret {type(spec).__name__} as a spectrum")
-
-
-def normalize(spec, mode: str, e00: float | None = None) -> LineSpectrum:
+def normalize(spec: LineSpectrum, mode: str, e00: float | None = None) -> LineSpectrum:
     """Rescale a spectrum's intensities.
 
     Modes: "raw" (no-op copy, also of an empty spectrum), "unit_l1"
@@ -134,11 +120,10 @@ def normalize(spec, mode: str, e00: float | None = None) -> LineSpectrum:
     """
     if mode not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization mode {mode!r}")
-    line = as_line_spectrum(spec)
-    inten = line.intensities
+    inten = spec.intensities
     if mode == "raw":
         scale = 1.0
-    elif len(line) == 0:
+    elif len(spec) == 0:
         raise ValueError("cannot normalize an empty spectrum")
     elif mode == "unit_l1":
         scale = inten.sum()
@@ -149,31 +134,28 @@ def normalize(spec, mode: str, e00: float | None = None) -> LineSpectrum:
     else:
         if e00 is None:
             raise ValueError("zero_zero_one normalization requires e00")
-        hit = energy_keys(line.energies) == energy_keys(e00)
+        hit = energy_keys(spec.energies) == energy_keys(e00)
         if not hit.any():
             raise ValueError(f"no stick at the 0-0 energy {e00}")
         scale = float(inten[hit][0])
     if scale <= 0:
         raise ValueError("cannot normalize a spectrum with no intensity")
     return LineSpectrum(
-        line.energies.copy(),
+        spec.energies.copy(),
         inten / scale,
-        provenance={**line.provenance, "normalization": mode},
+        provenance={**spec.provenance, "normalization": mode},
     )
 
 
-def _keyed(spec) -> tuple[np.ndarray, np.ndarray]:
+def _keyed(spec: LineSpectrum) -> tuple[np.ndarray, np.ndarray]:
     """Strictly increasing lattice keys of a spectrum and the summed
     intensity (scaled to max 1, so norms stay finite) on each key."""
-    line = as_line_spectrum(spec)
-    if len(line) == 0 or not np.any(line.intensities > 0):
+    if len(spec) == 0 or not np.any(spec.intensities > 0):
         raise ValueError("fidelity requires non-empty spectra with intensity")
-    keys = energy_keys(line.energies)  # non-decreasing, as energies increase
-    first = np.flatnonzero(np.diff(keys, prepend=keys[0] - 1))
-    return keys[first], np.add.reduceat(line.intensities / line.intensities.max(), first)
+    return sum_by_key(energy_keys(spec.energies), spec.intensities / spec.intensities.max())
 
 
-def fidelity(p, q, norm: str = "l2") -> float:
+def fidelity(p: LineSpectrum, q: LineSpectrum, norm: str = "l2") -> float:
     """Overlap of two spectra on their shared energy lattice.
 
     "l2" (default): inner product of L2-normalized intensity vectors;
@@ -194,7 +176,7 @@ def fidelity(p, q, norm: str = "l2") -> float:
     return float(np.sqrt(a * b).sum() / math.sqrt(vp.sum() * vq.sum()))
 
 
-def broaden(spec, kernel: BroadeningKernel, grid: EnergyGrid) -> LineSpectrum:
+def broaden(spec: LineSpectrum, kernel: BroadeningKernel, grid: EnergyGrid) -> LineSpectrum:
     """Convolve a stick spectrum with a unit-area kernel on a grid.
 
     The output carries the grid points as energies and the summed
@@ -203,11 +185,10 @@ def broaden(spec, kernel: BroadeningKernel, grid: EnergyGrid) -> LineSpectrum:
     converge slowly; see the package docs for the truncation bound).
     Its provenance is the source's plus the kernel and the grid.
     """
-    line = as_line_spectrum(spec)
     x = grid.points()
-    if len(line) > 0:
+    if len(spec) > 0:
         margin = 5.0 * kernel.fwhm
-        if line.energies.min() - grid.start < margin or grid.stop - line.energies.max() < margin:
+        if spec.energies.min() - grid.start < margin or grid.stop - spec.energies.max() < margin:
             warnings.warn(
                 "grid margin below 5 FWHM; broadened wings will be clipped",
                 stacklevel=2,
@@ -215,15 +196,15 @@ def broaden(spec, kernel: BroadeningKernel, grid: EnergyGrid) -> LineSpectrum:
     y = np.zeros_like(x)
     # Outer-product evaluation in stick batches keeps memory bounded.
     batch = max(1, 10**7 // max(1, x.size))
-    for i in range(0, len(line), batch):
-        e = line.energies[i : i + batch]
-        w = line.intensities[i : i + batch]
+    for i in range(0, len(spec), batch):
+        e = spec.energies[i : i + batch]
+        w = spec.intensities[i : i + batch]
         y += (w[:, None] * kernel(x[None, :] - e[:, None])).sum(axis=0)
     return LineSpectrum(
         x,
         y,
         provenance={
-            **line.provenance,
+            **spec.provenance,
             "broadening": kernel.shape,
             "fwhm": kernel.fwhm,
             "grid": f"{grid.start}:{grid.stop}:{grid.step}",

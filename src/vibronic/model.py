@@ -11,7 +11,8 @@ Huang-Rhys factors are dimensionless, so everything downstream of
 
 Energies are quantized once, to int64 keys on one lattice of
 `TICKS_PER_CM1` ticks per cm^-1, so transition energies are exact
-integer sums that both engines and the fidelity join agree on.
+integer sums that both engines and the fidelity join agree on, and
+`sum_by_key` is the one merge of lines that land on one key.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "TICKS_PER_CM1",
     "energy_keys",
     "key_energies",
+    "sum_by_key",
 ]
 
 # Resolution of the energy lattice: 1e-6 cm^-1.
@@ -178,6 +180,17 @@ def key_energies(keys) -> np.ndarray:
     """Energies in cm^-1 of lattice keys; true division makes each the
     correctly rounded lattice value."""
     return np.asarray(keys, dtype=np.int64) / TICKS_PER_CM1
+
+
+def sum_by_key(keys, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct sorted keys and the summed weight on each: a stable sort,
+    then `np.add.reduceat` over runs.  int64 weights sum exactly."""
+    order = np.argsort(keys, kind="stable")
+    keys, weights = np.asarray(keys)[order], np.asarray(weights)[order]
+    if keys.size == 0:
+        return keys, weights
+    first = np.flatnonzero(np.diff(keys, prepend=keys[0] - 1))
+    return keys[first], np.add.reduceat(weights, first)
 
 
 def check_key_reach(reach: int) -> None:

@@ -6,7 +6,9 @@ count is drawn once from the law `DetectorModel.recorded` states:
 Poisson(efficiency * S + dark_mean), clipped at 1 for a click detector
 and at the cap K.  Counts are weighted by the mode's integer lattice
 key, summed event-wise across modes, and histogrammed on the exact
-transition-energy lattice.  Work is O(events * modes).
+transition-energy lattice; `model.sum_by_key` merges the chunks into
+a `SampledSpectrum`, a `LineSpectrum` of event counts.  Work is
+O(events * modes).
 
 Reproducibility: every (seed, mode position, chunk) triple owns an
 independent counter-based Philox sub-stream, so results are
@@ -17,13 +19,14 @@ therefore selects the draws, and the provenance records it.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .model import (IDEAL_DETECTOR, DetectorModel, Molecule, check_key_reach, energy_keys,
-                    key_energies)
+                    key_energies, sum_by_key)
+from .sos import LineSpectrum
 
 __all__ = [
     "SamplerConfig",
@@ -122,23 +125,13 @@ def sample_mode(
     return np.concatenate(parts)
 
 
-@dataclass
-class SampledSpectrum:
-    """Event-count histogram over exact transition-energy lattice values."""
+class SampledSpectrum(LineSpectrum):
+    """A LineSpectrum whose intensities are event counts (exact in
+    float64 below 2**53); `provenance["events"]` records their sum."""
 
-    energies: np.ndarray
-    counts: np.ndarray
-    total_events: int
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.energies = np.asarray(self.energies, dtype=float)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if int(self.counts.sum()) != self.total_events:
-            raise ValueError("counts must sum to total_events")
-
-    def __len__(self) -> int:
-        return self.energies.size
+    @property
+    def counts(self) -> np.ndarray:
+        return self.intensities.astype(np.int64)
 
 
 def _spectrum_chunk(
@@ -170,6 +163,8 @@ def sample_spectrum(
     threads; sub-stream keying guarantees the merged histogram is
     identical regardless of schedule.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     chunks = cfg.chunks()
     if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -177,14 +172,11 @@ def sample_spectrum(
     else:
         results = [_spectrum_chunk(m, *c, cfg, d) for c in chunks]
 
-    keys, inverse = np.unique(np.concatenate([k for k, _ in results]), return_inverse=True)
-    counts = np.zeros(keys.size, dtype=np.int64)
-    np.add.at(counts, inverse, np.concatenate([c for _, c in results]))
-
+    keys, counts = sum_by_key(np.concatenate([k for k, _ in results]),
+                              np.concatenate([c for _, c in results]))
     return SampledSpectrum(
         key_energies(keys),
         counts,
-        total_events=cfg.events,
         provenance={
             "molecule": m.name,
             "engine": "sampler",

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .model import (IDEAL_DETECTOR, DetectorModel, Molecule, check_key_reach, energy_keys,
-                    key_energies)
+                    key_energies, sum_by_key)
 
 __all__ = [
     "SosConfig",
@@ -153,12 +153,19 @@ def mode_distribution(s: float, k: int, overflow: str = "truncate",
     under either overflow.  At the cutoff K, "truncate" keeps raw
     Poisson pmf values (sums to the regularized CDF, < 1); "cap" piles
     the tail mass P(j >= K) onto the K bin, so the vector sums to 1
-    exactly like clipped samples do.
+    like clipped samples do.
     """
     mean, top = d.recorded(s, k)
     p = np.array([fc_factor_1d(mean, j) for j in range(top + 1)])
     if overflow == "cap" or top == d.recorded(s, None)[1]:
-        p[top] = 1.0 - p[:top].sum()
+        if mean < top:  # sum the tail upward, where 1 - head would cancel
+            tail, term, j = 0.0, p[top], top
+            while tail + term != tail:
+                tail, j = tail + term, j + 1
+                term *= mean / j  # mean / j < 1: the terms fall
+            p[top] = tail
+        else:  # the tail is >= 1/2, so 1 - head loses nothing
+            p[top] = 1.0 - p[:top].sum()
     return p
 
 
@@ -201,9 +208,9 @@ def build_reference_spectrum(m: Molecule, cfg: SosConfig,
         if work > cfg.enumeration_budget:
             raise BudgetExceededError(work, cfg.enumeration_budget)
         p = mode_distribution(mode.huang_rhys, k, cfg.overflow, d)
-        shifted = keys[:, None] + t * np.arange(top + 1)
-        keys, inverse = np.unique(shifted.ravel(), return_inverse=True)
-        inten = np.bincount(inverse, weights=(inten[:, None] * p).ravel())
+        # j-major: top+1 sorted runs, which the stable sort merges
+        shifted = keys + t * np.arange(top + 1)[:, None]
+        keys, inten = sum_by_key(shifted.ravel(), (p[:, None] * inten).ravel())
         # Exactly-zero sticks only arise from modes whose recorded mean
         # is 0 (or underflow); dropping them keeps such modes invisible.
         live = inten > 0.0

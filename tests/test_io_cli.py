@@ -298,6 +298,13 @@ class TestCliSample:
                      "--out", str(c)]) == 0
         assert c.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, tmp_path, molecule_path, workers):
+        out = tmp_path / "w.csv"
+        assert main(["sample", str(molecule_path), "--events", "1000", "--seed", "1",
+                     "--workers", workers, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_single_event(self, tmp_path, molecule_path):
         out = tmp_path / "one.csv"
         assert main(["sample", str(molecule_path), "--events", "1",

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +12,7 @@ from vibronic.model import (
     ValidationError,
     hr_from_gradient,
     prune_modes,
+    sum_by_key,
 )
 
 
@@ -150,3 +152,28 @@ class TestDetectorModel:
         assert click.recorded(2.0, None) == (2.0, 1)
         assert click.recorded(2.0, 3) == (2.0, 1)
         assert click.recorded(2.0, 0) == (2.0, 0)
+
+
+class TestSumByKey:
+    @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(0, 10**6)), max_size=60),
+           st.booleans(), st.integers(1, 4))
+    def test_matches_dict_oracle(self, pairs, as_float, runs):
+        # `runs` > 1 lays the input out as already-sorted runs, as the
+        # SOS step does; the input otherwise is unsorted with repeats.
+        # Integer-valued weights keep float sums exact in any order.
+        keys = np.array([k for k, _ in pairs], dtype=np.int64)
+        weights = np.array([w for _, w in pairs], dtype=float if as_float else np.int64)
+        if runs > 1:
+            keys = np.concatenate([np.sort(part) for part in np.array_split(keys, runs)])
+        oracle: dict[int, float] = {}
+        for k, w in zip(keys.tolist(), weights.tolist()):
+            oracle[k] = oracle.get(k, 0) + w
+        got_keys, got = sum_by_key(keys, weights)
+        assert got_keys.tolist() == sorted(oracle)
+        assert got.dtype == weights.dtype
+        assert got.tolist() == [oracle[k] for k in sorted(oracle)]
+
+    def test_empty(self):
+        keys, weights = sum_by_key(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+        assert keys.size == 0 and weights.size == 0
+        assert keys.dtype == np.int64 and weights.dtype == np.int64

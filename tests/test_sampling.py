@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vibronic.analysis import BroadeningKernel, EnergyGrid, broaden, fidelity, normalize
 from vibronic.model import Mode, Molecule, energy_keys, key_energies
 from vibronic.sampling import (
     IDEAL_DETECTOR,
@@ -13,6 +14,7 @@ from vibronic.sampling import (
     sample_spectrum,
     substream,
 )
+from vibronic.sos import LineSpectrum
 
 
 def molecule(hr, energies=None, e00=0.0):
@@ -203,7 +205,23 @@ class TestSampleSpectrum:
     def test_counts_sum_to_events(self):
         m = molecule([0.3, 0.1])
         spec = sample_spectrum(m, SamplerConfig(events=12345, seed=3))
-        assert int(spec.counts.sum()) == 12345
+        assert int(spec.counts.sum()) == 12345 == spec.provenance["events"]
+        assert spec.counts.dtype == np.int64
+        assert np.array_equal(spec.counts, spec.intensities)
+
+    def test_is_a_line_spectrum(self):
+        # the analysis layer takes a sampled spectrum as it is
+        spec = sample_spectrum(molecule([0.3, 0.1]), SamplerConfig(events=5000, seed=3))
+        assert isinstance(spec, LineSpectrum)
+        assert normalize(spec, "unit_l1").total == pytest.approx(1.0)
+        assert fidelity(spec, spec) == pytest.approx(1.0)
+        kernel = BroadeningKernel("gaussian", 20.0)
+        assert len(broaden(spec, kernel, EnergyGrid.around(spec.energies, 20.0))) > 0
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_refused(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            sample_spectrum(molecule([0.3]), SamplerConfig(events=100), workers=workers)
 
     def test_energies_on_lattice(self):
         m = molecule([0.5, 0.8], energies=[300.0, 700.0], e00=1000.0)

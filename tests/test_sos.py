@@ -406,6 +406,21 @@ class TestModeDistribution:
                 assert got.shape == want.shape, (s, k)
                 assert np.abs(got - want).max() <= 1e-12, (s, k)
 
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_capped_tail_against_survival_function(self, k):
+        # the capped bin is P(j >= K); computed as 1 - head it cancels
+        # to noise (-2.2e-16 at the first S below, 0 at the second)
+        for s in np.append(np.geomspace(1e-9, 60.0, 200), [9.056877407612766e-06, 1e-4]):
+            tail = mode_distribution(s, k, "cap")[-1]
+            want = scipy.stats.poisson.sf(k - 1, s)
+            assert tail >= 0.0
+            assert abs(tail - want) <= 1e-12 * want, (s, k)
+
+    def test_click_tail_against_survival_function(self):
+        for s in np.geomspace(1e-9, 60.0, 50):
+            got = mode_distribution(s, 3, "truncate", DETECTORS["click"])[1]
+            assert abs(got + math.expm1(-s)) <= 1e-12 * -math.expm1(-s), s
+
     def test_reference_through_detector(self):
         # a click detector's reference has only 0/1 per mode and sums
         # to 1 even under truncation; dark counts light up an S = 0 mode
