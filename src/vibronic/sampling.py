@@ -2,13 +2,25 @@
 
 Each vibrational mode is emulated by an attenuated coherent pulse
 train seen by a photon detector.  Per event, each mode's recorded
-count is drawn once from the law `DetectorModel.recorded` states:
+count follows the law `DetectorModel.recorded` states:
 Poisson(efficiency * S + dark_mean), clipped at 1 for a click detector
 and at the cap K.  Counts are weighted by the mode's integer lattice
 key, summed event-wise across modes, and histogrammed on the exact
 transition-energy lattice; `model.sum_by_key` merges the chunks into
-a `SampledSpectrum`, a `LineSpectrum` of event counts.  Work is
-O(events * modes).
+a `SampledSpectrum`, a `LineSpectrum` of event counts.
+
+`sample_mode` draws the counts one event at a time, the emulation as
+the paper describes it.  `sample_spectrum` only needs the histogram,
+so it draws that directly: a chunk carries its lines as (lattice key,
+events) pairs, and each mode splits every line's events over
+j = 0, 1, ... by conditional binomials, Binomial(events left,
+P(J = j | J >= j)), the multinomial drawn as a sequence of binomials
+(Davis 1993, Comput. Stat. Data Anal. 16:205).  That is the same law
+as per-event draws at a cost of live lines x sweep length per mode, so
+events enter only through the chunk count.  Where that cost, with a
+split step's fixed cost added, would exceed the chunk's events (a huge
+recorded mean, or a small chunk), the mode draws its events one at a
+time instead, which is then the cheaper exact method.
 
 Reproducibility: every (seed, mode position, chunk) triple owns an
 independent counter-based Philox sub-stream, so results are
@@ -18,6 +30,8 @@ therefore selects the draws, and the provenance records it.
 
 from __future__ import annotations
 
+import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -26,7 +40,7 @@ import numpy as np
 from . import __version__
 from .model import (IDEAL_DETECTOR, DetectorModel, Molecule, check_key_reach, energy_keys,
                     key_energies, sum_by_key)
-from .sos import LineSpectrum
+from .sos import LineSpectrum, fc_factor_1d, tail_ratio
 
 __all__ = [
     "SamplerConfig",
@@ -43,6 +57,11 @@ DEFAULT_CHUNK_SIZE = 1_000_000
 
 # The largest mean numpy's Poisson generator accepts (int64 max - 10 sd).
 POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
+# A split step's fixed cost (one vectorized binomial call, ~10 us)
+# counted in lines (~0.1 us each per step); one per-event draw costs
+# about as much as one line-step.
+_SPLIT_STEP_LINES = 128
 
 
 @dataclass(frozen=True)
@@ -80,6 +99,11 @@ def substream(seed: int, mode_index: int, chunk_index: int) -> np.random.Generat
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _check_mean(mean: float) -> None:
+    if not 0 <= mean <= POISSON_MEAN_MAX:
+        raise ValueError(f"Poisson mean must be in [0, {POISSON_MEAN_MAX:.6g}], got {mean!r}")
+
+
 def poisson_draw(mean: float, rng: np.random.Generator, size: int | None = None):
     """Exact-distribution Poisson variate(s) with the given mean.
 
@@ -87,24 +111,79 @@ def poisson_draw(mean: float, rng: np.random.Generator, size: int | None = None)
     mean outside [0, POISSON_MEAN_MAX] (or nan) is refused before any
     draw.
     """
-    if not 0 <= mean <= POISSON_MEAN_MAX:
-        raise ValueError(f"Poisson mean must be in [0, {POISSON_MEAN_MAX:.6g}], got {mean!r}")
+    _check_mean(mean)
     if mean == 0.0:
         return 0 if size is None else np.zeros(size, dtype=np.int64)
     return rng.poisson(mean, size=size)
 
 
-def _sample_mode_chunk(s: float, mode_index: int, chunk_index: int, size: int,
-                       cfg: SamplerConfig, d: DetectorModel) -> np.ndarray:
-    rng = substream(cfg.seed, mode_index, chunk_index)
+def _recorded(s: float, mode_index: int, cfg: SamplerConfig,
+              d: DetectorModel) -> tuple[float, int | None]:
+    """`d.recorded` for one mode, its mean refused before any draw."""
     mean, top = d.recorded(s, cfg.max_quanta)
     try:
-        counts = poisson_draw(mean, rng, size)
+        _check_mean(mean)
     except ValueError as exc:
         raise ValueError(
             f"mode {mode_index}: recorded mean efficiency*S + dark_mean: {exc}"
         ) from None
+    return mean, top
+
+
+def _sample_mode_chunk(s: float, mode_index: int, chunk_index: int, size: int,
+                       cfg: SamplerConfig, d: DetectorModel) -> np.ndarray:
+    mean, top = _recorded(s, mode_index, cfg, d)
+    counts = poisson_draw(mean, substream(cfg.seed, mode_index, chunk_index), size)
     return counts if top is None else np.minimum(counts, top)
+
+
+def _hazards(mean: float, top: int | None):
+    """Yield h_j = P(J = j | J >= j), j = 0, 1, ..., for the recorded
+    count J: Poisson(mean) clipped at `top` (None: unbounded), so
+    h_top = 1 and an unbounded sequence never ends.
+
+    For j <= mean, h_j = p_j / (1 - head): the tail there is >= ~1/2,
+    so the subtraction loses nothing.  Above the mean, h_j =
+    1 / `tail_ratio(mean, j)`, which needs no p_j and so cannot give
+    0/0 or a value above 1 deep in the tail.
+    """
+    head = 0.0
+    for j in itertools.count():
+        if j == top:
+            yield 1.0
+            return
+        if j <= mean:
+            p = fc_factor_1d(mean, j)
+            yield p / (1.0 - head)
+            head += p
+        else:
+            yield 1.0 / tail_ratio(mean, j)
+
+
+def _split(keys: np.ndarray, counts: np.ndarray, t: int, mean: float, top: int | None,
+           rng: np.random.Generator, reach: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Split each line's events over j = 0, 1, ... by conditional binomials.
+
+    At each j, every line sends Binomial(events left, h_j) of them to
+    key + j * t, drawn from `rng` over the lines in key order (a line
+    with none left draws nothing); a hazard of 1 sends all that is
+    left without a draw.  Stops when nothing is left.  Returns the
+    merged lines and the largest j.
+    """
+    takes = []
+    for j, h in enumerate(_hazards(mean, top)):
+        take = counts if h == 1.0 else rng.binomial(counts, h)
+        takes.append(take)
+        counts = counts - take
+        if not counts.any():
+            break
+    check_key_reach(reach + abs(t) * j)
+    takes = np.array(takes)
+    hit = takes > 0
+    # j-major rows: j + 1 sorted runs, which the stable sort merges
+    shifted = keys + t * np.arange(j + 1)[:, None]
+    keys, counts = sum_by_key(shifted[hit], takes[hit])
+    return keys, counts, j
 
 
 def sample_mode(
@@ -137,18 +216,36 @@ class SampledSpectrum(LineSpectrum):
 def _spectrum_chunk(
     m: Molecule, chunk_index: int, size: int, cfg: SamplerConfig, d: DetectorModel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unique lattice keys and counts for one chunk of events."""
-    origin = int(energy_keys(m.e00))
-    acc = np.zeros(size, dtype=np.int64)
-    reach = abs(origin)
+    """Unique lattice keys and counts for one chunk of events.
+
+    The chunk's histogram starts as one line of `size` events at
+    key(e00); each mode then moves every line's events by j quanta,
+    drawing only from its (seed, mode, chunk) sub-stream.  A mode
+    whose recorded count is always 0 leaves the lines as they are and
+    draws nothing.
+    """
+    keys = energy_keys([m.e00])
+    counts = np.array([size], dtype=np.int64)
+    reach = abs(int(keys[0]))
     for i, (s, t) in enumerate(zip(m.huang_rhys, energy_keys(m.energies) * m.sign), 1):
-        j = _sample_mode_chunk(s, i, chunk_index, size, cfg, d)
-        reach += abs(int(t)) * int(j.max())
-        check_key_reach(reach)
-        j *= t  # j is this chunk's own fresh array
-        acc += j
-    keys, counts = np.unique(acc, return_counts=True)
-    return keys + origin, counts
+        mean, top = _recorded(s, i, cfg, d)
+        if mean == 0.0 or top == 0:
+            continue
+        t = int(t)
+        sweep = mean + 10.0 * math.sqrt(mean) + 10.0
+        if top is not None:
+            sweep = min(sweep, top + 1)
+        if (keys.size + _SPLIT_STEP_LINES) * sweep > size:  # per-event draws are cheaper
+            j = _sample_mode_chunk(s, i, chunk_index, size, cfg, d)
+            reach += abs(t) * int(j.max())
+            check_key_reach(reach)
+            j *= t  # j is this chunk's own fresh array
+            keys, counts = np.unique(np.repeat(keys, counts) + j, return_counts=True)
+        else:
+            rng = substream(cfg.seed, i, chunk_index)
+            keys, counts, jmax = _split(keys, counts, t, mean, top, rng, reach)
+            reach += abs(t) * jmax
+    return keys, counts
 
 
 def sample_spectrum(

@@ -93,9 +93,10 @@ class SosConfig:
 
 @dataclass
 class LineSpectrum:
-    """A discrete stick spectrum: strictly increasing energies (cm^-1)
-    with non-negative intensities.  `provenance` is the spectrum's one
-    metadata record; `io.write_spectrum` writes it as the file header."""
+    """A discrete stick spectrum: finite, strictly increasing energies
+    (cm^-1) with finite, non-negative intensities.  `provenance` is the
+    spectrum's one metadata record; `io.write_spectrum` writes it as the
+    file header."""
 
     energies: np.ndarray
     intensities: np.ndarray
@@ -106,6 +107,8 @@ class LineSpectrum:
         self.intensities = np.asarray(self.intensities, dtype=float)
         if self.energies.shape != self.intensities.shape:
             raise ValueError("energies and intensities must have equal length")
+        if not (np.isfinite(self.energies).all() and np.isfinite(self.intensities).all()):
+            raise ValueError("energies and intensities must be finite")
         if self.energies.size > 1 and not np.all(np.diff(self.energies) > 0):
             raise ValueError("energies must be strictly increasing")
         if np.any(self.intensities < 0):
@@ -159,14 +162,25 @@ def mode_distribution(s: float, k: int, overflow: str = "truncate",
     p = np.array([fc_factor_1d(mean, j) for j in range(top + 1)])
     if overflow == "cap" or top == d.recorded(s, None)[1]:
         if mean < top:  # sum the tail upward, where 1 - head would cancel
-            tail, term, j = 0.0, p[top], top
-            while tail + term != tail:
-                tail, j = tail + term, j + 1
-                term *= mean / j  # mean / j < 1: the terms fall
-            p[top] = tail
+            p[top] *= tail_ratio(mean, top)
         else:  # the tail is >= 1/2, so 1 - head loses nothing
             p[top] = 1.0 - p[:top].sum()
     return p
+
+
+def tail_ratio(mean: float, j: int) -> float:
+    """P(J >= j) / P(J = j) for J ~ Poisson(mean) and j > mean.
+
+    The series 1 + mean/(j+1) + mean^2/((j+1)(j+2)) + ... is summed
+    upward until a term no longer changes it; every ratio mean/i < 1,
+    so the terms fall.  It needs no pmf value, so it neither underflows
+    nor cancels deep in the tail.
+    """
+    total, term = 0.0, 1.0
+    while total + term != total:
+        total, j = total + term, j + 1
+        term *= mean / j
+    return total
 
 
 def build_reference_spectrum(m: Molecule, cfg: SosConfig,

@@ -1,20 +1,24 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
+from vibronic import sampling
 from vibronic.analysis import BroadeningKernel, EnergyGrid, broaden, fidelity, normalize
 from vibronic.model import Mode, Molecule, energy_keys, key_energies
 from vibronic.sampling import (
     IDEAL_DETECTOR,
     DetectorModel,
     SamplerConfig,
+    _hazards,
     poisson_draw,
     sample_mode,
     sample_spectrum,
     substream,
 )
-from vibronic.sos import LineSpectrum
+from vibronic.sos import LineSpectrum, mode_distribution
 
 
 def molecule(hr, energies=None, e00=0.0):
@@ -58,6 +62,40 @@ def oracle_counts(s, d, seed, n, max_quanta=None):
     return apply_detector(poisson_draw(s, rng, size=n), d, rng, max_quanta)
 
 
+def replay_split(m, cfg, d=IDEAL_DETECTOR):
+    """Oracle: the sampler's cell rule, one dict of lines per chunk.
+
+    Each (mode i, chunk) cell draws from `substream(seed, i, chunk)`:
+    for j = 0, 1, ..., Binomial(events left, h_j) over every line in key
+    order, a line with none left included (it draws nothing), and a
+    hazard of 1 takes all that is left.  A mode that records 0 draws
+    nothing.
+    """
+    hist = {}
+    for ci, size in cfg.chunks():
+        lines = {int(energy_keys(m.e00)): size}
+        for i, mode in enumerate(m.modes, 1):
+            mean, top = d.recorded(mode.huang_rhys, cfg.max_quanta)
+            if mean == 0.0 or top == 0:
+                continue
+            t, rng = int(energy_keys(mode.energy)) * m.sign, substream(cfg.seed, i, ci)
+            keys = sorted(lines)
+            left = np.array([lines[k] for k in keys], dtype=np.int64)
+            lines = {}
+            for j, h in enumerate(_hazards(mean, top)):
+                take = left if h == 1.0 else rng.binomial(left, h)
+                for k, n in zip(keys, take.tolist()):
+                    if n:
+                        lines[k + j * t] = lines.get(k + j * t, 0) + n
+                left = left - take
+                if not left.any():
+                    break
+        for k, n in lines.items():
+            hist[k] = hist.get(k, 0) + n
+    keys = sorted(hist)
+    return np.array(keys, dtype=np.int64), np.array([hist[k] for k in keys])
+
+
 class TestPoissonDraw:
     def test_zero_mean_always_zero(self):
         rng = substream(0, 1, 0)
@@ -79,6 +117,25 @@ class TestPoissonDraw:
         n = 10**6
         draws = poisson_draw(1.0, substream(321, 1, 0), size=n)
         assert abs(draws.mean() - 1.0) < 3.0 / math.sqrt(n)
+
+
+class TestHazards:
+    def test_against_poisson(self):
+        # h_j = P(J = j) / P(J >= j) wherever scipy's pmf is normal
+        for s in np.append(np.geomspace(1e-9, 60.0, 200), 400.0):
+            n = int(s + 10.0 * math.sqrt(s) + 30.0)
+            h = np.fromiter(itertools.islice(_hazards(s, None), n), float, n)
+            assert ((h >= 0.0) & (h <= 1.0)).all(), s
+            j = np.arange(n)
+            want = scipy.stats.poisson.pmf(j, s) / scipy.stats.poisson.sf(j - 1, s)
+            ok = scipy.stats.poisson.pmf(j, s) > 1e-250
+            assert (np.abs(h[ok] - want[ok]) <= 1e-12 * want[ok]).all(), s
+
+    def test_cap_takes_all_at_top(self):
+        for s in (0.0, 0.3, 5.0):
+            for top in (0, 1, 4):
+                h = list(_hazards(s, top))
+                assert len(h) == top + 1 and h[-1] == 1.0, (s, top)
 
 
 class TestApplyDetector:
@@ -259,15 +316,32 @@ class TestSampleSpectrum:
         ([0.8, 0.2, 0.5], [700.0, 300.0, 100.0]),
     ])
     def test_streams_keyed_by_position(self, hr, energies):
-        # the mode at 1-based position i draws from sub-stream i, so the
-        # spectrum is the histogram of sum_i key_i * sample_mode(S_i, i)
+        # the mode at 1-based position i draws from sub-stream i of each
+        # chunk, so the spectrum is the replay of the cell rule
         cfg = SamplerConfig(events=20000, seed=6, chunk_size=7000)
-        spec = sample_spectrum(molecule(hr, energies=energies, e00=1000.0), cfg)
-        acc = sum(int(energy_keys(e)) * sample_mode(s, i, cfg)
-                  for i, (e, s) in enumerate(zip(energies, hr), 1))
-        keys, counts = np.unique(acc + int(energy_keys(1000.0)), return_counts=True)
+        m = molecule(hr, energies=energies, e00=1000.0)
+        spec = sample_spectrum(m, cfg)
+        keys, counts = replay_split(m, cfg)
         assert np.array_equal(spec.energies, key_energies(keys))
         assert np.array_equal(spec.counts, counts)
+
+    @pytest.mark.parametrize("chunk_size, per_event_draws", [(10**5, 0), (10**4, 10)])
+    def test_huge_mean_mode_law(self, chunk_size, per_event_draws, monkeypatch):
+        # S = 400 sweeps ~610 counts: a chunk of 1e5 events splits its
+        # line, one of 1e4 events draws per event; both follow the law
+        draws = []
+        monkeypatch.setattr(sampling, "poisson_draw",
+                            lambda *a, **k: draws.append(a) or poisson_draw(*a, **k))
+        cfg = SamplerConfig(events=10**5, seed=400, chunk_size=chunk_size)
+        spec = sample_spectrum(molecule([400.0], energies=[100.0]), cfg)
+        assert len(draws) == per_event_draws
+        obs = np.zeros(701)
+        obs[np.rint(spec.energies / 100.0).astype(int)] = spec.counts
+        exp = mode_distribution(400.0, 700, "cap") * cfg.events
+        big = exp >= 5.0  # merge the sparse tails into one bin
+        _, p_value = scipy.stats.chisquare(np.append(obs[big], obs[~big].sum()),
+                                           np.append(exp[big], exp[~big].sum()))
+        assert p_value > 1e-4
 
     def test_max_quanta_caps_lattice(self):
         m = molecule([2.5], energies=[500.0])

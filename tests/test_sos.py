@@ -456,6 +456,8 @@ class TestLattice:
             build_reference_spectrum(molecule([0.1], energies=[1e9]), SosConfig(max_quanta=10))
         with pytest.raises(ValueError, match="lattice"):
             sample_spectrum(molecule([1e6], energies=[1e4]), SamplerConfig(events=100, seed=1))
+        with pytest.raises(ValueError, match="lattice"):
+            sample_spectrum(molecule([1e17], energies=[1e4]), SamplerConfig(events=100, seed=1))
         with pytest.raises(ValueError, match="finite"):
             energy_keys([1.0, float("inf")])
 
@@ -485,7 +487,15 @@ class TestLineSpectrum:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             LineSpectrum(np.array([2.0, 1.0]), np.array([1.0, 1.0]))
+        for energies in ([math.nan], [0.0, math.inf], [-math.inf, 0.0]):
+            with pytest.raises(ValueError, match="finite"):
+                LineSpectrum(energies, np.ones(len(energies)))
 
     def test_rejects_negative_intensity(self):
         with pytest.raises(ValueError):
             LineSpectrum(np.array([1.0, 2.0]), np.array([1.0, -1.0]))
+        # a nan or inf would pass every other check and make fidelity
+        # and normalize return nan
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                LineSpectrum([0.0, 1.0], [bad, 1.0])
