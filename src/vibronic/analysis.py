@@ -176,16 +176,49 @@ def fidelity(p: LineSpectrum, q: LineSpectrum, norm: str = "l2") -> float:
     return float(np.sqrt(a * b).sum() / math.sqrt(vp.sum() * vq.sum()))
 
 
+def _smooth_length(n: int) -> int:
+    """Least 5-smooth integer >= n: a length numpy.fft transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            best = min(best, f35 << ((n - 1) // f35).bit_length())
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
 def broaden(spec: LineSpectrum, kernel: BroadeningKernel, grid: EnergyGrid) -> LineSpectrum:
     """Convolve a stick spectrum with a unit-area kernel on a grid.
 
     The output carries the grid points as energies and the summed
     kernel contributions as intensities, so grid-summed area times the
-    step approximates the total stick intensity (Lorentzian tails
-    converge slowly; see the package docs for the truncation bound).
+    step approximates the total stick intensity.  A window of +/-M
+    around a stick keeps (2/pi) atan(2M/FWHM) of a Lorentzian's area.
     Its provenance is the source's plus the kernel and the grid.
+
+    Method: each stick is split linearly between its two neighbouring
+    points of a uniform lattice of step h' = grid.step / r (area
+    weighting, "cloud in cell"), and the lattice is convolved with the
+    kernel sampled at every lattice offset by one real FFT (Hockney &
+    Eastwood, Computer Simulation Using Particles, 1988, ch. 5).  r is
+    the least integer with h' <= GRID_STEP_FWHM * FWHM, lowered (never
+    below 1) so the lattice, which holds every grid point and every
+    stick, spans at most EnergyGrid._MAX_POINTS steps; a grid from
+    `EnergyGrid.around` has r = 1.  Sticks so far outside an explicit
+    grid that even r = 1 exceeds that span raise GridError.  The cost
+    is O(L log L) in the lattice length L.
+
+    Binning conserves the total intensity exactly, and a stick on a
+    lattice point is exact to roundoff.  Otherwise, at every grid
+    point |y - y_direct| <= (h'^2 / 8) max|K''| sum(w), plus roundoff
+    of order 1e-15 of the peak, where y_direct is the sum of w K(x - e)
+    over the sticks.  max|K''| is 2 / (pi gamma^3) with gamma = FWHM / 2
+    for the Lorentzian and 1 / (sigma^3 sqrt(2 pi)) for the Gaussian.
     """
     x = grid.points()
+    y = np.zeros_like(x)
     if len(spec) > 0:
         margin = 5.0 * kernel.fwhm
         if spec.energies.min() - grid.start < margin or grid.stop - spec.energies.max() < margin:
@@ -193,13 +226,51 @@ def broaden(spec: LineSpectrum, kernel: BroadeningKernel, grid: EnergyGrid) -> L
                 "grid margin below 5 FWHM; broadened wings will be clipped",
                 stacklevel=2,
             )
-    y = np.zeros_like(x)
-    # Outer-product evaluation in stick batches keeps memory bounded.
-    batch = max(1, 10**7 // max(1, x.size))
-    for i in range(0, len(spec), batch):
-        e = spec.energies[i : i + batch]
-        w = spec.intensities[i : i + batch]
-        y += (w[:, None] * kernel(x[None, :] - e[:, None])).sum(axis=0)
+    scale = spec.intensities.max() if len(spec) > 0 else 0.0
+    if scale > 0:
+        # Stick positions in grid steps from grid.start, and the span in
+        # grid steps that the lattice must cover.
+        u = (spec.energies - grid.start) / grid.step
+        u_lo, u_hi = float(u.min()), float(u.max())
+        span = max(x.size - 1, u_hi) - min(0.0, u_lo)
+        # lo and hi below lie within r * span + 2 of each other.
+        r_cap = max(1, int((EnergyGrid._MAX_POINTS - 2) // max(span, 1.0)))
+        target = GRID_STEP_FWHM * kernel.fwhm
+        r = min(r_cap, math.ceil(grid.step / target)) if grid.step <= r_cap * target else r_cap
+        lo = min(0, math.floor(r * u_lo))
+        hi = max((x.size - 1) * r, math.floor(r * u_hi) + 1)
+        if hi - lo > EnergyGrid._MAX_POINTS:
+            raise GridError(
+                f"sticks lie too far outside the grid {grid.start}:{grid.stop}:{grid.step}: "
+                f"a lattice holding them and the grid spans {hi - lo:.3g} steps, "
+                f"beyond the {EnergyGrid._MAX_POINTS} guard"
+            )
+        n_lattice = hi - lo + 1
+        # Linear split onto lattice indices 0 .. n_lattice - 1.
+        v = r * u - lo
+        left = np.minimum(np.floor(v).astype(np.int64), n_lattice - 2)
+        frac = v - left
+        w = spec.intensities / scale
+        binned = np.bincount(
+            np.concatenate([left, left + 1]),
+            weights=np.concatenate([w * (1.0 - frac), w * frac]),
+            minlength=n_lattice,
+        )
+        # Kernel at every offset from a lattice bin to a grid point: the
+        # grid point of lattice index p = i*r - lo takes bin m through
+        # offset p - m, from -lo - (n_lattice - 1) to (x.size - 1)*r - lo.
+        first = -lo - (n_lattice - 1)
+        n_kernel = (x.size - 1) * r + n_lattice
+        h = grid.step / r
+        sampled = kernel(h * np.arange(first, first + n_kernel, dtype=float))
+        # Circular convolution of length >= n_kernel: the kept outputs
+        # n_lattice - 1 .. n_kernel - 1 are out of the wraparound's reach.
+        n_fft = _smooth_length(n_kernel)
+        spectrum = np.fft.rfft(binned, n_fft)
+        spectrum *= np.fft.rfft(sampled, n_fft)
+        conv = np.fft.irfft(spectrum, n_fft)
+        y = conv[n_lattice - 1 : n_kernel : r] * scale
+        np.maximum(y, 0.0, out=y)
     return LineSpectrum(
         x,
         y,

@@ -2,7 +2,9 @@
 
 Subcommands: hr, sos, sample, fidelity, broaden, converge.
 Exit codes: 0 success, 2 parse/validation error, 3 SOS work budget
-exceeded, 4 grid violation.
+exceeded, 4 grid violation (a grid over the point guard, or `broaden`
+sticks so far outside an explicit --grid that a lattice holding them
+and the grid exceeds that guard).
 
 Every CSV header is the written result's provenance
 (`io.provenance_lines`).  `sample` and `converge` draw, so they accept
@@ -63,13 +65,12 @@ def cmd_sos(args) -> int:
         fc_prune=args.fc_prune,
         overflow=args.overflow,
     )
-    count = sos.state_count(m.n_modes, cfg.max_quanta)
     t0 = time.perf_counter()
     ref = sos.build_reference_spectrum(m, cfg)
     spec = analysis.normalize(ref, args.normalize, e00=m.e00)
     elapsed = time.perf_counter() - t0
     io.write_spectrum(spec, args.out)
-    print(f"states: {count}")
+    print(f"lines: {len(ref)}")
     print(f"raw intensity captured: {ref.total:.12g}")
     print(f"wall time: {elapsed:.3f} s")
     return EXIT_OK

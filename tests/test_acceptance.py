@@ -24,7 +24,7 @@ from vibronic.fixtures import (
     pentacene_like_18,
 )
 from vibronic.io import read_spectrum, write_molecule, write_spectrum
-from vibronic.model import Mode, Molecule
+from vibronic.model import Mode, Molecule, energy_keys
 from vibronic.sampling import DetectorModel, SamplerConfig, sample_mode, sample_spectrum
 from vibronic.sos import LineSpectrum, SosConfig, build_reference_spectrum, fc_factor_1d, state_count
 
@@ -196,6 +196,58 @@ def test_criterion_7_cli_throughput(tmp_path):
     elapsed = time.perf_counter() - t0
     ok = proc.returncode == 0 and elapsed < 5.0
     report("criterion 7 (66-mode 1e5-event CLI run)", ok, f"{elapsed:.2f} s")
+
+
+def unbounded_stick_pmf(m):
+    """Exact pmf of an ideal-detector, unbounded-K spectrum of `m` on the
+    modes' common sublattice: entry t is the probability of energy
+    e00 + t * g, g the gcd of the mode keys.  Also returns g.
+
+    Mode i adds k_i * J_i units, J_i ~ Poisson(S_i), k_i = key_i / g, so
+    the pmf's generating function is the product over the modes of
+    exp(S_i (z^k_i - 1)).  On the N-th roots of unity that product is
+    the pmf's DFT; one inverse FFT returns it, with the mass of totals
+    >= N aliased onto t mod N.  N - 1 is sum_i k_i c_i, c_i the least
+    count with P(J_i > c_i) < 1e-14, so a total reaches N only if some
+    mode passes its c_i, and by the union bound the aliased mass is
+    < N_modes * 1e-14 < 1e-12 for fewer than 100 modes."""
+    keys = energy_keys([md.energy for md in m.modes])
+    g = int(np.gcd.reduce(keys))
+    k = keys // g
+    s = np.array([md.huang_rhys for md in m.modes])
+    cap = np.zeros(s.size, dtype=np.int64)
+    while (scipy.stats.poisson.sf(cap, s) >= 1e-14).any():
+        cap += scipy.stats.poisson.sf(cap, s) >= 1e-14
+    n = int(k @ cap) + 1
+    assert s.size < 100
+    freq = np.arange(n)
+    log_dft = np.zeros(n, dtype=complex)
+    for s_i, k_i in zip(s, k):
+        log_dft += s_i * (np.exp(-2j * np.pi * (freq * k_i % n) / n) - 1.0)
+    return np.fft.ifft(np.exp(log_dft)).real, g
+
+
+def test_criterion_7_unbounded_k_sample_exact_pmf():
+    """66 modes, unbounded K, 1e6 events: chi-square of the sampled
+    histogram against the exact stick pmf, p > 1e-4 (criteria 3, 9)."""
+    m = large_acene_like(66)
+    events = 10**6
+    pmf, g = unbounded_stick_pmf(m)
+    sampled = sample_spectrum(m, SamplerConfig(events=events, seed=run_seed(77, 0)))
+    offset = energy_keys(sampled.energies) - energy_keys(m.e00)
+    assert np.all(offset % g == 0)
+    obs = np.bincount(offset // g, weights=sampled.counts, minlength=pmf.size)
+    assert obs.size == pmf.size and obs.sum() == events
+    # merge low-expectation bins so the chi-square stat is valid
+    exp = np.maximum(pmf, 0.0) * events
+    big = exp >= 5.0
+    obs_b = np.append(obs[big], obs[~big].sum())
+    exp_b = np.append(exp[big], exp[~big].sum())
+    _, p_value = scipy.stats.chisquare(obs_b, exp_b)
+    ok = p_value > 1e-4 and abs(pmf.sum() - 1.0) < 1e-12
+    report("criterion 7 (66-mode unbounded-K sample vs exact pmf)", ok,
+           f"chi2 p {p_value:.3g} over {big.sum() + 1} bins, {len(sampled)} lines, "
+           f"pmf length {pmf.size}")
 
 
 def test_criterion_8_worker_determinism(tmp_path):

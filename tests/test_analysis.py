@@ -1,13 +1,17 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vibronic.analysis import (
+    GRID_STEP_FWHM,
     BroadeningKernel,
     EnergyGrid,
     GridError,
+    _smooth_length,
     broaden,
     convergence_study,
     fidelity,
@@ -22,6 +26,36 @@ from vibronic.sos import LineSpectrum, SosConfig
 def sticks(pairs):
     e, i = zip(*sorted(pairs))
     return LineSpectrum(np.array(e, dtype=float), np.array(i, dtype=float))
+
+
+def direct_broaden(spec, kernel, grid):
+    """The O(sticks x grid) sum of w K(x - e) over the sticks: the
+    oracle `broaden` is held to.  Stick batches keep memory bounded."""
+    x = grid.points()
+    y = np.zeros_like(x)
+    batch = max(1, 10**7 // max(1, x.size))
+    for i in range(0, len(spec), batch):
+        e = spec.energies[i : i + batch]
+        w = spec.intensities[i : i + batch]
+        y += (w[:, None] * kernel(x[None, :] - e[:, None])).sum(axis=0)
+    return y
+
+
+def binning_bound(spec, kernel, grid):
+    """broaden's documented error bound, (h'^2 / 8) max|K''| sum(w), with
+    h' = grid.step / r and r the least integer with h' <= GRID_STEP_FWHM * FWHM."""
+    h = grid.step / math.ceil(grid.step / (GRID_STEP_FWHM * kernel.fwhm))
+    if kernel.shape == "lorentzian":
+        curvature = 2.0 / (math.pi * (kernel.fwhm / 2.0) ** 3)
+    else:
+        sigma = kernel.fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+        curvature = 1.0 / (sigma**3 * math.sqrt(2.0 * math.pi))
+    return h * h / 8.0 * curvature * spec.intensities.sum()
+
+
+def random_sticks(seed, n=200, lo=0.0, hi=3000.0):
+    rng = np.random.default_rng(seed)
+    return LineSpectrum(np.sort(rng.uniform(lo, hi, n)), rng.uniform(0.0, 1.0, n))
 
 
 class TestNormalize:
@@ -192,6 +226,96 @@ class TestBroaden:
             BroadeningKernel("voigt", 30.0)
         with pytest.raises(ValueError):
             BroadeningKernel("gaussian", 0.0)
+
+    @pytest.mark.parametrize("shape", ["lorentzian", "gaussian"])
+    @pytest.mark.parametrize("coarse", [False, True], ids=["around", "coarse"])
+    @pytest.mark.parametrize("n", [1, 200])
+    def test_off_lattice_within_bound(self, shape, coarse, n):
+        # the coarse grid's step is FWHM/3, so broaden refines it by r = 7;
+        # one stick leaves the bound little slack, and 200 overlap
+        kernel = BroadeningKernel(shape, 30.0)
+        spec = random_sticks(seed=81, n=n)
+        grid = (EnergyGrid(-300.0, 3300.0, 10.0) if coarse
+                else EnergyGrid.around(spec.energies, kernel.fwhm))
+        want = direct_broaden(spec, kernel, grid)
+        err = np.abs(broaden(spec, kernel, grid).intensities - want).max()
+        assert err <= binning_bound(spec, kernel, grid) + 1e-12 * want.max()
+
+    @pytest.mark.parametrize("shape", ["lorentzian", "gaussian"])
+    @pytest.mark.parametrize("step, lattice_step", [(1.0, 1.0), (3.0, 1.5)])
+    def test_on_lattice_sticks_exact(self, shape, step, lattice_step):
+        # step 3 at FWHM 30 is refined by r = 2, so sticks at multiples of
+        # 1.5 sit on lattice points between the grid points
+        rng = np.random.default_rng(82)
+        e = -600.0 + lattice_step * np.unique(rng.integers(400, 2400, 200))
+        spec = LineSpectrum(e, rng.uniform(0.0, 1.0, e.size))
+        kernel = BroadeningKernel(shape, 30.0)
+        grid = EnergyGrid(-600.0, 4200.0, step)
+        want = direct_broaden(spec, kernel, grid)
+        err = np.abs(broaden(spec, kernel, grid).intensities - want).max()
+        assert err <= 1e-12 * want.max()
+
+    @pytest.mark.parametrize("shape", ["lorentzian", "gaussian"])
+    def test_sticks_outside_explicit_grid(self, shape):
+        kernel = BroadeningKernel(shape, 30.0)
+        spec = random_sticks(seed=83, lo=0.0, hi=6000.0)
+        grid = EnergyGrid(2000.0, 2600.0, 2.0)
+        with pytest.warns(UserWarning, match="margin"):
+            out = broaden(spec, kernel, grid)
+        want = direct_broaden(spec, kernel, grid)
+        assert np.abs(out.intensities - want).max() <= (
+            binning_bound(spec, kernel, grid) + 1e-12 * want.max())
+
+    def test_sticks_far_outside_grid_refused(self):
+        grid = EnergyGrid(0.0, 100.0, 1.0)
+        far = 100.0 + (EnergyGrid._MAX_POINTS + 10) * grid.step
+        with pytest.raises(GridError, match="outside the grid"), pytest.warns(UserWarning):
+            broaden(sticks([(50.0, 1.0), (far, 1.0)]), BroadeningKernel("gaussian", 30.0),
+                    grid)
+
+    @pytest.mark.parametrize("scale", [1e308, 1e300, 5e-324, 1e-310])
+    @pytest.mark.parametrize("shape", ["lorentzian", "gaussian"])
+    def test_extreme_intensities_finite_and_nonnegative(self, scale, shape):
+        rng = np.random.default_rng(84)
+        e = np.sort(rng.uniform(0.0, 3000.0, 50))
+        spec = LineSpectrum(e, scale * np.ones(e.size))
+        kernel = BroadeningKernel(shape, 30.0)
+        grid = EnergyGrid.around(e, kernel.fwhm)
+        y = broaden(spec, kernel, grid).intensities
+        assert np.all(np.isfinite(y)) and np.all(y >= 0.0)
+        if scale == 1e300:
+            want = direct_broaden(spec, kernel, grid)
+            assert np.abs(y - want).max() <= (
+                binning_bound(spec, kernel, grid) + 1e-12 * want.max())
+
+    def test_all_zero_spectrum_gives_zeros(self):
+        spec = LineSpectrum(np.array([0.0, 500.0]), np.zeros(2))
+        out = broaden(spec, BroadeningKernel("lorentzian", 30.0), EnergyGrid(-600.0, 1100.0, 1.5))
+        assert out.intensities.size == out.energies.size and not out.intensities.any()
+
+    @pytest.mark.parametrize("fwhm", [0.3, 7.7, 30.0, 123.456])
+    def test_around_grid_is_the_lattice(self, fwhm, monkeypatch):
+        # with r = 1 and every stick inside the grid, the lattice is the
+        # grid, so the kernel spans 2n - 1 offsets over n grid points
+        lengths = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda a, n: lengths.append(n) or rfft(a, n))
+        spec = random_sticks(seed=85, n=20, lo=1000.0, hi=1000.0 + 40 * fwhm)
+        grid = EnergyGrid.around(spec.energies, fwhm)
+        broaden(spec, BroadeningKernel("gaussian", fwhm), grid)
+        assert lengths == [_smooth_length(2 * grid.points().size - 1)] * 2
+
+    def test_smooth_length(self):
+        smooth = sorted(2**a * 3**b * 5**c for a in range(13) for b in range(8) for c in range(6))
+        for n in range(1, 4000):
+            assert _smooth_length(n) == next(m for m in smooth if m >= n)
+
+
+def test_package_import_loads_no_scipy():
+    # scipy.fft alone takes longer to import than the whole package
+    code = "import sys, vibronic; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestConvergenceStudy:

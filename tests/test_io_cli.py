@@ -205,8 +205,24 @@ class TestCliSos:
         code = main(["sos", str(molecule_path), "--max-quanta", "1",
                      "--out", str(out)])
         assert code == 0
-        assert "states: 256" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert f"lines: {len(read_spectrum(out))}" in printed
         assert len(read_spectrum(out)) > 1
+        assert "states:" not in printed
+
+    def test_many_modes_summary_exit_0(self, tmp_path, capsys):
+        # (1+K)^N for 4400 modes at K = 9 has 4400 digits, past Python's
+        # int-to-str limit: the summary must not try to print it
+        path = write_json(tmp_path, {
+            "name": "many", "e00_cm1": 0.0, "transition": "absorption", "atom_count": 1500,
+            "modes": [{"energy_cm1": 100.0, "huang_rhys": 0.001}] * 4400,
+        })
+        out = tmp_path / "ref.csv"
+        assert main(["sos", str(path), "--max-quanta", "9", "--fc-prune", "1e-15",
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert f"lines: {len(read_spectrum(out))}\n" in printed
+        assert "states:" not in printed
 
     def test_k0_single_stick(self, tmp_path, molecule_path):
         out = tmp_path / "ref.csv"
