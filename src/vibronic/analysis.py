@@ -41,7 +41,7 @@ class BroadeningKernel:
     """Unit-area line shape applied to every stick.
 
     shape : "lorentzian" or "gaussian"
-    fwhm : full width at half maximum in cm^-1, > 0
+    fwhm : full width at half maximum in cm^-1, finite and > 0
     """
 
     shape: str
@@ -50,8 +50,8 @@ class BroadeningKernel:
     def __post_init__(self):
         if self.shape not in ("lorentzian", "gaussian"):
             raise ValueError(f"shape must be 'lorentzian' or 'gaussian', got {self.shape!r}")
-        if not (self.fwhm > 0):
-            raise ValueError(f"fwhm must be > 0, got {self.fwhm}")
+        if not (0 < self.fwhm < math.inf):
+            raise ValueError(f"fwhm must be finite and > 0, got {self.fwhm}")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self.shape == "lorentzian":
@@ -63,7 +63,7 @@ class BroadeningKernel:
 
 @dataclass(frozen=True)
 class EnergyGrid:
-    """Uniform evaluation grid in cm^-1."""
+    """Uniform evaluation grid in cm^-1; start, stop and step are finite."""
 
     start: float
     stop: float
@@ -72,6 +72,8 @@ class EnergyGrid:
     _MAX_POINTS = 10**7
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.start, self.stop, self.step))):
+            raise GridError(f"grid {self.start}:{self.stop}:{self.step} must be finite")
         if not self.stop > self.start:
             raise GridError(f"stop ({self.stop}) must exceed start ({self.start})")
         if not self.step > 0:
@@ -301,11 +303,16 @@ def convergence_study(
 
     For each requested event count, `runs` independent samplers through
     detector `d` (each seeded from the base seed) are compared against
-    the exact reference of what `d` records, built once from `sos_cfg`.
+    the exact reference of what `d` records, built once from `sos_cfg`,
+    which must cap (overflow "cap") at the sampler's finite max_quanta.
     Means typically rise toward 1 with event count but are not forced to.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if sos_cfg.overflow != "cap" or sos_cfg.max_quanta != cfg_base.max_quanta:
+        raise ValueError(
+            f"reference law (max_quanta={sos_cfg.max_quanta}, overflow={sos_cfg.overflow!r}) "
+            f"is not the sampler's (max_quanta={cfg_base.max_quanta}, capped)")
     reference = build_reference_spectrum(m, sos_cfg, d)
     means = []
     stds = []

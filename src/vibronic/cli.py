@@ -2,9 +2,9 @@
 
 Subcommands: hr, sos, sample, fidelity, broaden, converge.
 Exit codes: 0 success, 2 parse/validation error, 3 SOS work budget
-exceeded, 4 grid violation (a grid over the point guard, or `broaden`
-sticks so far outside an explicit --grid that a lattice holding them
-and the grid exceeds that guard).
+exceeded, 4 grid violation (a non-finite grid, a grid over the point
+guard, or `broaden` sticks so far outside an explicit --grid that a
+lattice holding them and the grid exceeds that guard).
 
 Every CSV header is the written result's provenance
 (`io.provenance_lines`).  `sample` and `converge` draw, so they accept

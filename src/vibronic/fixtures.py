@@ -64,21 +64,16 @@ def anthracene_like_12() -> Molecule:
     return _molecule("anthracene-like-12", 26700.0, energies, hr, atom_count=24)
 
 
-def large_acene_like(n_modes: int = 66, seed: int = 7, name: str | None = None) -> Molecule:
+def large_acene_like(n_modes: int = 66) -> Molecule:
     """A large synthetic mode set for scaling runs (default 66 modes).
 
     Mode energies are distinct integers in 150..1650 cm^-1 and HR
-    factors are log-uniform in [1e-4, 0.45], drawn from a fixed seed
-    so the fixture is deterministic.
+    factors are log-uniform in [1e-4, 0.45], drawn from the fixed
+    seed 7 so the fixture is deterministic.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
     energies = rng.choice(np.arange(150, 1651), size=n_modes, replace=False)
     energies.sort()
     hr = np.exp(rng.uniform(np.log(1e-4), np.log(0.45), size=n_modes))
-    return _molecule(
-        name or f"large-acene-like-{n_modes}",
-        26000.0,
-        energies,
-        hr,
-        atom_count=(n_modes + 6) // 3 + 2,
-    )
+    return _molecule(f"large-acene-like-{n_modes}", 26000.0, energies, hr,
+                     atom_count=(n_modes + 6) // 3 + 2)

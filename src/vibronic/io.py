@@ -119,7 +119,7 @@ def read_molecule(path) -> Molecule:
 
     e00 = _number(doc["e00_cm1"], f"{path}: e00_cm1")
     try:
-        return Molecule(str(doc["name"]), e00, doc["transition"], tuple(modes), atom_count)
+        return Molecule(doc["name"], e00, doc["transition"], tuple(modes), atom_count)
     except ValidationError as exc:
         raise MoleculeFileError(f"{path}: {exc}") from None
 
@@ -216,11 +216,10 @@ def read_spectrum(path) -> LineSpectrum:
     return LineSpectrum(e, i, provenance={"comments": comments})
 
 
-def write_svg(spec: LineSpectrum, path, width: int = 800, height: int = 500) -> None:
-    """Minimal single-curve SVG line plot (fixed viewport, linear axes)."""
-    x = spec.energies
-    y = spec.intensities
-    pad = 40
+def write_svg(spec: LineSpectrum, path) -> None:
+    """Minimal single-curve SVG line plot (800 x 500 viewport, linear axes)."""
+    x, y = spec.energies, spec.intensities
+    width, height, pad = 800, 500, 40
     x0, x1 = float(x.min()), float(x.max())
     y1 = float(y.max()) if y.max() > 0 else 1.0
     xs = pad + (x - x0) / max(x1 - x0, 1e-300) * (width - 2 * pad)

@@ -72,8 +72,8 @@ class Molecule:
     `transition` selects the sign of the vibrational energy offsets:
     "absorption" adds quanta above e00, "emission" subtracts.
 
-    Construction checks every invariant: the transition, a finite
-    e00 >= 0, each mode's finite energy > 0 and finite S >= 0, and at
+    Construction checks every invariant: a str name, the transition, a
+    finite e00 >= 0, each mode's finite energy > 0 and finite S >= 0, and at
     most 3M-5 modes for `atom_count` M.  Every violation is reported
     together in one ValidationError, naming modes by position.  A
     molecule with zero modes is legal (its spectrum is a pure 0-0 line).
@@ -88,6 +88,8 @@ class Molecule:
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
         problems: list[str] = []
+        if not isinstance(self.name, str):
+            problems.append(f"name must be a string, got {self.name!r}")
         if self.transition not in ("absorption", "emission"):
             problems.append(
                 f"transition must be 'absorption' or 'emission', got {self.transition!r}"
@@ -168,12 +170,13 @@ def energy_keys(energies) -> np.ndarray:
     Raises ValueError for non-finite energies or energies whose key
     would exceed `KEY_LIMIT`.
     """
-    ticks = np.asarray(energies, dtype=float) * TICKS_PER_CM1
-    if not np.all(np.abs(ticks) <= KEY_LIMIT):
+    e = np.asarray(energies, dtype=float)
+    # exactly |E * TICKS_PER_CM1| <= KEY_LIMIT in float64, checked before the product can overflow
+    if not np.all(np.abs(e) <= KEY_LIMIT / TICKS_PER_CM1):
         raise ValueError(
             f"energies must be finite and within +/-{KEY_LIMIT / TICKS_PER_CM1:.6g} cm^-1"
         )
-    return np.rint(ticks).astype(np.int64)
+    return np.rint(e * TICKS_PER_CM1).astype(np.int64)
 
 
 def key_energies(keys) -> np.ndarray:
@@ -211,14 +214,18 @@ def hr_from_gradient(omega: float, gradient: float) -> float:
     Raises
     ------
     ValueError
-        If omega is not a positive finite number.
+        If omega is not a positive finite number, gradient is not
+        finite, or S overflows float64.
     """
     if not math.isfinite(omega) or omega <= 0:
         raise ValueError(f"omega must be positive and finite, got {omega!r}")
     if not math.isfinite(gradient):
         raise ValueError(f"gradient must be finite, got {gradient!r}")
     # omega * (G/omega)^2 / 2 simplified; exact for all omega > 0
-    return gradient * gradient / (2.0 * omega)
+    s = gradient * gradient / (2.0 * omega)
+    if not math.isfinite(s):
+        raise ValueError(f"S = G^2/(2 omega) overflows for omega={omega!r}, gradient={gradient!r}")
+    return s
 
 
 def prune_modes(m: Molecule, threshold: float) -> Molecule:

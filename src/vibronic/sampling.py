@@ -20,7 +20,9 @@ as per-event draws at a cost of live lines x sweep length per mode, so
 events enter only through the chunk count.  Where that cost, with a
 split step's fixed cost added, would exceed the chunk's events (a huge
 recorded mean, or a small chunk), the mode draws its events one at a
-time instead, which is then the cheaper exact method.
+time instead, which is then the cheaper exact method.  Either way a
+(mode, chunk) cell derives its law and sub-stream once, and refuses a
+shift past the energy lattice where it forms the keys.
 
 Reproducibility: every (seed, mode position, chunk) triple owns an
 independent counter-based Philox sub-stream, so results are
@@ -124,16 +126,14 @@ def _recorded(s: float, mode_index: int, cfg: SamplerConfig,
     try:
         _check_mean(mean)
     except ValueError as exc:
-        raise ValueError(
-            f"mode {mode_index}: recorded mean efficiency*S + dark_mean: {exc}"
-        ) from None
+        raise ValueError(f"mode {mode_index}: recorded mean efficiency*S + dark_mean: "
+                         f"{exc}") from None
     return mean, top
 
 
-def _sample_mode_chunk(s: float, mode_index: int, chunk_index: int, size: int,
-                       cfg: SamplerConfig, d: DetectorModel) -> np.ndarray:
-    mean, top = _recorded(s, mode_index, cfg, d)
-    counts = poisson_draw(mean, substream(cfg.seed, mode_index, chunk_index), size)
+def _sample_mode_chunk(mean: float, top: int | None, rng: np.random.Generator,
+                       size: int) -> np.ndarray:
+    counts = poisson_draw(mean, rng, size)
     return counts if top is None else np.minimum(counts, top)
 
 
@@ -161,14 +161,13 @@ def _hazards(mean: float, top: int | None):
 
 
 def _split(keys: np.ndarray, counts: np.ndarray, t: int, mean: float, top: int | None,
-           rng: np.random.Generator, reach: int) -> tuple[np.ndarray, np.ndarray, int]:
+           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Split each line's events over j = 0, 1, ... by conditional binomials.
 
     At each j, every line sends Binomial(events left, h_j) of them to
     key + j * t, drawn from `rng` over the lines in key order (a line
     with none left draws nothing); a hazard of 1 sends all that is
-    left without a draw.  Stops when nothing is left.  Returns the
-    merged lines and the largest j.
+    left without a draw.  Stops when nothing is left.
     """
     takes = []
     for j, h in enumerate(_hazards(mean, top)):
@@ -177,13 +176,12 @@ def _split(keys: np.ndarray, counts: np.ndarray, t: int, mean: float, top: int |
         counts = counts - take
         if not counts.any():
             break
-    check_key_reach(reach + abs(t) * j)
+    check_key_reach(max(abs(int(keys[0])), abs(int(keys[-1]))) + abs(t) * j)
     takes = np.array(takes)
     hit = takes > 0
     # j-major rows: j + 1 sorted runs, which the stable sort merges
     shifted = keys + t * np.arange(j + 1)[:, None]
-    keys, counts = sum_by_key(shifted[hit], takes[hit])
-    return keys, counts, j
+    return sum_by_key(shifted[hit], takes[hit])
 
 
 def sample_mode(
@@ -197,11 +195,9 @@ def sample_mode(
     Deterministic: the same (seed, mode_index, events) always yields a
     bit-identical array.
     """
-    parts = [
-        _sample_mode_chunk(s, mode_index, ci, size, cfg, d)
-        for ci, size in cfg.chunks()
-    ]
-    return np.concatenate(parts)
+    mean, top = _recorded(s, mode_index, cfg, d)
+    return np.concatenate([_sample_mode_chunk(mean, top, substream(cfg.seed, mode_index, ci), size)
+                           for ci, size in cfg.chunks()])
 
 
 class SampledSpectrum(LineSpectrum):
@@ -226,7 +222,6 @@ def _spectrum_chunk(
     """
     keys = energy_keys([m.e00])
     counts = np.array([size], dtype=np.int64)
-    reach = abs(int(keys[0]))
     for i, (s, t) in enumerate(zip(m.huang_rhys, energy_keys(m.energies) * m.sign), 1):
         mean, top = _recorded(s, i, cfg, d)
         if mean == 0.0 or top == 0:
@@ -235,16 +230,14 @@ def _spectrum_chunk(
         sweep = mean + 10.0 * math.sqrt(mean) + 10.0
         if top is not None:
             sweep = min(sweep, top + 1)
+        rng = substream(cfg.seed, i, chunk_index)
         if (keys.size + _SPLIT_STEP_LINES) * sweep > size:  # per-event draws are cheaper
-            j = _sample_mode_chunk(s, i, chunk_index, size, cfg, d)
-            reach += abs(t) * int(j.max())
-            check_key_reach(reach)
+            j = _sample_mode_chunk(mean, top, rng, size)
+            check_key_reach(max(abs(int(keys[0])), abs(int(keys[-1]))) + abs(t) * int(j.max()))
             j *= t  # j is this chunk's own fresh array
             keys, counts = np.unique(np.repeat(keys, counts) + j, return_counts=True)
         else:
-            rng = substream(cfg.seed, i, chunk_index)
-            keys, counts, jmax = _split(keys, counts, t, mean, top, rng, reach)
-            reach += abs(t) * jmax
+            keys, counts = _split(keys, counts, t, mean, top, rng)
     return keys, counts
 
 
@@ -269,8 +262,7 @@ def sample_spectrum(
     else:
         results = [_spectrum_chunk(m, *c, cfg, d) for c in chunks]
 
-    keys, counts = sum_by_key(np.concatenate([k for k, _ in results]),
-                              np.concatenate([c for _, c in results]))
+    keys, counts = sum_by_key(*map(np.concatenate, zip(*results)))
     return SampledSpectrum(
         key_energies(keys),
         counts,

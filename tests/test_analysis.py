@@ -227,6 +227,19 @@ class TestBroaden:
         with pytest.raises(ValueError):
             BroadeningKernel("gaussian", 0.0)
 
+    @pytest.mark.parametrize("fwhm", [math.inf, math.nan])
+    def test_non_finite_fwhm_refused(self, fwhm):
+        with pytest.raises(ValueError, match="fwhm must be finite"):
+            BroadeningKernel("lorentzian", fwhm)
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (0.0, 400.0, math.inf), (-math.inf, 400.0, 1.0), (0.0, math.inf, 1.0),
+        (0.0, 400.0, math.nan), (math.nan, 400.0, 1.0),
+    ])
+    def test_non_finite_grid_refused(self, start, stop, step):
+        with pytest.raises(GridError, match="must be finite"):
+            EnergyGrid(start, stop, step)
+
     @pytest.mark.parametrize("shape", ["lorentzian", "gaussian"])
     @pytest.mark.parametrize("coarse", [False, True], ids=["around", "coarse"])
     @pytest.mark.parametrize("n", [1, 200])
@@ -367,3 +380,15 @@ class TestConvergenceStudy:
         )
         assert report.mean_fidelity[0] >= 0.999
         assert {k: report.provenance[k] for k in vars(d)} == vars(d)
+
+    @pytest.mark.parametrize("k, sos_cfg", [
+        (None, SosConfig(max_quanta=1, overflow="cap")),
+        (1, SosConfig(max_quanta=1, overflow="truncate")),
+        (1, SosConfig(max_quanta=2, overflow="cap")),
+    ], ids=["unbounded-sampler", "truncated-reference", "other-cap"])
+    def test_reference_of_another_law_refused(self, k, sos_cfg):
+        # each mismatch scores mean F ~0.999 on pentacene_like_8 at 1e5
+        # events against ~0.99999 for the matched law: a biased score
+        with pytest.raises(ValueError, match="is not the sampler's"):
+            convergence_study(pentacene_like_8(), SamplerConfig(events=1, seed=9, max_quanta=k),
+                              DetectorModel(), [100], 1, sos_cfg)

@@ -131,6 +131,17 @@ class TestMoleculeFile:
         with pytest.raises(MoleculeFileError, match="e00_cm1"):
             read_molecule(path)
 
+    def test_gradient_overflow_named(self, tmp_path, capsys):
+        path = write_json(tmp_path, {
+            "name": "g", "e00_cm1": 0.0, "transition": "absorption",
+            "modes": [{"energy_cm1": 500.0, "huang_rhys": 0.1},
+                      {"energy_cm1": 600.0, "omega": 1e-320, "gradient": 1.0}],
+        })
+        assert main(["sos", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: mode 2: S = G^2/(2 omega) overflows" in err
+        assert "huang_rhys" not in err
+
     def test_modes_must_be_list(self, tmp_path):
         path = write_json(tmp_path, {"name": "l", "e00_cm1": 0.0,
                                      "transition": "absorption", "modes": 3})
@@ -270,6 +281,9 @@ class TestCliSos:
         ("transition", "Emission", "transition must be"),
         ("e00_cm1", -1.0, "e00 must be >= 0"),
         ("energy_cm1", -500.0, "mode 2: energy > 0"),
+        ("name", None, "name must be a string"),
+        ("name", ["a", 1], "name must be a string"),
+        ("name", 3, "name must be a string"),
     ])
     def test_invalid_molecule_exit_2_names_file(self, tmp_path, molecule_path, capsys,
                                                 command, field, value, want):
@@ -385,6 +399,20 @@ class TestCliBroaden:
         a.write_text("energy_cm1,intensity\n0.0,1.0\n", encoding="utf-8")
         assert main(["broaden", str(a), "--fwhm", "30",
                      "--grid", "100:0:1", "--out", str(tmp_path / "o.csv")]) == 4
+
+    def test_non_finite_fwhm_exit_2(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_text("energy_cm1,intensity\n0.0,1.0\n", encoding="utf-8")
+        assert main(["broaden", str(a), "--fwhm", "inf", "--out", str(tmp_path / "o.csv")]) == 2
+        assert "fwhm must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0:400:inf", "-inf:400:1", "0:nan:1"])
+    def test_non_finite_grid_exit_4(self, tmp_path, capsys, grid):
+        a = tmp_path / "a.csv"
+        a.write_text("energy_cm1,intensity\n0.0,1.0\n", encoding="utf-8")
+        assert main(["broaden", str(a), "--fwhm", "30", f"--grid={grid}",
+                     "--out", str(tmp_path / "o.csv")]) == 4
+        assert "must be finite" in capsys.readouterr().err
 
     def test_empty_input_exit_2(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -643,3 +671,9 @@ class TestCliHr:
 
     def test_nonpositive_omega_exit_2(self):
         assert main(["hr", "--omega", "0", "--gradient", "1"]) == 2
+
+    @pytest.mark.parametrize("omega, gradient", [("1e-320", "1"), ("2", "1e200")])
+    def test_overflow_exit_2(self, capsys, omega, gradient):
+        assert main(["hr", "--omega", omega, "--gradient", gradient]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "overflows" in out.err

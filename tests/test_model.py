@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,10 +8,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vibronic.model import (
+    KEY_LIMIT,
+    TICKS_PER_CM1,
     DetectorModel,
     Mode,
     Molecule,
     ValidationError,
+    energy_keys,
     hr_from_gradient,
     prune_modes,
     sum_by_key,
@@ -43,6 +48,14 @@ class TestHrFromGradient:
     )
     def test_algebraic_identity(self, omega, g):
         assert hr_from_gradient(omega, g) == g * g / (2.0 * omega)
+
+    @pytest.mark.parametrize("omega, gradient", [(1e-320, 1.0), (2.0, 1e200), (1.0, 1e155)])
+    def test_overflow_refused_naming_inputs(self, omega, gradient):
+        with pytest.raises(ValueError, match=re.escape(f"omega={omega!r}, gradient={gradient!r}")):
+            hr_from_gradient(omega, gradient)
+
+    def test_largest_finite_kept(self):
+        assert hr_from_gradient(1.0, 1e154) == 1e154 * 1e154 / 2.0
 
 
 class TestValidateMolecule:
@@ -78,6 +91,9 @@ class TestValidateMolecule:
         ({"e00": math.inf}, "e00"),
         ({"e00": math.nan}, "e00"),
         ({"modes": (Mode(500.0, 0.1), Mode(-600.0, 0.1))}, "mode 2: energy > 0"),
+        ({"name": None}, "name must be a string"),
+        ({"name": ["a", 1]}, "name must be a string"),
+        ({"name": 3}, "name must be a string"),
     ])
     def test_library_construction_refuses(self, kw, match):
         # No CLI involved: the constructor itself refuses the molecule.
@@ -177,3 +193,19 @@ class TestSumByKey:
         keys, weights = sum_by_key(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
         assert keys.size == 0 and weights.size == 0
         assert keys.dtype == np.int64 and weights.dtype == np.int64
+
+
+def test_energy_keys_refuses_past_lattice_without_warning():
+    # 1e303 * TICKS_PER_CM1 overflows float64; the refusal comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite and within"):
+            energy_keys([1.0, 1e303])
+
+
+def test_energy_keys_bound_is_the_key_limit():
+    # the largest accepted energy is the one whose key is KEY_LIMIT
+    edge = KEY_LIMIT / TICKS_PER_CM1
+    assert energy_keys([-edge, edge]).tolist() == [-KEY_LIMIT, KEY_LIMIT]
+    with pytest.raises(ValueError, match="finite and within"):
+        energy_keys([math.nextafter(edge, math.inf)])

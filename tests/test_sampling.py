@@ -343,6 +343,38 @@ class TestSampleSpectrum:
                                            np.append(exp[big], exp[~big].sum()))
         assert p_value > 1e-4
 
+    @pytest.mark.parametrize("chunk_size, methods", [
+        (10**4, {"_sample_mode_chunk", "_split"}), (10**5, {"_split"})])
+    def test_each_cell_derives_law_and_stream_once(self, chunk_size, methods, monkeypatch):
+        # S = 400 draws per event in chunks of 1e4 and splits in 1e5; the
+        # small modes split.  Every cell derives its law and opens its
+        # sub-stream exactly once, whichever method it takes.
+        calls = {name: [] for name in ("_recorded", "substream", "_sample_mode_chunk", "_split")}
+        for name, log in calls.items():
+            real = getattr(sampling, name)
+            monkeypatch.setattr(sampling, name,
+                                lambda *a, _real=real, _log=log: _log.append(a) or _real(*a))
+        m = molecule([400.0, 0.2, 0.05], energies=[100.0, 230.0, 517.0], e00=1000.0)
+        cfg = SamplerConfig(events=2 * 10**5, seed=4, chunk_size=chunk_size)
+        sample_spectrum(m, cfg)
+        cells = [(i, ci) for ci, _ in cfg.chunks() for i in (1, 2, 3)]
+        assert sorted(a[1:] for a in calls["substream"]) == sorted(cells)
+        assert sorted(a[1] for a in calls["_recorded"]) == sorted(i for i, _ in cells)
+        assert {name for name in methods if calls[name]} == methods
+        assert len(calls["_sample_mode_chunk"]) + len(calls["_split"]) == len(cells)
+        for log in calls.values():
+            log.clear()
+        sample_mode(400.0, 1, cfg)
+        assert len(calls["_recorded"]) == 1
+        assert len(calls["substream"]) == len(calls["_sample_mode_chunk"]) == len(cfg.chunks())
+
+    def test_split_cell_refuses_past_lattice(self):
+        # S = 400 splits one line of 1e5 events; counts past ~300 at
+        # 3e7 cm^-1 a quantum leave the +/-9e9 cm^-1 lattice
+        with pytest.raises(ValueError, match="lattice"):
+            sample_spectrum(molecule([400.0], energies=[3e7]),
+                            SamplerConfig(events=10**5, seed=1, chunk_size=10**5))
+
     def test_max_quanta_caps_lattice(self):
         m = molecule([2.5], energies=[500.0])
         cfg = SamplerConfig(events=50000, seed=19, max_quanta=1)
