@@ -9,8 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import __version__
-from .model import DetectorModel, Molecule, energy_keys, sum_by_key
+from .model import DetectorModel, Molecule, energy_keys, result_provenance, sum_by_key
 from .sampling import SamplerConfig, sample_spectrum
 from .sos import LineSpectrum, SosConfig, build_reference_spectrum
 
@@ -107,7 +106,6 @@ class ConvergenceReport:
     event_counts: list[int]
     mean_fidelity: np.ndarray
     std_fidelity: np.ndarray
-    runs: int
     provenance: dict = field(default_factory=dict)
 
 
@@ -304,15 +302,17 @@ def convergence_study(
     For each requested event count, `runs` independent samplers through
     detector `d` (each seeded from the base seed) are compared against
     the exact reference of what `d` records, built once from `sos_cfg`,
-    which must cap (overflow "cap") at the sampler's finite max_quanta.
+    which must cap (overflow "cap") at the sampler's finite max_quanta
+    and prune nothing.  `provenance["runs"]` records `runs`.
     Means typically rise toward 1 with event count but are not forced to.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    if sos_cfg.overflow != "cap" or sos_cfg.max_quanta != cfg_base.max_quanta:
+    if sos_cfg.overflow != "cap" or sos_cfg.max_quanta != cfg_base.max_quanta or sos_cfg.fc_prune:
         raise ValueError(
-            f"reference law (max_quanta={sos_cfg.max_quanta}, overflow={sos_cfg.overflow!r}) "
-            f"is not the sampler's (max_quanta={cfg_base.max_quanta}, capped)")
+            f"reference law (max_quanta={sos_cfg.max_quanta}, overflow={sos_cfg.overflow!r}, "
+            f"fc_prune={sos_cfg.fc_prune}) is not the sampler's "
+            f"(max_quanta={cfg_base.max_quanta}, capped, unpruned)")
     reference = build_reference_spectrum(m, sos_cfg, d)
     means = []
     stds = []
@@ -328,13 +328,6 @@ def convergence_study(
         event_counts=list(event_counts),
         mean_fidelity=np.array(means),
         std_fidelity=np.array(stds),
-        runs=runs,
-        provenance={
-            "molecule": m.name,
-            "seed": cfg_base.seed,
-            "max_quanta": cfg_base.max_quanta,
-            "overflow": sos_cfg.overflow,
-            **vars(d),
-            "version": __version__,
-        },
+        provenance={**result_provenance(m, d, seed=cfg_base.seed, max_quanta=cfg_base.max_quanta,
+                                        overflow=sos_cfg.overflow), "runs": runs},
     )

@@ -6,8 +6,9 @@ exceeded, 4 grid violation (a non-finite grid, a grid over the point
 guard, or `broaden` sticks so far outside an explicit --grid that a
 lattice holding them and the grid exceeds that guard).
 
-Every CSV header is the written result's provenance
-(`io.provenance_lines`).  `sample` and `converge` draw, so they accept
+Every CSV is written by `io.write_table`, with the written result's
+provenance as its header; the `converge` table's records the study's
+`runs`.  `sample` and `converge` draw, so they accept
 --seed; when omitted, a process-entropy seed is drawn (or taken from
 VIBRONIC_SEED) and recorded in the provenance so any run can be
 replayed.  `sos` is deterministic.  `broaden` carries its source's
@@ -133,12 +134,9 @@ def cmd_converge(args) -> int:
     report = analysis.convergence_study(
         m, cfg, _detector(args), event_counts, args.runs, sos_cfg
     )
-    lines = io.provenance_lines({**report.provenance, "runs": report.runs})
-    lines.append("events,mean_fidelity,std_fidelity")
-    for p, mu, sd in zip(report.event_counts, report.mean_fidelity, report.std_fidelity):
-        lines.append(f"{p},{float(mu)!r},{float(sd)!r}")
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    io.write_table(report.provenance, "events,mean_fidelity,std_fidelity",
+                   zip(report.event_counts, report.mean_fidelity.tolist(),
+                       report.std_fidelity.tolist()), args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 

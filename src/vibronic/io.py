@@ -5,7 +5,7 @@ surface immediately.  Spectrum files are UTF-8 CSV with LF endings,
 a `#`-prefixed provenance block (the result's provenance dict, one
 `# key: value` line per entry), the exact header
 `energy_cm1,intensity`, and shortest-round-trip float formatting so
-emit -> parse -> emit is byte-identical.
+emit -> parse -> emit is byte-identical; `write_table` writes every CSV.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "write_molecule",
     "read_spectrum",
     "provenance_lines",
+    "write_table",
     "write_spectrum",
     "write_svg",
 ]
@@ -160,24 +161,30 @@ def provenance_lines(prov: dict) -> list[str]:
     return lines
 
 
-def write_spectrum(spec: LineSpectrum, path) -> None:
-    """Emit a spectrum CSV whose header is the spectrum's provenance
-    (`provenance_lines`), so a spectrum read from a file is written
-    back byte for byte.  A spectrum with no lines is refused before the
-    file is opened, as `read_spectrum` would refuse the file."""
-    if len(spec) == 0:
-        raise ValueError("spectrum has no lines; refusing to write a file with no data rows")
-    lines = provenance_lines(spec.provenance)
-    lines.append(SPECTRUM_HEADER)
-    for e, i in zip(spec.energies.tolist(), spec.intensities.tolist()):
-        lines.append(f"{e!r},{i!r}")
+def write_table(prov: dict, header: str, rows, path) -> None:
+    """Emit a CSV: `prov`'s header lines, the column `header`, then each
+    row's values by shortest round-trip `repr`, comma-joined; UTF-8, LF."""
+    lines = provenance_lines(prov)
+    lines.append(header)
+    lines += [",".join(map(repr, row)) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def write_spectrum(spec: LineSpectrum, path) -> None:
+    """Emit a spectrum CSV (`write_table`) whose header is the spectrum's
+    provenance, so a spectrum read from a file is written back byte for
+    byte.  A spectrum with no lines is refused before the file is
+    opened, as `read_spectrum` would refuse the file."""
+    if len(spec) == 0:
+        raise ValueError("spectrum has no lines; refusing to write a file with no data rows")
+    write_table(spec.provenance, SPECTRUM_HEADER,
+                zip(spec.energies.tolist(), spec.intensities.tolist()), path)
+
+
 def read_spectrum(path) -> LineSpectrum:
-    """Parse a spectrum CSV; provenance comments are preserved verbatim
-    under provenance["comments"] so re-emission is byte-identical.
-    Non-finite values (inf, nan) are refused."""
+    """Parse a spectrum CSV; provenance comments are kept verbatim under
+    provenance["comments"] so re-emission is byte-identical.  A refusal
+    (a `LineSpectrum` invariant's too) names the file, a bad row its line."""
     text = Path(path).read_text(encoding="utf-8")
     comments: list[str] = []
     rows: list[tuple[float, float]] = []
@@ -210,10 +217,10 @@ def read_spectrum(path) -> LineSpectrum:
         raise SpectrumFileError(f"{path}: missing header line")
     if not rows:
         raise SpectrumFileError(f"{path}: spectrum has no data rows")
-    e, i = np.array(rows).T
-    if e.size > 1 and not np.all(np.diff(e) > 0):
-        raise SpectrumFileError(f"{path}: energies must be strictly increasing")
-    return LineSpectrum(e, i, provenance={"comments": comments})
+    try:
+        return LineSpectrum(*np.array(rows).T, provenance={"comments": comments})
+    except ValueError as exc:
+        raise SpectrumFileError(f"{path}: {exc}") from None
 
 
 def write_svg(spec: LineSpectrum, path) -> None:

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import __version__
+
 __all__ = [
     "Mode",
     "Molecule",
@@ -164,6 +166,11 @@ class DetectorModel:
 IDEAL_DETECTOR = DetectorModel()
 
 
+def result_provenance(m: Molecule, d: DetectorModel, **fields) -> dict:
+    """A result's provenance: molecule, the result's `fields`, detector, version."""
+    return {"molecule": m.name, **fields, **vars(d), "version": __version__}
+
+
 def energy_keys(energies) -> np.ndarray:
     """int64 lattice keys of energies in cm^-1: round(E * TICKS_PER_CM1).
 
@@ -221,8 +228,13 @@ def hr_from_gradient(omega: float, gradient: float) -> float:
         raise ValueError(f"omega must be positive and finite, got {omega!r}")
     if not math.isfinite(gradient):
         raise ValueError(f"gradient must be finite, got {gradient!r}")
-    # omega * (G/omega)^2 / 2 simplified; exact for all omega > 0
+    # omega * (G/omega)^2 / 2 simplified.  Where G^2 or 2 omega leaves the float
+    # range, that gives 0, inf or nan; dividing G by omega first keeps a normal S.
     s = gradient * gradient / (2.0 * omega)
+    if not 0.0 < s < math.inf:
+        alt = gradient / omega * gradient / 2.0
+        if alt >= np.finfo(float).tiny:
+            s = alt
     if not math.isfinite(s):
         raise ValueError(f"S = G^2/(2 omega) overflows for omega={omega!r}, gradient={gradient!r}")
     return s

@@ -39,9 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
 from .model import (IDEAL_DETECTOR, DetectorModel, Molecule, check_key_reach, energy_keys,
-                    key_energies, sum_by_key)
+                    key_energies, result_provenance, sum_by_key)
 from .sos import LineSpectrum, fc_factor_1d, tail_ratio
 
 __all__ = [
@@ -263,18 +262,7 @@ def sample_spectrum(
         results = [_spectrum_chunk(m, *c, cfg, d) for c in chunks]
 
     keys, counts = sum_by_key(*map(np.concatenate, zip(*results)))
-    return SampledSpectrum(
-        key_energies(keys),
-        counts,
-        provenance={
-            "molecule": m.name,
-            "engine": "sampler",
-            "events": cfg.events,
-            "seed": cfg.seed,
-            "max_quanta": cfg.max_quanta,
-            "chunk_size": cfg.chunk_size,
-            "generator": "philox-seedseq",
-            **vars(d),
-            "version": __version__,
-        },
-    )
+    prov = result_provenance(m, d, engine="sampler", events=cfg.events, seed=cfg.seed,
+                             max_quanta=cfg.max_quanta, chunk_size=cfg.chunk_size,
+                             generator="philox-seedseq")
+    return SampledSpectrum(key_energies(keys), counts, provenance=prov)

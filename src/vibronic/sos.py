@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
 from .model import (IDEAL_DETECTOR, DetectorModel, Molecule, check_key_reach, energy_keys,
-                    key_energies, sum_by_key)
+                    key_energies, result_provenance, sum_by_key)
 
 __all__ = [
     "SosConfig",
@@ -232,16 +231,6 @@ def build_reference_spectrum(m: Molecule, cfg: SosConfig,
             live &= inten >= cfg.fc_prune
         keys, inten = keys[live], inten[live]
 
-    return LineSpectrum(
-        key_energies(keys),
-        inten,
-        provenance={
-            "molecule": m.name,
-            "engine": "sos",
-            "max_quanta": k,
-            "overflow": cfg.overflow,
-            "fc_prune": cfg.fc_prune,
-            **vars(d),
-            "version": __version__,
-        },
-    )
+    prov = result_provenance(m, d, engine="sos", max_quanta=k, overflow=cfg.overflow,
+                             fc_prune=cfg.fc_prune)
+    return LineSpectrum(key_energies(keys), inten, provenance=prov)

@@ -87,6 +87,10 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize(sticks([(0, 1.0)]), "unit_l3")
 
+    def test_zero_zero_one_requires_e00(self):
+        with pytest.raises(ValueError, match="requires e00"):
+            normalize(sticks([(0, 1.0)]), "zero_zero_one")
+
     @pytest.mark.parametrize("mode", ["raw", "unit_l1", "max_one"])
     def test_mode_recorded_in_provenance(self, mode):
         spec = LineSpectrum([0.0, 500.0], [2.0, 1.0], provenance={"molecule": "x"})
@@ -139,6 +143,10 @@ class TestFidelity:
     def test_bhattacharyya_self_is_one(self):
         p = sticks([(0, 0.8), (500, 0.2)])
         assert fidelity(p, p, norm="bhattacharyya") == pytest.approx(1.0, abs=1e-12)
+
+    def test_unknown_norm_rejected(self):
+        with pytest.raises(ValueError, match="norm must be"):
+            fidelity(sticks([(0, 1.0)]), sticks([(0, 1.0)]), norm="l1")
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -385,10 +393,26 @@ class TestConvergenceStudy:
         (None, SosConfig(max_quanta=1, overflow="cap")),
         (1, SosConfig(max_quanta=1, overflow="truncate")),
         (1, SosConfig(max_quanta=2, overflow="cap")),
-    ], ids=["unbounded-sampler", "truncated-reference", "other-cap"])
+        (1, SosConfig(max_quanta=1, overflow="cap", fc_prune=0.01)),
+    ], ids=["unbounded-sampler", "truncated-reference", "other-cap", "pruned-reference"])
     def test_reference_of_another_law_refused(self, k, sos_cfg):
         # each mismatch scores mean F ~0.999 on pentacene_like_8 at 1e5
         # events against ~0.99999 for the matched law: a biased score
         with pytest.raises(ValueError, match="is not the sampler's"):
             convergence_study(pentacene_like_8(), SamplerConfig(events=1, seed=9, max_quanta=k),
                               DetectorModel(), [100], 1, sos_cfg)
+
+    def test_no_runs_refused(self):
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            convergence_study(self.toy_molecule(), SamplerConfig(events=1, seed=9, max_quanta=1),
+                              DetectorModel(), [100], 0, SosConfig(max_quanta=1, overflow="cap"))
+
+    def test_provenance_records_runs_last(self):
+        d = DetectorModel(efficiency=0.8)
+        report = convergence_study(self.toy_molecule(),
+                                   SamplerConfig(events=1, seed=9, max_quanta=1), d, [100], 3,
+                                   SosConfig(max_quanta=1, overflow="cap"))
+        assert report.provenance["runs"] == 3
+        assert list(report.provenance) == ["molecule", "seed", "max_quanta", "overflow",
+                                           *vars(d), "version", "runs"]
+        assert not hasattr(report, "runs")

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from dataclasses import replace
@@ -23,6 +24,7 @@ from vibronic.io import (
     write_molecule,
     provenance_lines,
     write_spectrum,
+    write_table,
 )
 from vibronic.sos import LineSpectrum
 
@@ -148,6 +150,31 @@ class TestMoleculeFile:
         with pytest.raises(MoleculeFileError, match="list"):
             read_molecule(path)
 
+    def test_gradient_form_keeps_tiny_s(self, tmp_path):
+        # G^2 = 1e-340 is subnormal; S = 5e-41 is a normal float
+        path = write_json(tmp_path, {
+            "name": "g", "e00_cm1": 0.0, "transition": "absorption",
+            "modes": [{"energy_cm1": 500.0, "omega": 1e-300, "gradient": 1e-170}],
+        })
+        assert read_molecule(path).modes[0].huang_rhys == pytest.approx(5e-41, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("doc, match", [
+        ([], "top level must be a JSON object"),
+        ({"name": "x", "e00_cm1": 0.0, "modes": []}, "missing required key 'transition'"),
+        ({"modes": [3]}, "mode 1: must be an object"),
+        ({"modes": [{"huang_rhys": 0.1}]}, "mode 1: missing energy_cm1"),
+        ({"modes": [{"energy_cm1": 500.0, "omega": 2.0}]},
+         "mode 1: need huang_rhys, or both omega and gradient"),
+    ], ids=["top-level-list", "missing-key", "mode-not-object", "mode-without-energy",
+            "mode-only-omega"])
+    def test_malformed_document_refused(self, tmp_path, doc, match):
+        if isinstance(doc, dict) and "name" not in doc:
+            doc = {"name": "x", "e00_cm1": 0.0, "transition": "absorption", **doc}
+        path = write_json(tmp_path, doc)
+        with pytest.raises(MoleculeFileError, match=re.escape(f"{path}: {match}")):
+            read_molecule(path)
+        assert main(["sos", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+
 
 class TestSpectrumFile:
     def test_round_trip_byte_identity(self, tmp_path):
@@ -201,6 +228,31 @@ class TestSpectrumFile:
         path.write_text("energy_cm1,intensity\n", encoding="utf-8")
         with pytest.raises(SpectrumFileError, match="no data"):
             read_spectrum(path)
+
+    @pytest.mark.parametrize("text, match", [
+        ("energy_cm1,intensity\n0.0,1.0\n# late\n", ":3: comment after header"),
+        ("# engine: sos\n", ": missing header line"),
+        ("", ": missing header line"),
+    ], ids=["comment-after-header", "comments-only", "empty-file"])
+    def test_layout_refused(self, tmp_path, text, match):
+        path = tmp_path / "l.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SpectrumFileError, match=re.escape(f"{path}{match}")):
+            read_spectrum(path)
+
+    def test_negative_intensity_names_file(self, tmp_path):
+        path = tmp_path / "n.csv"
+        path.write_text("energy_cm1,intensity\n0.0,1.0\n500.0,-1.0\n", encoding="utf-8")
+        with pytest.raises(SpectrumFileError,
+                           match=re.escape(f"{path}: intensities must be non-negative")):
+            read_spectrum(path)
+
+    def test_write_table(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table({"molecule": "x", "runs": 3}, "events,mean", [(100, 0.5), (1000, 1 / 3)],
+                    path)
+        assert path.read_bytes() == (b"# molecule: x\n# runs: 3\nevents,mean\n"
+                                     b"100,0.5\n1000,0.3333333333333333\n")
 
     @pytest.mark.parametrize("row", ["0.0,inf", "nan,1.0", "-inf,1.0", "0.0,nan", "1e400,1.0"])
     def test_non_finite_rejected(self, tmp_path, row):
@@ -372,6 +424,12 @@ class TestCliFidelity:
         assert main(["fidelity", str(a), str(a)]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_negative_intensity_exit_2_names_file(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_text("energy_cm1,intensity\n0.0,-1.0\n", encoding="utf-8")
+        assert main(["fidelity", str(a), str(a)]) == 2
+        assert f"error: {a}: intensities must be non-negative" in capsys.readouterr().err
+
     def test_huge_and_tiny_intensities(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -413,6 +471,14 @@ class TestCliBroaden:
         assert main(["broaden", str(a), "--fwhm", "30", f"--grid={grid}",
                      "--out", str(tmp_path / "o.csv")]) == 4
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0:10", "0:10:1:2", "a:10:1"])
+    def test_malformed_grid_exit_4(self, tmp_path, capsys, grid):
+        a = tmp_path / "a.csv"
+        a.write_text("energy_cm1,intensity\n0.0,1.0\n", encoding="utf-8")
+        assert main(["broaden", str(a), "--fwhm", "30", f"--grid={grid}",
+                     "--out", str(tmp_path / "o.csv")]) == 4
+        assert "grid must be start:stop:step" in capsys.readouterr().err
 
     def test_empty_input_exit_2(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -464,6 +530,17 @@ class TestCliSeed:
         with pytest.raises(SystemExit) as err, contextlib.redirect_stderr(io.StringIO()):
             main(argv + ["--seed", "1"])
         assert err.value.code == 2
+
+    def test_env_seed_recorded(self, tmp_path, molecule_path, monkeypatch):
+        outs = [tmp_path / "env.csv", tmp_path / "flag.csv"]
+        monkeypatch.setenv("VIBRONIC_SEED", "1234")
+        assert main(["sample", str(molecule_path), "--events", "1000",
+                     "--out", str(outs[0])]) == 0
+        assert "# seed: 1234" in outs[0].read_text(encoding="utf-8").splitlines()
+        monkeypatch.delenv("VIBRONIC_SEED")
+        assert main(["sample", str(molecule_path), "--events", "1000", "--seed", "1234",
+                     "--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def well_typed_doc(e00, energy, hr):
@@ -662,9 +739,27 @@ def test_csv_header_records_version(tmp_path, molecule_path, argv):
     assert f"# version: {__version__}" in out.read_text(encoding="utf-8").splitlines()
 
 
+@pytest.mark.parametrize("argv, keys", [
+    (["sos"], ["molecule", "engine", "max_quanta", "overflow", "fc_prune",
+               *TestCliDetector.DETECTOR_KEYS, "version", "normalization"]),
+    (["sample", "--events", "100", "--seed", "1"],
+     ["molecule", "engine", "events", "seed", "max_quanta", "chunk_size", "generator",
+      *TestCliDetector.DETECTOR_KEYS, "version", "normalization"]),
+    (["converge", "--events-list", "100", "--runs", "2", "--seed", "1"],
+     ["molecule", "seed", "max_quanta", "overflow", *TestCliDetector.DETECTOR_KEYS,
+      "version", "runs"]),
+])
+def test_csv_header_key_order(tmp_path, molecule_path, argv, keys):
+    out = tmp_path / "o.csv"
+    assert main([argv[0], str(molecule_path), *argv[1:], "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert [l[2:].split(":")[0] for l in lines if l.startswith("#")] == keys
+
+
 class TestCliHr:
     @pytest.mark.parametrize("omega,gradient,expected",
-                             [("2", "2", 1.0), ("5", "0", 0.0), ("1", "1", 0.5)])
+                             [("2", "2", 1.0), ("5", "0", 0.0), ("1", "1", 0.5),
+                              ("1e-300", "1e-170", 5e-41)])
     def test_values(self, capsys, omega, gradient, expected):
         assert main(["hr", "--omega", omega, "--gradient", gradient]) == 0
         assert float(capsys.readouterr().out) == expected

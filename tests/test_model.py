@@ -57,6 +57,20 @@ class TestHrFromGradient:
     def test_largest_finite_kept(self):
         assert hr_from_gradient(1.0, 1e154) == 1e154 * 1e154 / 2.0
 
+    @pytest.mark.parametrize("omega, gradient, s", [
+        (1e10, 1e155, 5e299),  # G^2 overflows
+        (1e-300, 1e-170, 5e-41),  # G^2 is subnormal
+        (1e-300, 1e-200, 5e-101),  # G^2 underflows to 0
+        (1.5e308, 1e154, 1 / 3),  # 2 omega overflows
+    ])
+    def test_finite_s_returned(self, omega, gradient, s):
+        assert hr_from_gradient(omega, gradient) == pytest.approx(s, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("gradient", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gradient_refused(self, gradient):
+        with pytest.raises(ValueError, match="gradient must be finite"):
+            hr_from_gradient(1.0, gradient)
+
 
 class TestValidateMolecule:
     def test_valid_passes_through(self):

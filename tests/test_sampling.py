@@ -241,6 +241,16 @@ class TestSampleMode:
         assert_same_counts(direct, thinned)
 
 
+@pytest.mark.parametrize("kw, match", [
+    ({"events": 0}, "events must be >= 1"),
+    ({"events": 10, "chunk_size": 0}, "chunk_size must be >= 1"),
+    ({"events": 10, "max_quanta": -1}, "max_quanta must be >= 0"),
+])
+def test_sampler_config_refuses(kw, match):
+    with pytest.raises(ValueError, match=match):
+        SamplerConfig(**kw)
+
+
 class TestSampleSpectrum:
     def test_zero_mode_molecule(self):
         m = molecule([], e00=7777.0)

@@ -176,6 +176,11 @@ class TestStateCount:
     def test_empty(self):
         assert state_count(0, 3) == 1
 
+    @pytest.mark.parametrize("n_modes, k", [(-1, 1), (1, -1)])
+    def test_negative_refused(self, n_modes, k):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            state_count(n_modes, k)
+
     def test_exact_big_count(self):
         assert state_count(30, 3) == 4**30
 
@@ -482,6 +487,14 @@ class TestSosConfig:
         with pytest.raises(ValueError, match="fc_prune"):
             SosConfig(fc_prune=bad)
 
+    @pytest.mark.parametrize("kw, match", [
+        ({"max_quanta": -1}, "max_quanta must be >= 0"),
+        ({"overflow": "clip"}, "overflow must be 'truncate' or 'cap'"),
+    ])
+    def test_bad_config_rejected(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            SosConfig(**kw)
+
 
 class TestLineSpectrum:
     def test_rejects_unsorted(self):
@@ -490,6 +503,10 @@ class TestLineSpectrum:
         for energies in ([math.nan], [0.0, math.inf], [-math.inf, 0.0]):
             with pytest.raises(ValueError, match="finite"):
                 LineSpectrum(energies, np.ones(len(energies)))
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="equal length"):
+            LineSpectrum([0.0, 1.0], [1.0])
 
     def test_rejects_negative_intensity(self):
         with pytest.raises(ValueError):
