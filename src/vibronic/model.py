@@ -12,7 +12,8 @@ Huang-Rhys factors are dimensionless, so everything downstream of
 Energies are quantized once, to int64 keys on one lattice of
 `TICKS_PER_CM1` ticks per cm^-1, so transition energies are exact
 integer sums that both engines and the fidelity join agree on, and
-`sum_by_key` is the one merge of lines that land on one key.
+`sum_by_key` is the one merge of lines that land on one key, summing
+each key's weights in input order however it indexes the keys.
 """
 
 from __future__ import annotations
@@ -192,15 +193,33 @@ def key_energies(keys) -> np.ndarray:
     return np.asarray(keys, dtype=np.int64) / TICKS_PER_CM1
 
 
-def sum_by_key(keys, weights) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct sorted keys and the summed weight on each: a stable sort,
-    then `np.add.reduceat` over runs.  int64 weights sum exactly."""
-    order = np.argsort(keys, kind="stable")
-    keys, weights = np.asarray(keys)[order], np.asarray(weights)[order]
+def sum_by_key(keys, weights, step: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct sorted keys and the summed weight on each, zero totals kept.
+
+    Each key's weights are summed by `np.bincount` in input order, so the
+    sums have the same bits however the keys are indexed: on their
+    sublattice (key - min) // step where they span under 4x their count
+    of steps (every key must lie on min + step * Z), else by stable sort.
+    int64 weights come back int64, exact while each total is below 2**53.
+    """
+    keys, weights = np.asarray(keys), np.asarray(weights)
     if keys.size == 0:
         return keys, weights
-    first = np.flatnonzero(np.diff(keys, prepend=keys[0] - 1))
-    return keys[first], np.add.reduceat(weights, first)
+    lo = keys.min()
+    if (keys.max() - lo) // step < 4 * keys.size:
+        cell = keys - lo
+        if step != 1:
+            cell //= step
+        nz = np.flatnonzero(np.bincount(cell))
+        distinct = lo + nz * step
+    else:
+        order = np.argsort(keys, kind="stable")  # stable: each key's weights stay in order
+        ordered = keys[order]
+        first = np.empty(keys.size, dtype=bool)
+        first[0], first[1:] = True, ordered[1:] != ordered[:-1]
+        cell, weights, nz = np.cumsum(first) - 1, weights[order], slice(None)
+        distinct = ordered[first]
+    return distinct, np.bincount(cell, weights)[nz].astype(weights.dtype, copy=False)
 
 
 def check_key_reach(reach: int) -> None:

@@ -81,8 +81,9 @@ class SamplerConfig:
     chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def __post_init__(self):
-        if self.events < 1:
-            raise ValueError(f"events must be >= 1, got {self.events}")
+        # float64 counts (`SampledSpectrum`, `sum_by_key`) are exact to 2**53
+        if not 1 <= self.events <= 2**53:
+            raise ValueError(f"events must be >= 1 and <= 2**53, got {self.events}")
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.max_quanta is not None and self.max_quanta < 0:
@@ -160,13 +161,14 @@ def _hazards(mean: float, top: int | None):
 
 
 def _split(keys: np.ndarray, counts: np.ndarray, t: int, mean: float, top: int | None,
-           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+           rng: np.random.Generator, step: int) -> tuple[np.ndarray, np.ndarray]:
     """Split each line's events over j = 0, 1, ... by conditional binomials.
 
     At each j, every line sends Binomial(events left, h_j) of them to
     key + j * t, drawn from `rng` over the lines in key order (a line
     with none left draws nothing); a hazard of 1 sends all that is
-    left without a draw.  Stops when nothing is left.
+    left without a draw.  Stops when nothing is left.  Keys lie on
+    keys[0] + `step` * Z, and `step` divides t.
     """
     takes = []
     for j, h in enumerate(_hazards(mean, top)):
@@ -178,9 +180,8 @@ def _split(keys: np.ndarray, counts: np.ndarray, t: int, mean: float, top: int |
     check_key_reach(max(abs(int(keys[0])), abs(int(keys[-1]))) + abs(t) * j)
     takes = np.array(takes)
     hit = takes > 0
-    # j-major rows: j + 1 sorted runs, which the stable sort merges
     shifted = keys + t * np.arange(j + 1)[:, None]
-    return sum_by_key(shifted[hit], takes[hit])
+    return sum_by_key(shifted[hit], takes[hit], step)
 
 
 def sample_mode(
@@ -209,7 +210,7 @@ class SampledSpectrum(LineSpectrum):
 
 
 def _spectrum_chunk(
-    m: Molecule, chunk_index: int, size: int, cfg: SamplerConfig, d: DetectorModel
+    m: Molecule, chunk_index: int, size: int, cfg: SamplerConfig, d: DetectorModel, step: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unique lattice keys and counts for one chunk of events.
 
@@ -217,7 +218,7 @@ def _spectrum_chunk(
     key(e00); each mode then moves every line's events by j quanta,
     drawing only from its (seed, mode, chunk) sub-stream.  A mode
     whose recorded count is always 0 leaves the lines as they are and
-    draws nothing.
+    draws nothing.  Every key lies on key(e00) + `step` * Z.
     """
     keys = energy_keys([m.e00])
     counts = np.array([size], dtype=np.int64)
@@ -234,9 +235,9 @@ def _spectrum_chunk(
             j = _sample_mode_chunk(mean, top, rng, size)
             check_key_reach(max(abs(int(keys[0])), abs(int(keys[-1]))) + abs(t) * int(j.max()))
             j *= t  # j is this chunk's own fresh array
-            keys, counts = np.unique(np.repeat(keys, counts) + j, return_counts=True)
+            keys, counts = sum_by_key(np.repeat(keys, counts) + j, np.ones(size, np.int64), step)
         else:
-            keys, counts = _split(keys, counts, t, mean, top, rng)
+            keys, counts = _split(keys, counts, t, mean, top, rng, step)
     return keys, counts
 
 
@@ -255,13 +256,14 @@ def sample_spectrum(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     chunks = cfg.chunks()
+    step = math.gcd(*map(int, energy_keys(m.energies))) or 1
     if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: _spectrum_chunk(m, *c, cfg, d), chunks))
+            results = list(pool.map(lambda c: _spectrum_chunk(m, *c, cfg, d, step), chunks))
     else:
-        results = [_spectrum_chunk(m, *c, cfg, d) for c in chunks]
+        results = [_spectrum_chunk(m, *c, cfg, d, step) for c in chunks]
 
-    keys, counts = sum_by_key(*map(np.concatenate, zip(*results)))
+    keys, counts = sum_by_key(*map(np.concatenate, zip(*results)), step)
     prov = result_provenance(m, d, engine="sampler", events=cfg.events, seed=cfg.seed,
                              max_quanta=cfg.max_quanta, chunk_size=cfg.chunk_size,
                              generator="philox-seedseq")

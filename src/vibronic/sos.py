@@ -213,6 +213,7 @@ def build_reference_spectrum(m: Molecule, cfg: SosConfig,
     ticks = energy_keys([md.energy for md in modes]) * m.sign
     origin = int(energy_keys(m.e00))
     check_key_reach(abs(origin) + top * sum(abs(int(t)) for t in ticks))
+    step = math.gcd(*map(int, ticks)) or 1  # every key is on origin + step * Z
 
     keys = np.array([origin], dtype=np.int64)
     inten = np.array([1.0])
@@ -221,9 +222,8 @@ def build_reference_spectrum(m: Molecule, cfg: SosConfig,
         if work > cfg.enumeration_budget:
             raise BudgetExceededError(work, cfg.enumeration_budget)
         p = mode_distribution(mode.huang_rhys, k, cfg.overflow, d)
-        # j-major: top+1 sorted runs, which the stable sort merges
         shifted = keys + t * np.arange(top + 1)[:, None]
-        keys, inten = sum_by_key(shifted.ravel(), (p[:, None] * inten).ravel())
+        keys, inten = sum_by_key(shifted.ravel(), (p[:, None] * inten).ravel(), step)
         # Exactly-zero sticks only arise from modes whose recorded mean
         # is 0 (or underflow); dropping them keeps such modes invisible.
         live = inten > 0.0

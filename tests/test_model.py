@@ -203,6 +203,29 @@ class TestSumByKey:
         assert got.dtype == weights.dtype
         assert got.tolist() == [oracle[k] for k in sorted(oracle)]
 
+    @given(st.data(), st.integers(1, 60), st.integers(-10**12, 10**12),
+           st.integers(4 * 60, 10**9))
+    def test_sublattice_and_sort_index_sum_same_bits(self, data, n, lo, step):
+        # n keys within 4n steps (few or many distinct) are indexed on
+        # their sublattice; step >= 4 * 60 makes step=1 index them by sort
+        top = data.draw(st.sampled_from([min(3, 4 * n - 1), 4 * n - 1]))
+        cells = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+        weights = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(-1e6, 1e6)),
+                                              min_size=n, max_size=n)))
+        keys = lo + step * np.array(cells, dtype=np.int64)
+        dense_keys, dense = sum_by_key(keys, weights, step)
+        sorted_keys, by_sort = sum_by_key(keys, weights)
+        assert dense_keys.tolist() == sorted_keys.tolist() == sorted(set(keys.tolist()))
+        assert dense.tobytes() == by_sort.tobytes()
+
+    @pytest.mark.parametrize("step", [1, 7 * 10**6])  # sort index, sublattice index
+    def test_int_total_just_under_2_53_exact(self, step):
+        keys = np.array([5, 5 + 7 * 10**6, 5], dtype=np.int64)
+        weights = np.array([2**52, 3, 2**52 - 1], dtype=np.int64)
+        got_keys, got = sum_by_key(keys, weights, step)
+        assert got_keys.tolist() == [5, 5 + 7 * 10**6]
+        assert got.dtype == np.int64 and got.tolist() == [2**53 - 1, 3]
+
     def test_empty(self):
         keys, weights = sum_by_key(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
         assert keys.size == 0 and weights.size == 0

@@ -1,13 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
 
+from vibronic import model, sos
 from vibronic.analysis import fidelity, normalize
 from vibronic.cli import main
-from vibronic.fixtures import large_acene_like
+from vibronic.fixtures import (anthracene_like_12, large_acene_like, naphthalene_like_9,
+                               pentacene_like_8, pentacene_like_18)
 from vibronic.io import read_spectrum, write_molecule
 from vibronic.model import DetectorModel, Mode, Molecule, energy_keys
 from vibronic.sampling import SamplerConfig, sample_spectrum
@@ -453,6 +456,29 @@ class TestLattice:
         scaled = normalize(ref, "zero_zero_one", e00=0.0)
         assert scaled.intensities[0] == 1.0
         assert scaled.energies[0] == 0.0
+
+    @pytest.mark.parametrize("m", [
+        *(f() for f in (pentacene_like_8, pentacene_like_18, naphthalene_like_9,
+                        anthracene_like_12, large_acene_like)),
+        replace(anthracene_like_12(), transition="emission"),
+        molecule([0.3, 0.3], energies=[100.0, 100.0000008]),
+    ], ids=lambda m: f"{m.name}-{m.transition}")
+    def test_sublattice_and_sort_merges_agree(self, m, monkeypatch):
+        # the merge indexes on the modes' sublattice where that is dense;
+        # step=1 spans >= 4x the keys in every step here, forcing the sort
+        cfg = SosConfig(max_quanta=3, overflow="cap")
+        ref = build_reference_spectrum(m, cfg)
+        spans = []
+
+        def by_sort(keys, weights, step=1):
+            spans.append(np.ptp(keys) >= 4 * keys.size)
+            return model.sum_by_key(keys, weights)
+
+        monkeypatch.setattr(sos, "sum_by_key", by_sort)
+        forced = build_reference_spectrum(m, cfg)
+        assert all(spans)
+        assert ref.energies.tobytes() == forced.energies.tobytes()
+        assert ref.intensities.tobytes() == forced.intensities.tobytes()
 
     def test_lattice_range_refused(self):
         # keys past 2**53 ticks (~9e9 cm^-1) would lose exactness, and
