@@ -243,9 +243,9 @@ class TestSampleMode:
 
 @pytest.mark.parametrize("kw, match", [
     ({"events": 0}, "events must be >= 1"),
-    ({"events": 2**53 + 1}, r"<= 2\*\*53, got 9007199254740993"),
     ({"events": 10, "chunk_size": 0}, "chunk_size must be >= 1"),
     ({"events": 10, "max_quanta": -1}, "max_quanta must be >= 0"),
+    ({"events": 2**53 + 1}, r"<= 2\*\*53, got 9007199254740993"),
 ])
 def test_sampler_config_refuses(kw, match):
     with pytest.raises(ValueError, match=match):
