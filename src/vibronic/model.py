@@ -44,6 +44,7 @@ TICKS_PER_CM1 = 10**6
 # Keys up to 2**53 convert to float64 exactly, so `key_energies`
 # returns the correctly rounded lattice value (|E| < ~9e9 cm^-1).
 KEY_LIMIT = 2**53
+_DENSE_SPAN = 4  # lines spanning fewer sublattice cells each are indexed densely
 
 
 class ValidationError(ValueError):
@@ -198,15 +199,15 @@ def sum_by_key(keys, weights, step: int = 1) -> tuple[np.ndarray, np.ndarray]:
 
     Each key's weights are summed by `np.bincount` in input order, so the
     sums have the same bits however the keys are indexed: on their
-    sublattice (key - min) // step where they span under 4x their count
-    of steps (every key must lie on min + step * Z), else by stable sort.
+    sublattice (key - min) // step where they span under `_DENSE_SPAN` x
+    their count of steps (every key on min + step * Z), else by stable sort.
     int64 weights come back int64, exact while each total is below 2**53.
     """
     keys, weights = np.asarray(keys), np.asarray(weights)
     if keys.size == 0:
         return keys, weights
     lo = keys.min()
-    if (keys.max() - lo) // step < 4 * keys.size:
+    if (keys.max() - lo) // step < _DENSE_SPAN * keys.size:
         cell = keys - lo
         if step != 1:
             cell //= step
@@ -247,10 +248,10 @@ def hr_from_gradient(omega: float, gradient: float) -> float:
         raise ValueError(f"omega must be positive and finite, got {omega!r}")
     if not math.isfinite(gradient):
         raise ValueError(f"gradient must be finite, got {gradient!r}")
-    # omega * (G/omega)^2 / 2 simplified.  Where G^2 or 2 omega leaves the float
-    # range, that gives 0, inf or nan; dividing G by omega first keeps a normal S.
+    # omega * (G/omega)^2 / 2 simplified.  Where G^2 is not normal or 2 omega overflows,
+    # that rounds S off or gives 0 or inf; dividing G by omega first keeps a normal S.
     s = gradient * gradient / (2.0 * omega)
-    if not 0.0 < s < math.inf:
+    if gradient * gradient < np.finfo(float).tiny or not 0.0 < s < math.inf:
         alt = gradient / omega * gradient / 2.0
         if alt >= np.finfo(float).tiny:
             s = alt

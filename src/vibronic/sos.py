@@ -7,9 +7,9 @@ product of the probabilities that a detector records each j_i
 Franck-Condon factors), so a reference is exact for samples taken
 through its detector.  It is built by one algorithm, a mode-by-mode
 convolution on the integer energy lattice: each mode contributes K+1
-sticks, and sticks that land on one lattice key are summed after every
-mode.  Cost is live sticks x (K+1) per mode, not (1+K)^N; a work
-budget refuses any single step past it.
+sticks, and sticks on one key are summed after every mode, in one order
+on a dense sublattice array (once they fill it) or by `sum_by_key`.  A
+step costs live sticks x (K+1), not (1+K)^N, within a work budget.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import model
 from .model import (IDEAL_DETECTOR, DetectorModel, Molecule, check_key_reach, energy_keys,
                     key_energies, result_provenance, sum_by_key)
 
@@ -193,6 +194,12 @@ def build_reference_spectrum(m: Molecule, cfg: SosConfig,
     min(K, the detector's clip), a step larger than
     `cfg.enumeration_budget` raises BudgetExceededError.
 
+    Sticks sit on cells c, key = origin + step * c.  A step spanning under
+    `model._DENSE_SPAN` cells per live stick adds p_j x the sticks, shifted
+    j quanta, to a zeroed dense array x[i] on cells c0 + i, in `sum_by_key`'s
+    j order, so every stick has the same bits.  The array stays dense, and
+    under `_DENSE_SPAN` x the live sticks; past that they merge sparsely.
+
     With `cfg.fc_prune` set, every stick whose merged intensity falls
     below the threshold is dropped after each mode.  A merged stick
     below it means every configuration feeding it is below it too,
@@ -215,22 +222,41 @@ def build_reference_spectrum(m: Molecule, cfg: SosConfig,
     check_key_reach(abs(origin) + top * sum(abs(int(t)) for t in ticks))
     step = math.gcd(*map(int, ticks)) or 1  # every key is on origin + step * Z
 
-    keys = np.array([origin], dtype=np.int64)
-    inten = np.array([1.0])
-    for mode, t in zip(modes, ticks):
-        work = keys.size * (top + 1)
+    cells, inten, x, c0 = np.zeros(1, dtype=np.int64), np.array([1.0]), None, 0
+    for mode, ts in zip(modes, (ticks // step).tolist()):
+        reach = top * abs(ts)
+        live = cells.size if x is None else int(np.count_nonzero(x))
+        if x is not None and not x.size + reach < model._DENSE_SPAN * live:
+            nz = np.flatnonzero(x)  # trimmed to the live sticks: dense again if they fill it
+            cells, inten, x = c0 + nz, x[nz], None
+        span = x.size if x is not None else int(cells[-1] - cells[0]) + 1 if live else 0
+        work = live * (top + 1)
         if work > cfg.enumeration_budget:
             raise BudgetExceededError(work, cfg.enumeration_budget)
         p = mode_distribution(mode.huang_rhys, k, cfg.overflow, d)
-        shifted = keys + t * np.arange(top + 1)[:, None]
-        keys, inten = sum_by_key(shifted.ravel(), (p[:, None] * inten).ravel(), step)
+        if span + reach < model._DENSE_SPAN * live:
+            if x is None:
+                x, c0 = np.zeros(span), cells[0]
+                x[cells - c0] = inten
+            y, base = np.zeros(span + reach), reach if ts < 0 else 0
+            for j in range(top + 1):  # j-major from 0.0, as `sum_by_key` sums
+                y[base + j * ts:base + j * ts + span] += p[j] * x
+            x, c0 = y, c0 - base
+            if cfg.fc_prune is not None:
+                x[x < cfg.fc_prune] = 0.0
+            continue
+        shifted = cells + ts * np.arange(top + 1)[:, None]
+        cells, inten = sum_by_key(shifted.ravel(), (p[:, None] * inten).ravel())
         # Exactly-zero sticks only arise from modes whose recorded mean
         # is 0 (or underflow); dropping them keeps such modes invisible.
         live = inten > 0.0
         if cfg.fc_prune is not None:
             live &= inten >= cfg.fc_prune
-        keys, inten = keys[live], inten[live]
+        cells, inten = cells[live], inten[live]
+    if x is not None:
+        nz = np.flatnonzero(x)
+        cells, inten = c0 + nz, x[nz]
 
     prov = result_provenance(m, d, engine="sos", max_quanta=k, overflow=cfg.overflow,
                              fc_prune=cfg.fc_prune)
-    return LineSpectrum(key_energies(keys), inten, provenance=prov)
+    return LineSpectrum(key_energies(origin + step * cells), inten, provenance=prov)

@@ -2,10 +2,11 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from vibronic.model import (
     KEY_LIMIT,
@@ -47,7 +48,21 @@ class TestHrFromGradient:
         st.floats(min_value=-1e3, max_value=1e3),
     )
     def test_algebraic_identity(self, omega, g):
+        # the bits of g*g/(2 omega) are pinned only where G^2 is a normal float
+        assume(g * g >= np.finfo(float).tiny)
         assert hr_from_gradient(omega, g) == g * g / (2.0 * omega)
+
+    @given(
+        st.floats(min_value=1e-6, max_value=1e6),
+        st.floats(min_value=-1.4e-154, max_value=1.4e-154),  # G^2 < tiny
+    )
+    def test_subnormal_square_within_two_roundings(self, omega, g):
+        # where G^2 is not normal, a normal S still carries its exact value to
+        # within the two roundings of G/omega*G (2 x 2**-53 < 4.5e-16)
+        s = hr_from_gradient(omega, g)
+        if s >= np.finfo(float).tiny:
+            exact = Fraction(g) ** 2 / (2 * Fraction(omega))
+            assert abs(Fraction(s) - exact) <= Fraction(4.5e-16) * exact
 
     @pytest.mark.parametrize("omega, gradient", [(1e-320, 1.0), (2.0, 1e200), (1.0, 1e155)])
     def test_overflow_refused_naming_inputs(self, omega, gradient):
@@ -60,6 +75,7 @@ class TestHrFromGradient:
     @pytest.mark.parametrize("omega, gradient, s", [
         (1e10, 1e155, 5e299),  # G^2 overflows
         (1e-300, 1e-170, 5e-41),  # G^2 is subnormal
+        (1e-300, 3e-162, 4.5e-24),  # G^2 is two subnormal ulps
         (1e-300, 1e-200, 5e-101),  # G^2 underflows to 0
         (1.5e308, 1e154, 1 / 3),  # 2 omega overflows
     ])

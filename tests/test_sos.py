@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from vibronic.cli import main
 from vibronic.fixtures import (anthracene_like_12, large_acene_like, naphthalene_like_9,
                                pentacene_like_8, pentacene_like_18)
 from vibronic.io import read_spectrum, write_molecule
-from vibronic.model import DetectorModel, Mode, Molecule, energy_keys
+from vibronic.model import IDEAL_DETECTOR, DetectorModel, Mode, Molecule, energy_keys
 from vibronic.sampling import SamplerConfig, sample_spectrum
 from vibronic.sos import (
     BudgetExceededError,
@@ -89,6 +90,38 @@ def enumerated_spectrum(m, k, fc_prune=None, overflow="truncate"):
     for _, fc, key in enumerate_configurations(m, k, fc_prune, overflow):
         out[key] = out.get(key, 0.0) + fc
     return {key: i for key, i in out.items() if i > 0.0}
+
+
+def step_kinds(m, cfg, d=IDEAL_DETECTOR):
+    """The reference, and one letter per SOS step: "s" merged by
+    `sum_by_key`, "D" added on the dense array."""
+    kinds = []
+
+    def dist(*args):
+        kinds.append("D")
+        return mode_distribution(*args)
+
+    def merge(*args):
+        kinds[-1] = "s"
+        return model.sum_by_key(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sos, "mode_distribution", dist)
+        mp.setattr(sos, "sum_by_key", merge)
+        return build_reference_spectrum(m, cfg, d), "".join(kinds)
+
+
+def dense_and_sparse_agree(m, cfg, d=IDEAL_DETECTOR):
+    """Assert the default build is bit-identical to one with every step
+    sparse and every merge sorted; return the default's step kinds."""
+    ref, kinds = step_kinds(m, cfg, d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_DENSE_SPAN", 0)
+        forced, forced_kinds = step_kinds(m, cfg, d)
+    assert forced_kinds == "s" * m.n_modes
+    assert ref.energies.tobytes() == forced.energies.tobytes()
+    assert ref.intensities.tobytes() == forced.intensities.tobytes()
+    return kinds
 
 
 class TestFcFactor1d:
@@ -463,22 +496,44 @@ class TestLattice:
         replace(anthracene_like_12(), transition="emission"),
         molecule([0.3, 0.3], energies=[100.0, 100.0000008]),
     ], ids=lambda m: f"{m.name}-{m.transition}")
-    def test_sublattice_and_sort_merges_agree(self, m, monkeypatch):
-        # the merge indexes on the modes' sublattice where that is dense;
-        # step=1 spans >= 4x the keys in every step here, forcing the sort
-        cfg = SosConfig(max_quanta=3, overflow="cap")
-        ref = build_reference_spectrum(m, cfg)
-        spans = []
+    def test_sublattice_and_sort_merges_agree(self, m):
+        # SOS steps on a dense array over the modes' sublattice once the
+        # sticks fill it; with every step merged by sort it has the same bits
+        steps = dense_and_sparse_agree(m, SosConfig(max_quanta=3, overflow="cap"))
+        if m.n_modes in (12, 18, 66):
+            assert "D" in steps
 
-        def by_sort(keys, weights, step=1):
-            spans.append(np.ptp(keys) >= 4 * keys.size)
-            return model.sum_by_key(keys, weights)
+    @pytest.mark.parametrize("m, cfg, d, steps", [
+        (pentacene_like_18(), SosConfig(max_quanta=3), DetectorModel(threshold_mode=True),
+         "s+D+"),
+        (pentacene_like_18(), SosConfig(max_quanta=3, overflow="cap"),
+         DetectorModel(efficiency=0.6, dark_mean=0.01), "s+D+"),
+        # pruned, dense, then sparse again where the 5000 cm^-1 mode spreads it
+        (molecule([0.5] * 7, energies=[100.0] * 6 + [5000.0]),
+         SosConfig(max_quanta=3, overflow="cap", fc_prune=1e-4), IDEAL_DETECTOR, "s+D+s"),
+        # every stick pruned after dense steps: the same empty spectrum
+        (molecule([1.0] * 8, energies=[100.0] * 8), SosConfig(max_quanta=3, fc_prune=0.2),
+         IDEAL_DETECTOR, "s+D+s+"),
+        # incommensurate energies: the sublattice step is one tick, never dense
+        (molecule([md.huang_rhys for md in anthracene_like_12().modes],
+                  energies=[md.energy + u for md, u in zip(
+                      anthracene_like_12().modes, np.random.default_rng(13).uniform(0, 1, 12))]),
+         SosConfig(max_quanta=2), IDEAL_DETECTOR, "s{12}"),
+    ], ids=["threshold", "lossy", "pruned-dense-sparse", "pruned-empty", "incommensurate"])
+    def test_dense_and_sparse_steps_agree(self, m, cfg, d, steps):
+        assert re.fullmatch(steps, dense_and_sparse_agree(m, cfg, d))
 
-        monkeypatch.setattr(sos, "sum_by_key", by_sort)
-        forced = build_reference_spectrum(m, cfg)
-        assert all(spans)
-        assert ref.energies.tobytes() == forced.energies.tobytes()
-        assert ref.intensities.tobytes() == forced.intensities.tobytes()
+    def test_budget_counts_dense_sticks_as_sparse(self, monkeypatch):
+        # the refusal comes at the same step, with the same int count
+        cfg = SosConfig(max_quanta=3, overflow="cap", enumeration_budget=4 * 10**5)
+        assert "D" in step_kinds(large_acene_like(), replace(cfg, enumeration_budget=10**8))[1]
+        with pytest.raises(BudgetExceededError) as dense:
+            build_reference_spectrum(large_acene_like(), cfg)
+        monkeypatch.setattr(model, "_DENSE_SPAN", 0)
+        with pytest.raises(BudgetExceededError) as sparse:
+            build_reference_spectrum(large_acene_like(), cfg)
+        assert type(dense.value.count) is int
+        assert dense.value.count == sparse.value.count > 4 * 10**5
 
     def test_lattice_range_refused(self):
         # keys past 2**53 ticks (~9e9 cm^-1) would lose exactness, and
