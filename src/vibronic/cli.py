@@ -79,12 +79,8 @@ def cmd_sos(args) -> int:
 
 def cmd_sample(args) -> int:
     m = _load_molecule(args.molecule, args.prune_s)
-    cfg = sampling.SamplerConfig(
-        events=args.events,
-        seed=args.seed_value,
-        max_quanta=args.max_quanta,
-        chunk_size=args.chunk_size,
-    )
+    cfg = sampling.SamplerConfig(events=args.events, seed=args.seed_value,
+                                 max_quanta=args.max_quanta)
     t0 = time.perf_counter()
     sampled = sampling.sample_spectrum(m, cfg, _detector(args), workers=args.workers)
     elapsed = time.perf_counter() - t0
@@ -180,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-quanta", type=int, default=None)
     add_draw_flags(p)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--chunk-size", type=int, default=sampling.DEFAULT_CHUNK_SIZE)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 

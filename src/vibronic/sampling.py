@@ -26,8 +26,9 @@ shift past the energy lattice where it forms the keys.
 
 Reproducibility: every (seed, mode position, chunk) triple owns an
 independent counter-based Philox sub-stream, so results are
-bit-identical for any worker count or execution order.  Chunk size
-therefore selects the draws, and the provenance records it.
+bit-identical for any worker count or execution order.  Chunks hold a
+fixed 10^6 events, so the chunking selects the draws and the version
+pins it.
 """
 
 from __future__ import annotations
@@ -54,7 +55,9 @@ __all__ = [
     "IDEAL_DETECTOR",
 ]
 
-DEFAULT_CHUNK_SIZE = 1_000_000
+# Events per chunk: it bounds a per-event cell's arrays and is the unit
+# worker threads share.  It selects the draws, so the version fixes it.
+_CHUNK_EVENTS = 1_000_000
 
 # The largest mean numpy's Poisson generator accepts (int64 max - 10 sd).
 POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
@@ -67,7 +70,7 @@ _SPLIT_STEP_LINES = 128
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Event count, seed, optional count cap, and chunking granularity.
+    """Event count, seed and optional count cap.
 
     `max_quanta=None` leaves drawn counts unbounded.  When set, any
     drawn count above it is capped at that value (the numeric analog
@@ -78,21 +81,21 @@ class SamplerConfig:
     events: int
     seed: int = 0
     max_quanta: int | None = None
-    chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def __post_init__(self):
         # float64 counts (`SampledSpectrum`, `sum_by_key`) are exact to 2**53
         if not 1 <= self.events <= 2**53:
             raise ValueError(f"events must be >= 1 and <= 2**53, got {self.events}")
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.max_quanta is not None and self.max_quanta < 0:
             raise ValueError(f"max_quanta must be >= 0, got {self.max_quanta}")
 
-    def chunks(self) -> list[tuple[int, int]]:
-        """(chunk_index, size) pairs covering all events."""
-        starts = range(0, self.events, self.chunk_size)
-        return [(i, min(self.chunk_size, self.events - s)) for i, s in enumerate(starts)]
+
+def _chunks(events: int) -> list[tuple[int, int]]:
+    """(chunk_index, size) pairs covering `events` in `_CHUNK_EVENTS` chunks."""
+    starts = range(0, events, _CHUNK_EVENTS)
+    return [(i, min(_CHUNK_EVENTS, events - s)) for i, s in enumerate(starts)]
 
 
 def substream(seed: int, mode_index: int, chunk_index: int) -> np.random.Generator:
@@ -197,7 +200,7 @@ def sample_mode(
     """
     mean, top = _recorded(s, mode_index, cfg, d)
     return np.concatenate([_sample_mode_chunk(mean, top, substream(cfg.seed, mode_index, ci), size)
-                           for ci, size in cfg.chunks()])
+                           for ci, size in _chunks(cfg.events)])
 
 
 class SampledSpectrum(LineSpectrum):
@@ -255,7 +258,7 @@ def sample_spectrum(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    chunks = cfg.chunks()
+    chunks = _chunks(cfg.events)
     step = math.gcd(*map(int, energy_keys(m.energies))) or 1
     if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -265,6 +268,5 @@ def sample_spectrum(
 
     keys, counts = sum_by_key(*map(np.concatenate, zip(*results)), step)
     prov = result_provenance(m, d, engine="sampler", events=cfg.events, seed=cfg.seed,
-                             max_quanta=cfg.max_quanta, chunk_size=cfg.chunk_size,
-                             generator="philox-seedseq")
+                             max_quanta=cfg.max_quanta, generator="philox-seedseq")
     return SampledSpectrum(key_energies(keys), counts, provenance=prov)

@@ -251,7 +251,11 @@ def test_criterion_7_unbounded_k_sample_exact_pmf():
 
 
 def test_criterion_8_worker_determinism(tmp_path):
-    """Identical seeds give byte-identical files for 1, 2, 8 workers."""
+    """Identical seeds give byte-identical files for 1, 2, 8 workers.
+
+    2.5e6 events are two full chunks and a partial one for the workers
+    to share.
+    """
     mol = tmp_path / "mol.json"
     write_molecule(pentacene_like_8(), mol)
     outputs = []
@@ -259,7 +263,7 @@ def test_criterion_8_worker_determinism(tmp_path):
         out = tmp_path / f"w{w}.csv"
         code = subprocess.run(
             [sys.executable, "-m", "vibronic.cli", "sample", str(mol),
-             "--events", "100000", "--seed", "77", "--chunk-size", "15000",
+             "--events", "2500000", "--seed", "77",
              "--workers", str(w), "--out", str(out)],
             capture_output=True,
         ).returncode

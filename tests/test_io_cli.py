@@ -365,20 +365,29 @@ class TestCliSample:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_header_replays_chunk_size(self, tmp_path, molecule_path):
-        # sub-streams are keyed per (mode, chunk), so chunk size selects
-        # the draws; the header records it, and its values replay the run
-        base = ["sample", str(molecule_path), "--events", "20000", "--seed", "1"]
-        a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
-        assert main(base + ["--out", str(a)]) == 0
-        assert main(base + ["--chunk-size", "7000", "--out", str(b)]) == 0
-        ha, hb = (read_spectrum(p).provenance["comments"] for p in (a, b))
-        assert ha != hb and "# chunk_size: 7000" in hb
-        header = dict(line[2:].split(": ", 1) for line in hb)
+    def test_header_replays_run(self, tmp_path, molecule_path):
+        # the version fixes the chunking, so the header's events, seed,
+        # cap and detector values alone replay the file
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["sample", str(molecule_path), "--events", "20000", "--seed", "1",
+                     "--max-quanta", "2", "--efficiency", "0.9", "--dark", "0.05",
+                     "--threshold", "--out", str(a)]) == 0
+        header = dict(line[2:].split(": ", 1)
+                      for line in read_spectrum(a).provenance["comments"])
+        assert not any("chunk" in key for key in header)
+        assert header["threshold_mode"] == "True"
         assert main(["sample", str(molecule_path), "--events", header["events"],
-                     "--seed", header["seed"], "--chunk-size", header["chunk_size"],
-                     "--out", str(c)]) == 0
-        assert c.read_bytes() == b.read_bytes()
+                     "--seed", header["seed"], "--max-quanta", header["max_quanta"],
+                     "--efficiency", header["efficiency"], "--dark", header["dark_mean"],
+                     "--threshold", "--out", str(b)]) == 0
+        assert b.read_bytes() == a.read_bytes()
+
+    def test_chunk_size_flag_refused(self, tmp_path, molecule_path):
+        out = tmp_path / "c.csv"
+        with pytest.raises(SystemExit) as err, contextlib.redirect_stderr(io.StringIO()):
+            main(["sample", str(molecule_path), "--events", "1000", "--seed", "1",
+                  "--chunk-size", "7000", "--out", str(out)])
+        assert err.value.code == 2 and not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_2(self, tmp_path, molecule_path, workers):
@@ -541,6 +550,21 @@ class TestCliSeed:
         assert main(["sample", str(molecule_path), "--events", "1000", "--seed", "1234",
                      "--out", str(outs[1])]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("argv, env", [
+        (["sample", "--events", "100", "--seed", "-1"], None),
+        (["converge", "--events-list", "100", "--runs", "1"], "-3"),
+    ])
+    def test_negative_seed_exit_2(self, tmp_path, molecule_path, monkeypatch, capsys,
+                                  argv, env):
+        if env is None:
+            monkeypatch.delenv("VIBRONIC_SEED", raising=False)
+        else:
+            monkeypatch.setenv("VIBRONIC_SEED", env)
+        out = tmp_path / "o.csv"
+        assert main([argv[0], str(molecule_path), *argv[1:], "--out", str(out)]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def well_typed_doc(e00, energy, hr):
@@ -743,7 +767,7 @@ def test_csv_header_records_version(tmp_path, molecule_path, argv):
     (["sos"], ["molecule", "engine", "max_quanta", "overflow", "fc_prune",
                *TestCliDetector.DETECTOR_KEYS, "version", "normalization"]),
     (["sample", "--events", "100", "--seed", "1"],
-     ["molecule", "engine", "events", "seed", "max_quanta", "chunk_size", "generator",
+     ["molecule", "engine", "events", "seed", "max_quanta", "generator",
       *TestCliDetector.DETECTOR_KEYS, "version", "normalization"]),
     (["converge", "--events-list", "100", "--runs", "2", "--seed", "1"],
      ["molecule", "seed", "max_quanta", "overflow", *TestCliDetector.DETECTOR_KEYS,

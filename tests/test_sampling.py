@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -72,7 +73,7 @@ def replay_split(m, cfg, d=IDEAL_DETECTOR):
     nothing.
     """
     hist = {}
-    for ci, size in cfg.chunks():
+    for ci, size in sampling._chunks(cfg.events):
         lines = {int(energy_keys(m.e00)): size}
         for i, mode in enumerate(m.modes, 1):
             mean, top = d.recorded(mode.huang_rhys, cfg.max_quanta)
@@ -94,6 +95,25 @@ def replay_split(m, cfg, d=IDEAL_DETECTOR):
             hist[k] = hist.get(k, 0) + n
     keys = sorted(hist)
     return np.array(keys, dtype=np.int64), np.array([hist[k] for k in keys])
+
+
+def replay_per_event(m, cfg, d=IDEAL_DETECTOR):
+    """Oracle: the sampler's per-event cells, one array of event keys
+    per chunk.
+
+    Each chunk's events start at key(e00); each mode then pairs the
+    sorted keys with its `sample_mode` counts for that chunk and moves
+    each event by its count times the mode's key.
+    """
+    draws = [sample_mode(mode.huang_rhys, i, cfg, d) for i, mode in enumerate(m.modes, 1)]
+    keys = []
+    for ci, size in sampling._chunks(cfg.events):
+        e = np.full(size, int(energy_keys(m.e00)), dtype=np.int64)
+        lo = ci * sampling._CHUNK_EVENTS
+        for mode, j in zip(m.modes, draws):
+            e = np.sort(e) + int(energy_keys(mode.energy)) * m.sign * j[lo:lo + size]
+        keys.append(e)
+    return np.unique(np.concatenate(keys), return_counts=True)
 
 
 class TestPoissonDraw:
@@ -215,18 +235,12 @@ class TestSampleMode:
         assert abs(out.mean() - p) < tol
         assert set(np.unique(out)) <= {0, 1}
 
-    def test_determinism(self):
-        cfg = SamplerConfig(events=50000, seed=31, chunk_size=7000)
+    def test_determinism(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_CHUNK_EVENTS", 7000)
+        cfg = SamplerConfig(events=50000, seed=31)
         a = sample_mode(0.3, 2, cfg)
         b = sample_mode(0.3, 2, cfg)
         assert np.array_equal(a, b)
-
-    def test_chunking_invisible(self):
-        # same (seed, mode): the stream is keyed per chunk, so chunk
-        # size changes the draws; but a fixed config is reproducible
-        cfg1 = SamplerConfig(events=10000, seed=1, chunk_size=10000)
-        cfg2 = SamplerConfig(events=10000, seed=1, chunk_size=10000)
-        assert np.array_equal(sample_mode(0.2, 1, cfg1), sample_mode(0.2, 1, cfg2))
 
     def test_per_photon_thinning_matches_direct_statistically(self):
         # every detector effect at once, capped: the sampler's direct
@@ -241,15 +255,25 @@ class TestSampleMode:
         assert_same_counts(direct, thinned)
 
 
+# explicit ids, so that adding or deleting a case renames no other
 @pytest.mark.parametrize("kw, match", [
-    ({"events": 0}, "events must be >= 1"),
-    ({"events": 10, "chunk_size": 0}, "chunk_size must be >= 1"),
-    ({"events": 10, "max_quanta": -1}, "max_quanta must be >= 0"),
-    ({"events": 2**53 + 1}, r"<= 2\*\*53, got 9007199254740993"),
+    pytest.param({"events": 0}, "events must be >= 1", id="kw0-events must be >= 1"),
+    pytest.param({"events": 10, "max_quanta": -1}, "max_quanta must be >= 0",
+                 id="kw2-max_quanta must be >= 0"),
+    pytest.param({"events": 2**53 + 1}, r"<= 2\*\*53, got 9007199254740993",
+                 id=r"kw3-<= 2\*\*53, got 9007199254740993"),
+    pytest.param({"events": 10, "seed": -1}, "seed must be >= 0, got -1",
+                 id="kw4-seed must be >= 0"),
 ])
 def test_sampler_config_refuses(kw, match):
     with pytest.raises(ValueError, match=match):
         SamplerConfig(**kw)
+
+
+def test_sampler_config_fields():
+    # the version fixes the chunking; no field schedules the work
+    assert [f.name for f in dataclasses.fields(SamplerConfig)] == [
+        "events", "seed", "max_quanta"]
 
 
 class TestSampleSpectrum:
@@ -314,9 +338,10 @@ class TestSampleSpectrum:
         assert np.array_equal(s1.counts, s2.counts)
 
     @pytest.mark.parametrize("workers", [2, 8])
-    def test_worker_count_invisible(self, workers):
+    def test_worker_count_invisible(self, workers, monkeypatch):
+        monkeypatch.setattr(sampling, "_CHUNK_EVENTS", 9000)
         m = molecule([0.25, 0.1, 0.4])
-        cfg = SamplerConfig(events=64000, seed=13, chunk_size=9000)
+        cfg = SamplerConfig(events=64000, seed=13)
         base = sample_spectrum(m, cfg, workers=1)
         par = sample_spectrum(m, cfg, workers=workers)
         assert np.array_equal(base.energies, par.energies)
@@ -326,24 +351,43 @@ class TestSampleSpectrum:
         ([0.5, 0.2, 0.8], [100.0, 300.0, 700.0]),
         ([0.8, 0.2, 0.5], [700.0, 300.0, 100.0]),
     ])
-    def test_streams_keyed_by_position(self, hr, energies):
+    def test_streams_keyed_by_position(self, hr, energies, monkeypatch):
         # the mode at 1-based position i draws from sub-stream i of each
         # chunk, so the spectrum is the replay of the cell rule
-        cfg = SamplerConfig(events=20000, seed=6, chunk_size=7000)
+        monkeypatch.setattr(sampling, "_CHUNK_EVENTS", 7000)
+        cfg = SamplerConfig(events=20000, seed=6)
         m = molecule(hr, energies=energies, e00=1000.0)
         spec = sample_spectrum(m, cfg)
         keys, counts = replay_split(m, cfg)
         assert np.array_equal(spec.energies, key_energies(keys))
         assert np.array_equal(spec.counts, counts)
 
-    @pytest.mark.parametrize("chunk_size, per_event_draws", [(10**5, 0), (10**4, 10)])
-    def test_huge_mean_mode_law(self, chunk_size, per_event_draws, monkeypatch):
+    @pytest.mark.parametrize("d, max_quanta", [
+        pytest.param(IDEAL_DETECTOR, None, id="ideal"),
+        pytest.param(DetectorModel(efficiency=0.7, dark_mean=0.1), 3, id="loss-dark-K3"),
+        pytest.param(DetectorModel(threshold_mode=True), None, id="click"),
+    ])
+    def test_per_event_cells_replay(self, d, max_quanta, monkeypatch):
+        # 60-event chunks make every cell draw per event (`_split` is
+        # removed to show it), so the spectrum is the per-event replay
+        monkeypatch.setattr(sampling, "_CHUNK_EVENTS", 60)
+        monkeypatch.setattr(sampling, "_split", None)
+        m = molecule([0.5, 0.2, 0.8], energies=[100.0, 300.0, 700.0], e00=1000.0)
+        cfg = SamplerConfig(events=1000, seed=21, max_quanta=max_quanta)
+        spec = sample_spectrum(m, cfg, d)
+        keys, counts = replay_per_event(m, cfg, d)
+        assert np.array_equal(spec.energies, key_energies(keys))
+        assert np.array_equal(spec.counts, counts)
+
+    @pytest.mark.parametrize("chunk_events, per_event_draws", [(10**5, 0), (10**4, 10)])
+    def test_huge_mean_mode_law(self, chunk_events, per_event_draws, monkeypatch):
         # S = 400 sweeps ~610 counts: a chunk of 1e5 events splits its
         # line, one of 1e4 events draws per event; both follow the law
+        monkeypatch.setattr(sampling, "_CHUNK_EVENTS", chunk_events)
         draws = []
         monkeypatch.setattr(sampling, "poisson_draw",
                             lambda *a, **k: draws.append(a) or poisson_draw(*a, **k))
-        cfg = SamplerConfig(events=10**5, seed=400, chunk_size=chunk_size)
+        cfg = SamplerConfig(events=10**5, seed=400)
         spec = sample_spectrum(molecule([400.0], energies=[100.0]), cfg)
         assert len(draws) == per_event_draws
         obs = np.zeros(701)
@@ -354,21 +398,22 @@ class TestSampleSpectrum:
                                            np.append(exp[big], exp[~big].sum()))
         assert p_value > 1e-4
 
-    @pytest.mark.parametrize("chunk_size, methods", [
+    @pytest.mark.parametrize("chunk_events, methods", [
         (10**4, {"_sample_mode_chunk", "_split"}), (10**5, {"_split"})])
-    def test_each_cell_derives_law_and_stream_once(self, chunk_size, methods, monkeypatch):
+    def test_each_cell_derives_law_and_stream_once(self, chunk_events, methods, monkeypatch):
         # S = 400 draws per event in chunks of 1e4 and splits in 1e5; the
         # small modes split.  Every cell derives its law and opens its
         # sub-stream exactly once, whichever method it takes.
+        monkeypatch.setattr(sampling, "_CHUNK_EVENTS", chunk_events)
         calls = {name: [] for name in ("_recorded", "substream", "_sample_mode_chunk", "_split")}
         for name, log in calls.items():
             real = getattr(sampling, name)
             monkeypatch.setattr(sampling, name,
                                 lambda *a, _real=real, _log=log: _log.append(a) or _real(*a))
         m = molecule([400.0, 0.2, 0.05], energies=[100.0, 230.0, 517.0], e00=1000.0)
-        cfg = SamplerConfig(events=2 * 10**5, seed=4, chunk_size=chunk_size)
+        cfg = SamplerConfig(events=2 * 10**5, seed=4)
         sample_spectrum(m, cfg)
-        cells = [(i, ci) for ci, _ in cfg.chunks() for i in (1, 2, 3)]
+        cells = [(i, ci) for ci, _ in sampling._chunks(cfg.events) for i in (1, 2, 3)]
         assert sorted(a[1:] for a in calls["substream"]) == sorted(cells)
         assert sorted(a[1] for a in calls["_recorded"]) == sorted(i for i, _ in cells)
         assert {name for name in methods if calls[name]} == methods
@@ -377,14 +422,15 @@ class TestSampleSpectrum:
             log.clear()
         sample_mode(400.0, 1, cfg)
         assert len(calls["_recorded"]) == 1
-        assert len(calls["substream"]) == len(calls["_sample_mode_chunk"]) == len(cfg.chunks())
+        assert (len(calls["substream"]) == len(calls["_sample_mode_chunk"])
+                == len(sampling._chunks(cfg.events)))
 
     def test_split_cell_refuses_past_lattice(self):
         # S = 400 splits one line of 1e5 events; counts past ~300 at
         # 3e7 cm^-1 a quantum leave the +/-9e9 cm^-1 lattice
         with pytest.raises(ValueError, match="lattice"):
             sample_spectrum(molecule([400.0], energies=[3e7]),
-                            SamplerConfig(events=10**5, seed=1, chunk_size=10**5))
+                            SamplerConfig(events=10**5, seed=1))
 
     def test_max_quanta_caps_lattice(self):
         m = molecule([2.5], energies=[500.0])
