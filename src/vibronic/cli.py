@@ -39,7 +39,10 @@ def _resolve_seed(seed: int | None) -> int:
         return seed
     env = os.environ.get("VIBRONIC_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"VIBRONIC_SEED must be an integer, got {env!r}") from None
     return int(np.random.SeedSequence().entropy) & (2**64 - 1)
 
 
@@ -120,7 +123,11 @@ def cmd_broaden(args) -> int:
 
 def cmd_converge(args) -> int:
     m = _load_molecule(args.molecule, args.prune_s)
-    event_counts = [int(p) for p in args.events_list.split(",")]
+    try:
+        event_counts = [int(p) for p in args.events_list.split(",")]
+    except ValueError:
+        raise ValueError(f"--events-list must be comma-separated integers, "
+                         f"got {args.events_list!r}") from None
     cfg = sampling.SamplerConfig(
         events=max(event_counts),
         seed=args.seed_value,

@@ -7,9 +7,10 @@ product of the probabilities that a detector records each j_i
 Franck-Condon factors), so a reference is exact for samples taken
 through its detector.  It is built by one algorithm, a mode-by-mode
 convolution on the integer energy lattice: each mode contributes K+1
-sticks, and sticks on one key are summed after every mode, in one order
-on a dense sublattice array (once they fill it) or by `sum_by_key`.  A
-step costs live sticks x (K+1), not (1+K)^N, within a work budget.
+sticks, and sticks on one key are summed after every mode, in one order,
+on one dense array over the cells a run can reach (chosen once, where
+the configurations could fill it) or by `sum_by_key`.  A step costs
+cells or live sticks x (K+1), not (1+K)^N, within a work budget.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ class SosConfig:
       same rule the sampler applies when it clips drawn counts.  Use
       this when comparing against clipped samples.
 
-    `enumeration_budget` bounds the terms (live sticks x (K+1)) that
-    any one convolution step may materialize.
+    `enumeration_budget` bounds the terms (cells or live sticks x
+    (K+1)) that any one convolution step may materialize.
     """
 
     max_quanta: int = 1
@@ -190,15 +191,18 @@ def build_reference_spectrum(m: Molecule, cfg: SosConfig,
     Modes are convolved one at a time on the integer energy lattice;
     sticks sharing a key are summed after every mode, which is
     algebraically identical to enumerating all (1+K)^N configurations.
-    Before each step materializes live sticks x (top+1) terms, top =
-    min(K, the detector's clip), a step larger than
-    `cfg.enumeration_budget` raises BudgetExceededError.
+    `cfg.enumeration_budget` bounds each step's work, cells or live
+    sticks x (top+1) terms, top = min(K, the detector's clip).
 
-    Sticks sit on cells c, key = origin + step * c.  A step spanning under
-    `model._DENSE_SPAN` cells per live stick adds p_j x the sticks, shifted
-    j quanta, to a zeroed dense array x[i] on cells c0 + i, in `sum_by_key`'s
-    j order, so every stick has the same bits.  The array stays dense, and
-    under `_DENSE_SPAN` x the live sticks; past that they merge sparsely.
+    Sticks sit on cells c, key = origin + step * c.  A run whose cells,
+    span = top x sum_i |c_i| + 1, fit the budget (span x (top+1) terms)
+    and number under `model._DENSE_SPAN` x `state_count(N, top)` is dense:
+    each step adds p_j x the array, shifted j quanta, to a zeroed array in
+    `sum_by_key`'s j order, so every stick has the merge's bits.  Else each
+    step merges by `sum_by_key`, and one past the budget raises
+    BudgetExceededError.  A budget in [max live sticks, span) x (top+1)
+    so takes the slower sparse run, unrefused; under the default budget
+    that needs over 2.5e7 cells at K=3.
 
     With `cfg.fc_prune` set, every stick whose merged intensity falls
     below the threshold is dropped after each mode.  A merged stick
@@ -219,31 +223,26 @@ def build_reference_spectrum(m: Molecule, cfg: SosConfig,
     modes = sorted(m.modes, key=lambda md: (md.energy, md.huang_rhys))
     ticks = energy_keys([md.energy for md in modes]) * m.sign
     origin = int(energy_keys(m.e00))
-    check_key_reach(abs(origin) + top * sum(abs(int(t)) for t in ticks))
     step = math.gcd(*map(int, ticks)) or 1  # every key is on origin + step * Z
-
-    cells, inten, x, c0 = np.zeros(1, dtype=np.int64), np.array([1.0]), None, 0
-    for mode, ts in zip(modes, (ticks // step).tolist()):
-        reach = top * abs(ts)
-        live = cells.size if x is None else int(np.count_nonzero(x))
-        if x is not None and not x.size + reach < model._DENSE_SPAN * live:
-            nz = np.flatnonzero(x)  # trimmed to the live sticks: dense again if they fill it
-            cells, inten, x = c0 + nz, x[nz], None
-        span = x.size if x is not None else int(cells[-1] - cells[0]) + 1 if live else 0
-        work = live * (top + 1)
-        if work > cfg.enumeration_budget:
-            raise BudgetExceededError(work, cfg.enumeration_budget)
+    steps = (ticks // step).tolist()
+    span = top * sum(map(abs, steps)) + 1  # the cells a finished run can reach
+    check_key_reach(abs(origin) + step * (span - 1))
+    dense = (span * (top + 1) <= cfg.enumeration_budget
+             and span < model._DENSE_SPAN * state_count(len(steps), top))
+    cells, inten, c0 = np.zeros(1, dtype=np.int64), np.array([1.0]), 0  # dense: inten[i] at c0 + i
+    for mode, ts in zip(modes, steps):
+        if not dense and cells.size * (top + 1) > cfg.enumeration_budget:
+            raise BudgetExceededError(cells.size * (top + 1), cfg.enumeration_budget)
         p = mode_distribution(mode.huang_rhys, k, cfg.overflow, d)
-        if span + reach < model._DENSE_SPAN * live:
-            if x is None:
-                x, c0 = np.zeros(span), cells[0]
-                x[cells - c0] = inten
-            y, base = np.zeros(span + reach), reach if ts < 0 else 0
+        if dense:
+            y, base = np.zeros(inten.size + top * abs(ts)), top * -min(ts, 0)
             for j in range(top + 1):  # j-major from 0.0, as `sum_by_key` sums
-                y[base + j * ts:base + j * ts + span] += p[j] * x
-            x, c0 = y, c0 - base
+                y[base + j * ts:base + j * ts + inten.size] += p[j] * inten
+            inten, c0 = y, c0 - base
             if cfg.fc_prune is not None:
-                x[x < cfg.fc_prune] = 0.0
+                inten[inten < cfg.fc_prune] = 0.0
+                nz = np.flatnonzero(inten)  # trimmed, so no step spans dead cells
+                inten, c0 = (inten[nz[0]:nz[-1] + 1], c0 + nz[0]) if nz.size else (inten[:0], c0)
             continue
         shifted = cells + ts * np.arange(top + 1)[:, None]
         cells, inten = sum_by_key(shifted.ravel(), (p[:, None] * inten).ravel())
@@ -253,9 +252,9 @@ def build_reference_spectrum(m: Molecule, cfg: SosConfig,
         if cfg.fc_prune is not None:
             live &= inten >= cfg.fc_prune
         cells, inten = cells[live], inten[live]
-    if x is not None:
-        nz = np.flatnonzero(x)
-        cells, inten = c0 + nz, x[nz]
+    if dense:
+        nz = np.flatnonzero(inten)
+        cells, inten = c0 + nz, inten[nz]
 
     prov = result_provenance(m, d, engine="sos", max_quanta=k, overflow=cfg.overflow,
                              fc_prune=cfg.fc_prune)

@@ -566,6 +566,18 @@ class TestCliSeed:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sample", "converge"])
+    def test_non_integer_env_seed_exit_2(self, tmp_path, molecule_path, monkeypatch, capsys,
+                                         command):
+        # the refusal names the variable and its value, not int()'s parse
+        monkeypatch.setenv("VIBRONIC_SEED", "abc")
+        out = tmp_path / "o.csv"
+        argv = [command, str(molecule_path), "--out", str(out)]
+        argv += ["--events", "100"] if command == "sample" else ["--events-list", "100"]
+        assert main(argv) == 2
+        assert "VIBRONIC_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def well_typed_doc(e00, energy, hr):
     return st.fixed_dictionaries(
@@ -684,6 +696,15 @@ class TestCliConverge:
         for row in rows[1:]:
             assert float(row.split(",")[2]) == 0.0
         assert "# overflow: cap" in out.read_text(encoding="utf-8").splitlines()
+
+    @pytest.mark.parametrize("events_list", ["100,,1000", "100,1e3", "abc"])
+    def test_bad_events_list_exit_2(self, tmp_path, molecule_path, capsys, events_list):
+        out = tmp_path / "conv.csv"
+        assert main(["converge", str(molecule_path), "--events-list", events_list,
+                     "--runs", "1", "--seed", "7", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--events-list must be comma-separated integers, got {events_list!r}" in err
+        assert not out.exists()
 
     def test_no_overflow_flag(self):
         # the study always scores against the capped reference, the law

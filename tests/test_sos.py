@@ -94,7 +94,8 @@ def enumerated_spectrum(m, k, fc_prune=None, overflow="truncate"):
 
 def step_kinds(m, cfg, d=IDEAL_DETECTOR):
     """The reference, and one letter per SOS step: "s" merged by
-    `sum_by_key`, "D" added on the dense array."""
+    `sum_by_key`, "D" added on the dense array.  A run's steps are all
+    of one kind."""
     kinds = []
 
     def dist(*args):
@@ -497,43 +498,60 @@ class TestLattice:
         molecule([0.3, 0.3], energies=[100.0, 100.0000008]),
     ], ids=lambda m: f"{m.name}-{m.transition}")
     def test_sublattice_and_sort_merges_agree(self, m):
-        # SOS steps on a dense array over the modes' sublattice once the
-        # sticks fill it; with every step merged by sort it has the same bits
+        # a run lays its sticks out once: on a dense array over the modes'
+        # sublattice where the configurations could fill it, else merged;
+        # with every step merged by sort it has the same bits
         steps = dense_and_sparse_agree(m, SosConfig(max_quanta=3, overflow="cap"))
+        assert steps in ("D" * m.n_modes, "s" * m.n_modes)
         if m.n_modes in (12, 18, 66):
-            assert "D" in steps
+            assert steps == "D" * m.n_modes
 
     @pytest.mark.parametrize("m, cfg, d, steps", [
         (pentacene_like_18(), SosConfig(max_quanta=3), DetectorModel(threshold_mode=True),
-         "s+D+"),
+         "D{18}"),
         (pentacene_like_18(), SosConfig(max_quanta=3, overflow="cap"),
-         DetectorModel(efficiency=0.6, dark_mean=0.01), "s+D+"),
-        # pruned, dense, then sparse again where the 5000 cm^-1 mode spreads it
+         DetectorModel(efficiency=0.6, dark_mean=0.01), "D{18}"),
+        # pruned and dense; the array is trimmed to its live cells after
+        # each step, before the 5000 cm^-1 mode spreads it
         (molecule([0.5] * 7, energies=[100.0] * 6 + [5000.0]),
-         SosConfig(max_quanta=3, overflow="cap", fc_prune=1e-4), IDEAL_DETECTOR, "s+D+s"),
-        # every stick pruned after dense steps: the same empty spectrum
+         SosConfig(max_quanta=3, overflow="cap", fc_prune=1e-4), IDEAL_DETECTOR, "D{7}"),
+        # every stick pruned on the dense array: the same empty spectrum
         (molecule([1.0] * 8, energies=[100.0] * 8), SosConfig(max_quanta=3, fc_prune=0.2),
-         IDEAL_DETECTOR, "s+D+s+"),
+         IDEAL_DETECTOR, "D{8}"),
         # incommensurate energies: the sublattice step is one tick, never dense
         (molecule([md.huang_rhys for md in anthracene_like_12().modes],
                   energies=[md.energy + u for md, u in zip(
                       anthracene_like_12().modes, np.random.default_rng(13).uniform(0, 1, 12))]),
          SosConfig(max_quanta=2), IDEAL_DETECTOR, "s{12}"),
-    ], ids=["threshold", "lossy", "pruned-dense-sparse", "pruned-empty", "incommensurate"])
+        # 8,129 reachable cells, not under 4 x 2^8 configurations: sparse
+        (pentacene_like_8(), SosConfig(max_quanta=1, overflow="cap"), IDEAL_DETECTOR, "s{8}"),
+    ], ids=["threshold", "lossy", "pruned-trimmed", "pruned-empty", "incommensurate",
+            "configuration-bound"])
     def test_dense_and_sparse_steps_agree(self, m, cfg, d, steps):
         assert re.fullmatch(steps, dense_and_sparse_agree(m, cfg, d))
 
+    def test_budget_bound_picks_layout(self):
+        # the 66-mode K=3 run reaches 193,204 cells: dense iff their
+        # 772,816 terms fit the budget, with the same bits either way
+        m, cfg = large_acene_like(), SosConfig(max_quanta=3, overflow="cap")
+        sparse, sparse_kinds = step_kinds(m, replace(cfg, enumeration_budget=772815))
+        dense, dense_kinds = step_kinds(m, replace(cfg, enumeration_budget=772816))
+        assert (sparse_kinds, dense_kinds) == ("s" * 66, "D" * 66)
+        assert sparse.energies.tobytes() == dense.energies.tobytes()
+        assert sparse.intensities.tobytes() == dense.intensities.tobytes()
+
     def test_budget_counts_dense_sticks_as_sparse(self, monkeypatch):
-        # the refusal comes at the same step, with the same int count
+        # a dense run's cells x (K+1) fit the budget (772,816 above) and its
+        # live sticks never outnumber its cells, so it is never refused; a
+        # refused run is sparse: same step, same int count as forced sparse
         cfg = SosConfig(max_quanta=3, overflow="cap", enumeration_budget=4 * 10**5)
-        assert "D" in step_kinds(large_acene_like(), replace(cfg, enumeration_budget=10**8))[1]
-        with pytest.raises(BudgetExceededError) as dense:
+        with pytest.raises(BudgetExceededError) as err:
             build_reference_spectrum(large_acene_like(), cfg)
         monkeypatch.setattr(model, "_DENSE_SPAN", 0)
-        with pytest.raises(BudgetExceededError) as sparse:
+        with pytest.raises(BudgetExceededError) as forced:
             build_reference_spectrum(large_acene_like(), cfg)
-        assert type(dense.value.count) is int
-        assert dense.value.count == sparse.value.count > 4 * 10**5
+        assert type(err.value.count) is int
+        assert err.value.count == forced.value.count == 415232
 
     def test_lattice_range_refused(self):
         # keys past 2**53 ticks (~9e9 cm^-1) would lose exactness, and
