@@ -57,6 +57,13 @@ def _detector(args) -> sampling.DetectorModel:
     )
 
 
+def _timed_write(spec, path) -> float:
+    """Write `spec` to `path`; the seconds the write took."""
+    t0 = time.perf_counter()
+    io.write_spectrum(spec, path)
+    return time.perf_counter() - t0
+
+
 def cmd_hr(args) -> int:
     print(hr_from_gradient(args.omega, args.gradient))
     return EXIT_OK
@@ -73,10 +80,11 @@ def cmd_sos(args) -> int:
     ref = sos.build_reference_spectrum(m, cfg)
     spec = analysis.normalize(ref, args.normalize, e00=m.e00)
     elapsed = time.perf_counter() - t0
-    io.write_spectrum(spec, args.out)
+    write_s = _timed_write(spec, args.out)
     print(f"lines: {len(ref)}")
     print(f"raw intensity captured: {ref.total:.12g}")
     print(f"wall time: {elapsed:.3f} s")
+    print(f"write time: {write_s:.3f} s")
     return EXIT_OK
 
 
@@ -87,10 +95,11 @@ def cmd_sample(args) -> int:
     t0 = time.perf_counter()
     sampled = sampling.sample_spectrum(m, cfg, _detector(args), workers=args.workers)
     elapsed = time.perf_counter() - t0
-    io.write_spectrum(analysis.normalize(sampled, "unit_l1"), args.out)
+    write_s = _timed_write(analysis.normalize(sampled, "unit_l1"), args.out)
     throughput = cfg.events * max(m.n_modes, 1) / max(elapsed, 1e-9)
     print(f"events: {cfg.events}")
     print(f"throughput: {throughput:.4g} events*modes/s")
+    print(f"write time: {write_s:.3f} s")
     return EXIT_OK
 
 

@@ -5,13 +5,20 @@ surface immediately.  Spectrum files are UTF-8 CSV with LF endings,
 a `#`-prefixed provenance block (the result's provenance dict, one
 `# key: value` line per entry), the exact header
 `energy_cm1,intensity`, and shortest-round-trip float formatting so
-emit -> parse -> emit is byte-identical; `write_table` writes every CSV.
+emit -> parse -> emit is byte-identical; `write_table` writes every CSV,
+formatting each column by `repr` in one pass.  `read_spectrum` parses
+all data rows in one pass with exactly `float()`'s syntax; only when
+that pass fails (a refused file, or blank rows, which are skipped) are
+the rows read one by one, to name the first bad line.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
+from itertools import chain, repeat
+from operator import contains
 from pathlib import Path
 
 import numpy as np
@@ -163,10 +170,17 @@ def provenance_lines(prov: dict) -> list[str]:
 
 def write_table(prov: dict, header: str, rows, path) -> None:
     """Emit a CSV: `prov`'s header lines, the column `header`, then each
-    row's values by shortest round-trip `repr`, comma-joined; UTF-8, LF."""
+    row's values by shortest round-trip `repr`, comma-joined; UTF-8, LF.
+    Rows of unequal length are refused (ValueError) before the file opens."""
+    _write_columns(prov, header, zip(*rows, strict=True), path)
+
+
+def _write_columns(prov: dict, header: str, columns, path) -> None:
+    """`write_table` given the columns: each is formatted by `repr` in one
+    pass, then the rows are comma-joined."""
     lines = provenance_lines(prov)
     lines.append(header)
-    lines += [",".join(map(repr, row)) for row in rows]
+    lines += map(",".join, zip(*(map(repr, column) for column in columns)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -177,50 +191,56 @@ def write_spectrum(spec: LineSpectrum, path) -> None:
     opened, as `read_spectrum` would refuse the file."""
     if len(spec) == 0:
         raise ValueError("spectrum has no lines; refusing to write a file with no data rows")
-    write_table(spec.provenance, SPECTRUM_HEADER,
-                zip(spec.energies.tolist(), spec.intensities.tolist()), path)
+    _write_columns(spec.provenance, SPECTRUM_HEADER,
+                   map(np.ndarray.tolist, (spec.energies, spec.intensities)), path)
 
 
 def read_spectrum(path) -> LineSpectrum:
     """Parse a spectrum CSV; provenance comments are kept verbatim under
     provenance["comments"] so re-emission is byte-identical.  A refusal
     (a `LineSpectrum` invariant's too) names the file, a bad row its line."""
-    text = Path(path).read_text(encoding="utf-8")
-    comments: list[str] = []
-    rows: list[tuple[float, float]] = []
-    saw_header = False
-    for lineno, line in enumerate(text.splitlines(), 1):
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    n = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    if n == len(lines):
+        raise SpectrumFileError(f"{path}: missing header line")
+    if lines[n] != SPECTRUM_HEADER:
+        raise SpectrumFileError(
+            f"{path}:{n + 1}: expected header {SPECTRUM_HEADER!r}, got {lines[n]!r}"
+        )
+    values = _data_rows(path, lines[n + 1:], n + 2)
+    if not values.size:
+        raise SpectrumFileError(f"{path}: spectrum has no data rows")
+    try:
+        return LineSpectrum(*values.T, provenance={"comments": lines[:n]})
+    except ValueError as exc:
+        raise SpectrumFileError(f"{path}: {exc}") from None
+
+
+def _data_rows(path, rows: list[str], first: int) -> np.ndarray:
+    """The data rows, line `first` on, as an (n, 2) array: in one pass
+    when every row is two finite `float()` tokens around one comma."""
+    if ",".join(rows).count(",") == 2 * len(rows) - 1 and all(map(contains, rows, repeat(","))):
+        with suppress(ValueError):
+            tokens = chain.from_iterable(map(str.split, rows, repeat(",")))
+            values = np.fromiter(map(float, tokens), float, 2 * len(rows))
+            if np.isfinite(values).all():
+                return values.reshape(-1, 2)
+    parsed: list[tuple[float, float]] = []
+    for lineno, line in enumerate(rows, first):
         if line.startswith("#"):
-            if saw_header:
-                raise SpectrumFileError(f"{path}:{lineno}: comment after header")
-            comments.append(line)
-            continue
-        if not saw_header:
-            if line != SPECTRUM_HEADER:
-                raise SpectrumFileError(
-                    f"{path}:{lineno}: expected header {SPECTRUM_HEADER!r}, got {line!r}"
-                )
-            saw_header = True
-            continue
+            raise SpectrumFileError(f"{path}:{lineno}: comment after header")
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 2:
             raise SpectrumFileError(f"{path}:{lineno}: expected two columns")
         try:
-            rows.append((float(parts[0]), float(parts[1])))
+            parsed.append((float(parts[0]), float(parts[1])))
         except ValueError as exc:
             raise SpectrumFileError(f"{path}:{lineno}: {exc}") from exc
-        if not all(map(math.isfinite, rows[-1])):
+        if not all(map(math.isfinite, parsed[-1])):
             raise SpectrumFileError(f"{path}:{lineno}: values must be finite")
-    if not saw_header:
-        raise SpectrumFileError(f"{path}: missing header line")
-    if not rows:
-        raise SpectrumFileError(f"{path}: spectrum has no data rows")
-    try:
-        return LineSpectrum(*np.array(rows).T, provenance={"comments": comments})
-    except ValueError as exc:
-        raise SpectrumFileError(f"{path}: {exc}") from None
+    return np.array(parsed).reshape(-1, 2)
 
 
 def write_svg(spec: LineSpectrum, path) -> None:

@@ -254,6 +254,12 @@ class TestSpectrumFile:
         assert path.read_bytes() == (b"# molecule: x\n# runs: 3\nevents,mean\n"
                                      b"100,0.5\n1000,0.3333333333333333\n")
 
+    def test_write_table_refuses_ragged_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError):
+            write_table({}, "events,mean", [(100, 0.5), (1000,)], path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("row", ["0.0,inf", "nan,1.0", "-inf,1.0", "0.0,nan", "1e400,1.0"])
     def test_non_finite_rejected(self, tmp_path, row):
         path = tmp_path / "n.csv"
@@ -354,6 +360,20 @@ class TestCliSos:
         bad = tmp_path / "bad.json"
         bad.write_text("nope", encoding="utf-8")
         assert main(["sos", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("argv, before", [
+    (["sos", "--max-quanta", "2"], ["lines", "raw intensity captured", "wall time"]),
+    (["sample", "--events", "1000", "--seed", "1"], ["events", "throughput"]),
+])
+def test_write_time_reported_last(tmp_path, molecule_path, capsys, argv, before):
+    # the existing lines keep their order; the write they leave out is reported after them
+    out = tmp_path / "o.csv"
+    assert main([argv[0], str(molecule_path), *argv[1:], "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[0] for line in printed] == [*before, "write time"]
+    value, unit = printed[-1].removeprefix("write time: ").split(" ")
+    assert float(value) >= 0.0 and unit == "s"
 
 
 class TestCliSample:
@@ -682,6 +702,125 @@ def test_fuzz_spectrum_csv_exit_codes(a, b, command, option):
             code = main(argv)
     assert code in (0, 2, 4)
     assert "nan" not in out.getvalue()
+
+
+def reference_read(path):
+    """The row-by-row spectrum reader that `read_spectrum`'s one-pass
+    parse replaced: the arrays it returns, or the refusal it raises."""
+    text = Path(path).read_text(encoding="utf-8")
+    comments, rows, saw_header = [], [], False
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if line.startswith("#"):
+            if saw_header:
+                raise SpectrumFileError(f"{path}:{lineno}: comment after header")
+            comments.append(line)
+            continue
+        if not saw_header:
+            if line != SPECTRUM_HEADER:
+                raise SpectrumFileError(
+                    f"{path}:{lineno}: expected header {SPECTRUM_HEADER!r}, got {line!r}")
+            saw_header = True
+            continue
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise SpectrumFileError(f"{path}:{lineno}: expected two columns")
+        try:
+            rows.append((float(parts[0]), float(parts[1])))
+        except ValueError as exc:
+            raise SpectrumFileError(f"{path}:{lineno}: {exc}") from exc
+        if not all(map(math.isfinite, rows[-1])):
+            raise SpectrumFileError(f"{path}:{lineno}: values must be finite")
+    if not saw_header:
+        raise SpectrumFileError(f"{path}: missing header line")
+    if not rows:
+        raise SpectrumFileError(f"{path}: spectrum has no data rows")
+    try:
+        return LineSpectrum(*np.array(rows).T, provenance={"comments": comments})
+    except ValueError as exc:
+        raise SpectrumFileError(f"{path}: {exc}") from None
+
+
+def outcome(read, path):
+    """A read's result as comparable data: the arrays' bits and the
+    provenance, or the refusal's exact message."""
+    try:
+        spec = read(path)
+    except SpectrumFileError as exc:
+        return str(exc)
+    return (spec.energies.view(np.int64).tolist(), spec.intensities.view(np.int64).tolist(),
+            spec.provenance)
+
+
+def assert_reads_as_reference(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(read_spectrum, path) == outcome(reference_read, path)
+
+
+# Rows the one-pass parse must hand back to the row-by-row loop, or
+# must parse exactly as `float()` does, under every line break
+# `str.splitlines` knows.
+tricky_row = st.sampled_from(["1,2,3", "4", "", "   ", "1_000,1.0", " +2.5 ,3.0", "1e400,1.0",
+                              "nan,1.0", "# late", "# a,b", "\u0661\u0662,1.0", "0.0,-0.0"])
+line_break = st.sampled_from(["\n", "\r\n", "\r", "\x85", "\u2028"])
+tricky_csv = st.builds(
+    lambda comments, rows, brk: brk.join(comments + [SPECTRUM_HEADER] + rows) + brk,
+    st.lists(st.just("# c: 1"), max_size=1),
+    st.lists(st.one_of(tricky_row, st.tuples(csv_number, csv_number).map(",".join)),
+             max_size=6),
+    line_break,
+)
+
+
+@pytest.mark.parametrize("rows", [
+    ["1,2,3", "4"], ["0.0,1.0", "", "500.0,2.0"], ["0.0,1.0", "  ", "500.0,2.0"],
+    ["1_000,1.0"], [" +2.5 ,1.0"], ["1e400,1.0"], ["nan,1.0"], ["0.0,1.0", "# late"],
+    ["0.0,1.0", "# a,b"], ["\u0661\u0662,1.0"], [], [""],
+], ids=["3-then-1-columns", "blank-row", "whitespace-row", "underscore", "spaces-sign",
+        "overflow", "nan", "comment-after-header", "comment-with-comma", "unicode-digits",
+        "no-rows", "blank-only"])
+@pytest.mark.parametrize("brk", ["\n", "\r\n", "\x85"], ids=["lf", "crlf", "nel"])
+def test_read_matches_row_loop(rows, brk):
+    assert_reads_as_reference(brk.join(["# engine: sos", SPECTRUM_HEADER, *rows]) + brk)
+
+
+@given(text=st.one_of(csv_body, tricky_csv))
+@settings(max_examples=300, deadline=None)
+def test_fuzz_read_matches_row_loop(text):
+    """`read_spectrum` returns the row loop's bits or raises its exact message."""
+    assert_reads_as_reference(text)
+
+
+# Floats whose shortest round-trip `repr` takes each of its forms:
+# subnormal, signed zero, the 1e16 switch to exponent notation and
+# the value just under it, a small exponent, the top of the range, and
+# integer-valued energies.
+special = st.sampled_from([5e-324, -0.0, 0.0, 1e16, 9.999999999999999e15, 1e-5, 1e308])
+stick_energy = st.one_of(special, st.integers(-10**6, 10**6).map(float),
+                         st.floats(-1e307, 1e308))
+stick_intensity = st.one_of(special, st.floats(0.0, 1e308))
+
+
+@given(energies=st.lists(stick_energy, min_size=1, max_size=30, unique=True),
+       intensities=st.lists(stick_intensity, min_size=30, max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_write_spectrum_bytes_match_row_rendering(energies, intensities):
+    """Column-wise writing gives the bytes of the per-row
+    `",".join(map(repr, row))` rendering, and read -> write reproduces them."""
+    energies = sorted(set(energies))
+    spec = LineSpectrum(energies, intensities[:len(energies)], provenance={"engine": "sos"})
+    rows = [",".join(map(repr, row))
+            for row in zip(spec.energies.tolist(), spec.intensities.tolist())]
+    want = "\n".join(["# engine: sos", SPECTRUM_HEADER, *rows]).encode("utf-8") + b"\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        first, again = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+        write_spectrum(spec, first)
+        assert first.read_bytes() == want
+        write_spectrum(read_spectrum(first), again)
+        assert again.read_bytes() == want
 
 
 class TestCliConverge:
