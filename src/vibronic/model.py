@@ -11,14 +11,17 @@ Huang-Rhys factors are dimensionless, so everything downstream of
 
 Energies are quantized once, to int64 keys on one lattice of
 `TICKS_PER_CM1` ticks per cm^-1, so transition energies are exact
-integer sums that both engines and the fidelity join agree on, and
-`sum_by_key` is the one merge of lines that land on one key, summing
-each key's weights in input order however it indexes the keys.
+integer sums that both engines and the fidelity join agree on.
+`sublattice` gives the coarser lattice both engines merge on, its
+cells one gcd of the mode keys apart, and `sum_by_key` is the one
+merge of lines that land on one key or cell, summing each key's weights in input order
+however it indexes the keys.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -194,25 +197,24 @@ def key_energies(keys) -> np.ndarray:
     return np.asarray(keys, dtype=np.int64) / TICKS_PER_CM1
 
 
-def sum_by_key(keys, weights, step: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def sum_by_key(keys, weights) -> tuple[np.ndarray, np.ndarray]:
     """Distinct sorted keys and the summed weight on each, zero totals kept.
 
     Each key's weights are summed by `np.bincount` in input order, so the
-    sums have the same bits however the keys are indexed: on their
-    sublattice (key - min) // step where they span under `_DENSE_SPAN` x
-    their count of steps (every key on min + step * Z), else by stable sort.
-    int64 weights come back int64, exact while each total is below 2**53.
+    sums have the same bits however the keys are indexed: as key - min
+    where they span under `_DENSE_SPAN` x their count, else by stable sort.
+    Callers pass keys on one lattice as its cells (`sublattice`), where
+    lines that are sparse in keys are dense.  int64 weights come back
+    int64, exact while each total is below 2**53.
     """
     keys, weights = np.asarray(keys), np.asarray(weights)
     if keys.size == 0:
         return keys, weights
     lo = keys.min()
-    if (keys.max() - lo) // step < _DENSE_SPAN * keys.size:
+    if keys.max() - lo < _DENSE_SPAN * keys.size:
         cell = keys - lo
-        if step != 1:
-            cell //= step
         nz = np.flatnonzero(np.bincount(cell))
-        distinct = lo + nz * step
+        distinct = lo + nz
     else:
         order = np.argsort(keys, kind="stable")  # stable: each key's weights stay in order
         ordered = keys[order]
@@ -223,11 +225,32 @@ def sum_by_key(keys, weights, step: int = 1) -> tuple[np.ndarray, np.ndarray]:
     return distinct, np.bincount(cell, weights)[nz].astype(weights.dtype, copy=False)
 
 
+def sublattice(m: Molecule) -> tuple[int, int, list[int]]:
+    """(origin, step, cells per quantum) of `m`'s transition keys.
+
+    Every transition key is origin + step * c for an integer cell c:
+    origin is key(e00), step the gcd of the mode keys (1 without modes),
+    and one quantum of mode i moves c by the i-th signed cell count.
+    Both engines work in cells and form keys once at the end.
+    """
+    ticks = energy_keys(m.energies) * m.sign
+    step = math.gcd(*map(int, ticks)) or 1
+    return int(energy_keys(m.e00)), step, (ticks // step).tolist()
+
+
 def check_key_reach(reach: int) -> None:
     """Refuse a bound on |key| past `KEY_LIMIT` before int64 sums wrap."""
     if reach > KEY_LIMIT:
         raise ValueError(f"transition energies reach {reach / TICKS_PER_CM1:.6g} cm^-1, "
                          "beyond the energy lattice")
+
+
+def check_integers(**fields) -> None:
+    """Refuse each field that is not an integer, naming it: numpy
+    integers pass; a bool, a float (even 1e6) or a str does not."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def hr_from_gradient(omega: float, gradient: float) -> float:

@@ -4,25 +4,30 @@ Each vibrational mode is emulated by an attenuated coherent pulse
 train seen by a photon detector.  Per event, each mode's recorded
 count follows the law `DetectorModel.recorded` states:
 Poisson(efficiency * S + dark_mean), clipped at 1 for a click detector
-and at the cap K.  Counts are weighted by the mode's integer lattice
-key, summed event-wise across modes, and histogrammed on the exact
-transition-energy lattice; `model.sum_by_key` merges the chunks into
-a `SampledSpectrum`, a `LineSpectrum` of event counts.
+and at the cap K.  Counts are weighted by the mode's quantum on the
+energy lattice, summed event-wise across modes, and histogrammed on
+the exact transition-energy lattice; `model.sum_by_key` merges the
+chunks into a `SampledSpectrum`, a `LineSpectrum` of event counts.
 
 `sample_mode` draws the counts one event at a time, the emulation as
 the paper describes it.  `sample_spectrum` only needs the histogram,
-so it draws that directly: a chunk carries its lines as (lattice key,
-events) pairs, and each mode splits every line's events over
-j = 0, 1, ... by conditional binomials, Binomial(events left,
-P(J = j | J >= j)), the multinomial drawn as a sequence of binomials
-(Davis 1993, Comput. Stat. Data Anal. 16:205).  That is the same law
-as per-event draws at a cost of live lines x sweep length per mode, so
-events enter only through the chunk count.  Where that cost, with a
-split step's fixed cost added, would exceed the chunk's events (a huge
-recorded mean, or a small chunk), the mode draws its events one at a
-time instead, which is then the cheaper exact method.  Either way a
-(mode, chunk) cell derives its law and sub-stream once, and refuses a
-shift past the energy lattice where it forms the keys.
+so it draws that directly, on SOS's sublattice (`model.sublattice`):
+a chunk carries its lines as (cell, events) pairs, and each (mode,
+chunk) cell counts how many of each line's events record j quanta,
+as (j, line, events), in one of two ways.  It splits every line's
+events over j = 0, 1, ... by conditional binomials, Binomial(events
+left, P(J = j | J >= j)), the multinomial drawn as a sequence of
+binomials (Davis 1993, Comput. Stat. Data Anal. 16:205): the same law
+as per-event draws at a cost of live lines x sweep length, so events
+enter only through the chunk count.  Where that cost, with a split
+step's fixed cost added, would exceed the chunk's events (a huge
+recorded mean, or a small chunk), it draws its events one at a time
+and counts them per (j, line) by one `np.bincount`, or by
+`sum_by_key` where that table would pass `model._DENSE_SPAN` cells an
+event.  Either way the cell derives its law and sub-stream once,
+refuses a shift past the energy lattice, and moves its lines by one
+`sum_by_key` of cell[line] + j x the mode's cells per quantum; keys
+are formed once, from the merged cells.
 
 Reproducibility: every (seed, mode position, chunk) triple owns an
 independent counter-based Philox sub-stream, so results are
@@ -40,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (IDEAL_DETECTOR, DetectorModel, Molecule, check_key_reach, energy_keys,
-                    key_energies, result_provenance, sum_by_key)
+from . import model
+from .model import IDEAL_DETECTOR, DetectorModel, Molecule, key_energies, result_provenance
 from .sos import LineSpectrum, fc_factor_1d, tail_ratio
 
 __all__ = [
@@ -70,7 +75,8 @@ _SPLIT_STEP_LINES = 128
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Event count, seed and optional count cap.
+    """Event count, seed and optional count cap, each an integer (numpy
+    integers too; a bool or a float such as 1e6 is refused).
 
     `max_quanta=None` leaves drawn counts unbounded.  When set, any
     drawn count above it is capped at that value (the numeric analog
@@ -83,6 +89,8 @@ class SamplerConfig:
     max_quanta: int | None = None
 
     def __post_init__(self):
+        optional = {} if self.max_quanta is None else {"max_quanta": self.max_quanta}
+        model.check_integers(events=self.events, seed=self.seed, **optional)
         # float64 counts (`SampledSpectrum`, `sum_by_key`) are exact to 2**53
         if not 1 <= self.events <= 2**53:
             raise ValueError(f"events must be >= 1 and <= 2**53, got {self.events}")
@@ -163,28 +171,24 @@ def _hazards(mean: float, top: int | None):
             yield 1.0 / tail_ratio(mean, j)
 
 
-def _split(keys: np.ndarray, counts: np.ndarray, t: int, mean: float, top: int | None,
-           rng: np.random.Generator, step: int) -> tuple[np.ndarray, np.ndarray]:
+def _split(counts: np.ndarray, mean: float, top: int | None, rng: np.random.Generator) -> tuple:
     """Split each line's events over j = 0, 1, ... by conditional binomials.
 
-    At each j, every line sends Binomial(events left, h_j) of them to
-    key + j * t, drawn from `rng` over the lines in key order (a line
-    with none left draws nothing); a hazard of 1 sends all that is
-    left without a draw.  Stops when nothing is left.  Keys lie on
-    keys[0] + `step` * Z, and `step` divides t.
+    At each j, every line sends Binomial(events left, h_j) of them to j
+    quanta, drawn from `rng` over the lines in order (a line with none
+    left draws nothing); a hazard of 1 sends all that is left without a
+    draw.  Stops when nothing is left.  Returns (at, events) for the
+    entries with events > 0, at = j * lines + line ascending.
     """
     takes = []
-    for j, h in enumerate(_hazards(mean, top)):
-        take = counts if h == 1.0 else rng.binomial(counts, h)
-        takes.append(take)
-        counts = counts - take
+    for h in _hazards(mean, top):
+        takes.append(counts if h == 1.0 else rng.binomial(counts, h))
+        counts = counts - takes[-1]
         if not counts.any():
             break
-    check_key_reach(max(abs(int(keys[0])), abs(int(keys[-1]))) + abs(t) * j)
-    takes = np.array(takes)
-    hit = takes > 0
-    shifted = keys + t * np.arange(j + 1)[:, None]
-    return sum_by_key(shifted[hit], takes[hit], step)
+    takes = np.concatenate(takes)  # row j holds lines 0, 1, ...
+    at = takes.nonzero()[0]
+    return at, takes[at]
 
 
 def sample_mode(
@@ -213,35 +217,41 @@ class SampledSpectrum(LineSpectrum):
 
 
 def _spectrum_chunk(
-    m: Molecule, chunk_index: int, size: int, cfg: SamplerConfig, d: DetectorModel, step: int
+    m: Molecule, chunk_index: int, size: int, cfg: SamplerConfig, d: DetectorModel, lattice: tuple
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unique lattice keys and counts for one chunk of events.
+    """Unique sublattice cells and counts for one chunk of events.
 
-    The chunk's histogram starts as one line of `size` events at
-    key(e00); each mode then moves every line's events by j quanta,
+    The chunk's histogram starts as one line of `size` events at cell 0
+    (key(e00)); each mode then moves every line's events by j quanta,
     drawing only from its (seed, mode, chunk) sub-stream.  A mode
     whose recorded count is always 0 leaves the lines as they are and
-    draws nothing.  Every key lies on key(e00) + `step` * Z.
+    draws nothing.  `lattice` is `model.sublattice(m)`.
     """
-    keys = energy_keys([m.e00])
-    counts = np.array([size], dtype=np.int64)
-    for i, (s, t) in enumerate(zip(m.huang_rhys, energy_keys(m.energies) * m.sign), 1):
+    origin, step, quanta = lattice
+    cells, counts = np.zeros(1, dtype=np.int64), np.array([size], dtype=np.int64)
+    for i, (s, t) in enumerate(zip(m.huang_rhys, quanta), 1):
         mean, top = _recorded(s, i, cfg, d)
         if mean == 0.0 or top == 0:
             continue
-        t = int(t)
-        sweep = mean + 10.0 * math.sqrt(mean) + 10.0
-        if top is not None:
-            sweep = min(sweep, top + 1)
+        sweep = min(mean + 10.0 * math.sqrt(mean) + 10.0, math.inf if top is None else top + 1)
         rng = substream(cfg.seed, i, chunk_index)
-        if (keys.size + _SPLIT_STEP_LINES) * sweep > size:  # per-event draws are cheaper
+        if (cells.size + _SPLIT_STEP_LINES) * sweep > size:  # per-event draws are cheaper
             j = _sample_mode_chunk(mean, top, rng, size)
-            check_key_reach(max(abs(int(keys[0])), abs(int(keys[-1]))) + abs(t) * int(j.max()))
-            j *= t  # j is this chunk's own fresh array
-            keys, counts = sum_by_key(np.repeat(keys, counts) + j, np.ones(size, np.int64), step)
+            lo = int(j.min())  # (j - lo, line) as one index cannot overflow
+            at = (j - lo) * cells.size + np.repeat(np.arange(cells.size), counts)
+            if at.max() < model._DENSE_SPAN * size:  # count events per (j - lo, line) in a table
+                at = np.flatnonzero(table := np.bincount(at))
+                events = table[at]
+            else:  # a huge mean: sort the events, allocating no lines x spread table
+                at, events = model.sum_by_key(at, np.ones(size, np.int64))
         else:
-            keys, counts = _split(keys, counts, t, mean, top, rng, step)
-    return keys, counts
+            lo, (at, events) = 0, _split(counts, mean, top, rng)
+        j = at // cells.size  # at = (j - lo) * lines + line ascends, so j - lo does
+        line = at - cells.size * j
+        edge = max(abs(origin + step * int(cells[0])), abs(origin + step * int(cells[-1])))
+        model.check_key_reach(edge + step * abs(t) * (int(j[-1]) + lo))
+        cells, counts = model.sum_by_key(cells[line] + t * (j + lo), events)
+    return cells, counts
 
 
 def sample_spectrum(
@@ -259,14 +269,14 @@ def sample_spectrum(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     chunks = _chunks(cfg.events)
-    step = math.gcd(*map(int, energy_keys(m.energies))) or 1
+    origin, step, _ = lattice = model.sublattice(m)
     if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: _spectrum_chunk(m, *c, cfg, d, step), chunks))
+            results = list(pool.map(lambda c: _spectrum_chunk(m, *c, cfg, d, lattice), chunks))
     else:
-        results = [_spectrum_chunk(m, *c, cfg, d, step) for c in chunks]
+        results = [_spectrum_chunk(m, *c, cfg, d, lattice) for c in chunks]
 
-    keys, counts = sum_by_key(*map(np.concatenate, zip(*results)), step)
+    cells, counts = model.sum_by_key(*map(np.concatenate, zip(*results)))
     prov = result_provenance(m, d, engine="sampler", events=cfg.events, seed=cfg.seed,
                              max_quanta=cfg.max_quanta, generator="philox-seedseq")
-    return SampledSpectrum(key_energies(keys), counts, provenance=prov)
+    return SampledSpectrum(key_energies(origin + step * cells), counts, provenance=prov)

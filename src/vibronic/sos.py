@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .model import (IDEAL_DETECTOR, DetectorModel, Molecule, check_key_reach, energy_keys,
-                    key_energies, result_provenance, sum_by_key)
+from .model import (IDEAL_DETECTOR, DetectorModel, Molecule, check_key_reach, key_energies,
+                    result_provenance, sum_by_key)
 
 __all__ = [
     "SosConfig",
@@ -75,7 +75,9 @@ class SosConfig:
       this when comparing against clipped samples.
 
     `enumeration_budget` bounds the terms (cells or live sticks x
-    (K+1)) that any one convolution step may materialize.
+    (K+1)) that any one convolution step may materialize.  Both it and
+    `max_quanta` are integers (numpy integers too; a bool or a float
+    is refused).
     """
 
     max_quanta: int = 1
@@ -84,12 +86,20 @@ class SosConfig:
     overflow: str = "truncate"  # "truncate" | "cap"
 
     def __post_init__(self):
-        if self.max_quanta < 0:
-            raise ValueError(f"max_quanta must be >= 0, got {self.max_quanta}")
+        model.check_integers(enumeration_budget=self.enumeration_budget)
+        _check_cutoff(self.max_quanta, self.overflow)
         if self.fc_prune is not None and not self.fc_prune >= 0:
             raise ValueError(f"fc_prune must be >= 0, got {self.fc_prune}")
-        if self.overflow not in ("truncate", "cap"):
-            raise ValueError(f"overflow must be 'truncate' or 'cap', got {self.overflow!r}")
+
+
+def _check_cutoff(k: int, overflow: str) -> None:
+    """Refuse a cutoff K that is not an integer >= 0 or an unknown
+    overflow rule, naming the value."""
+    model.check_integers(max_quanta=k)
+    if k < 0:
+        raise ValueError(f"max_quanta must be >= 0, got {k}")
+    if overflow not in ("truncate", "cap"):
+        raise ValueError(f"overflow must be 'truncate' or 'cap', got {overflow!r}")
 
 
 @dataclass
@@ -157,8 +167,10 @@ def mode_distribution(s: float, k: int, overflow: str = "truncate",
     under either overflow.  At the cutoff K, "truncate" keeps raw
     Poisson pmf values (sums to the regularized CDF, < 1); "cap" piles
     the tail mass P(j >= K) onto the K bin, so the vector sums to 1
-    like clipped samples do.
+    like clipped samples do.  A K that is not an integer >= 0 (a bool
+    included) or another overflow is refused, as `SosConfig` refuses it.
     """
+    _check_cutoff(k, overflow)
     mean, top = d.recorded(s, k)
     p = np.array([fc_factor_1d(mean, j) for j in range(top + 1)])
     if overflow == "cap" or top == d.recorded(s, None)[1]:
@@ -194,12 +206,13 @@ def build_reference_spectrum(m: Molecule, cfg: SosConfig,
     `cfg.enumeration_budget` bounds each step's work, cells or live
     sticks x (top+1) terms, top = min(K, the detector's clip).
 
-    Sticks sit on cells c, key = origin + step * c.  A run whose cells,
-    span = top x sum_i |c_i| + 1, fit the budget (span x (top+1) terms)
-    and number under `model._DENSE_SPAN` x `state_count(N, top)` is dense:
-    each step adds p_j x the array, shifted j quanta, to a zeroed array in
-    `sum_by_key`'s j order, so every stick has the merge's bits.  Else each
-    step merges by `sum_by_key`, and one past the budget raises
+    Sticks sit on the cells c of `model.sublattice`, key = origin +
+    step * c.  A run whose cells, span = top x sum_i |c_i| + 1, fit the
+    budget (span x (top+1) terms) and number under `model._DENSE_SPAN`
+    x `state_count(N, top)` is dense: each step adds p_j x the array,
+    shifted j quanta, to a zeroed array in `sum_by_key`'s j order, so
+    every stick has the merge's bits.  Else each step merges by
+    `sum_by_key`, and one past the budget raises
     BudgetExceededError.  A budget in [max live sticks, span) x (top+1)
     so takes the slower sparse run, unrefused; under the default budget
     that needs over 2.5e7 cells at K=3.
@@ -217,20 +230,16 @@ def build_reference_spectrum(m: Molecule, cfg: SosConfig,
     """
     k = cfg.max_quanta
     top = d.recorded(0.0, k)[1]  # the clip does not depend on S
-    # Canonical mode order fixes the float order of the intensity
-    # products, so the result is independent of the caller's mode
-    # permutation, bit for bit.
-    modes = sorted(m.modes, key=lambda md: (md.energy, md.huang_rhys))
-    ticks = energy_keys([md.energy for md in modes]) * m.sign
-    origin = int(energy_keys(m.e00))
-    step = math.gcd(*map(int, ticks)) or 1  # every key is on origin + step * Z
-    steps = (ticks // step).tolist()
+    origin, step, steps = model.sublattice(m)
     span = top * sum(map(abs, steps)) + 1  # the cells a finished run can reach
     check_key_reach(abs(origin) + step * (span - 1))
     dense = (span * (top + 1) <= cfg.enumeration_budget
              and span < model._DENSE_SPAN * state_count(len(steps), top))
     cells, inten, c0 = np.zeros(1, dtype=np.int64), np.array([1.0]), 0  # dense: inten[i] at c0 + i
-    for mode, ts in zip(modes, steps):
+    # Canonical mode order fixes the float order of the intensity
+    # products, so the result is independent of the caller's mode
+    # permutation, bit for bit.
+    for mode, ts in sorted(zip(m.modes, steps), key=lambda ms: (ms[0].energy, ms[0].huang_rhys)):
         if not dense and cells.size * (top + 1) > cfg.enumeration_budget:
             raise BudgetExceededError(cells.size * (top + 1), cfg.enumeration_budget)
         p = mode_distribution(mode.huang_rhys, k, cfg.overflow, d)

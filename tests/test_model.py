@@ -222,25 +222,28 @@ class TestSumByKey:
     @given(st.data(), st.integers(1, 60), st.integers(-10**12, 10**12),
            st.integers(4 * 60, 10**9))
     def test_sublattice_and_sort_index_sum_same_bits(self, data, n, lo, step):
-        # n keys within 4n steps (few or many distinct) are indexed on
-        # their sublattice; step >= 4 * 60 makes step=1 index them by sort
+        # n cells within 4n are indexed densely; their keys lo + step * cell,
+        # step >= 4 * 60, are indexed by sort unless all are equal
         top = data.draw(st.sampled_from([min(3, 4 * n - 1), 4 * n - 1]))
-        cells = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+        cells = np.array(data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n)),
+                         dtype=np.int64)
         weights = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(-1e6, 1e6)),
                                               min_size=n, max_size=n)))
-        keys = lo + step * np.array(cells, dtype=np.int64)
-        dense_keys, dense = sum_by_key(keys, weights, step)
+        keys = lo + step * cells
+        dense_cells, dense = sum_by_key(cells, weights)
         sorted_keys, by_sort = sum_by_key(keys, weights)
-        assert dense_keys.tolist() == sorted_keys.tolist() == sorted(set(keys.tolist()))
+        assert sorted_keys.tolist() == sorted(set(keys.tolist()))
+        assert (lo + step * dense_cells).tolist() == sorted_keys.tolist()
         assert dense.tobytes() == by_sort.tobytes()
 
-    @pytest.mark.parametrize("step", [1, 7 * 10**6])  # sort index, sublattice index
+    @pytest.mark.parametrize("step", [1, 7 * 10**6])  # key spacing: dense, sort index
     def test_int_total_just_under_2_53_exact(self, step):
-        keys = np.array([5, 5 + 7 * 10**6, 5], dtype=np.int64)
+        cells = np.array([0, 1, 0], dtype=np.int64)
         weights = np.array([2**52, 3, 2**52 - 1], dtype=np.int64)
-        got_keys, got = sum_by_key(keys, weights, step)
-        assert got_keys.tolist() == [5, 5 + 7 * 10**6]
-        assert got.dtype == np.int64 and got.tolist() == [2**53 - 1, 3]
+        for keys in (cells, 5 + step * cells):  # cell-indexed and key-indexed merges
+            got_keys, got = sum_by_key(keys, weights)
+            assert got_keys.tolist() == [keys[0], keys[1]]
+            assert got.dtype == np.int64 and got.tolist() == [2**53 - 1, 3]
 
     def test_empty(self):
         keys, weights = sum_by_key(np.array([], dtype=np.int64), np.array([], dtype=np.int64))

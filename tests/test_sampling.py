@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,10 +265,28 @@ class TestSampleMode:
                  id=r"kw3-<= 2\*\*53, got 9007199254740993"),
     pytest.param({"events": 10, "seed": -1}, "seed must be >= 0, got -1",
                  id="kw4-seed must be >= 0"),
+    pytest.param({"events": 2.5}, "events must be an integer, got 2.5", id="events-float"),
+    pytest.param({"events": True}, "events must be an integer, got True", id="events-bool"),
+    pytest.param({"events": 1e6}, r"events must be an integer, got 1000000\.0",
+                 id="events-1e6"),
+    pytest.param({"events": 10, "seed": 1.0}, r"seed must be an integer, got 1\.0",
+                 id="seed-float"),
+    pytest.param({"events": 10, "seed": False}, "seed must be an integer, got False",
+                 id="seed-bool"),
+    pytest.param({"events": 10, "max_quanta": 1.5}, r"max_quanta must be an integer, got 1\.5",
+                 id="max_quanta-float"),
+    pytest.param({"events": 10, "max_quanta": True}, "max_quanta must be an integer, got True",
+                 id="max_quanta-bool"),
 ])
 def test_sampler_config_refuses(kw, match):
     with pytest.raises(ValueError, match=match):
         SamplerConfig(**kw)
+
+
+def test_sampler_config_takes_numpy_integers():
+    cfg = SamplerConfig(events=np.int64(5000), seed=np.uint32(3), max_quanta=np.int16(2))
+    spec = sample_spectrum(molecule([0.3, 0.1]), cfg)
+    assert int(spec.counts.sum()) == 5000
 
 
 def test_sampler_config_fields():
@@ -350,6 +369,7 @@ class TestSampleSpectrum:
     @pytest.mark.parametrize("hr, energies", [
         ([0.5, 0.2, 0.8], [100.0, 300.0, 700.0]),
         ([0.8, 0.2, 0.5], [700.0, 300.0, 100.0]),
+        ([0.5, 0.2, 0.8], [100.001, 300.37, 700.5]),  # cells 0.001 cm^-1 apart
     ])
     def test_streams_keyed_by_position(self, hr, energies, monkeypatch):
         # the mode at 1-based position i draws from sub-stream i of each
@@ -362,17 +382,23 @@ class TestSampleSpectrum:
         assert np.array_equal(spec.energies, key_energies(keys))
         assert np.array_equal(spec.counts, counts)
 
-    @pytest.mark.parametrize("d, max_quanta", [
-        pytest.param(IDEAL_DETECTOR, None, id="ideal"),
-        pytest.param(DetectorModel(efficiency=0.7, dark_mean=0.1), 3, id="loss-dark-K3"),
-        pytest.param(DetectorModel(threshold_mode=True), None, id="click"),
+    @pytest.mark.parametrize("d, max_quanta, energies", [
+        pytest.param(IDEAL_DETECTOR, None, [100.0, 300.0, 700.0], id="ideal"),
+        pytest.param(DetectorModel(efficiency=0.7, dark_mean=0.1), 3, [100.0, 300.0, 700.0],
+                     id="loss-dark-K3"),
+        pytest.param(DetectorModel(threshold_mode=True), None, [100.0, 300.0, 700.0],
+                     id="click"),
+        pytest.param(IDEAL_DETECTOR, None, [100.001, 300.37, 700.5], id="ideal-incommensurate"),
+        pytest.param(DetectorModel(efficiency=0.7, dark_mean=0.1), 3, [100.001, 300.37, 700.5],
+                     id="loss-dark-K3-incommensurate"),
     ])
-    def test_per_event_cells_replay(self, d, max_quanta, monkeypatch):
+    def test_per_event_cells_replay(self, d, max_quanta, energies, monkeypatch):
         # 60-event chunks make every cell draw per event (`_split` is
-        # removed to show it), so the spectrum is the per-event replay
+        # removed to show it), so the spectrum is the per-event replay;
+        # incommensurate energies put the lines far apart on the sublattice
         monkeypatch.setattr(sampling, "_CHUNK_EVENTS", 60)
         monkeypatch.setattr(sampling, "_split", None)
-        m = molecule([0.5, 0.2, 0.8], energies=[100.0, 300.0, 700.0], e00=1000.0)
+        m = molecule([0.5, 0.2, 0.8], energies=energies, e00=1000.0)
         cfg = SamplerConfig(events=1000, seed=21, max_quanta=max_quanta)
         spec = sample_spectrum(m, cfg, d)
         keys, counts = replay_per_event(m, cfg, d)
@@ -424,6 +450,24 @@ class TestSampleSpectrum:
         assert len(calls["_recorded"]) == 1
         assert (len(calls["substream"]) == len(calls["_sample_mode_chunk"])
                 == len(sampling._chunks(cfg.events)))
+
+    def test_huge_mean_per_event_cell_memory_bounded(self, monkeypatch):
+        # ~400 live lines meet S = 1e8 at 1 cm^-1 in a 1e4-event chunk: the
+        # counts spread over ~7.5e4 values, so a (j, line) table of them
+        # would take ~0.3 GB; the cell sorts its 1e4 events instead
+        monkeypatch.setattr(sampling, "_CHUNK_EVENTS", 10**4)
+        energies = [101.013, 203.37, 307.5, 1.0]
+        m = molecule([2.0, 2.0, 2.0, 1e8], energies=energies)
+        cfg = SamplerConfig(events=10**4, seed=5)
+        assert len(sample_spectrum(molecule([2.0] * 3, energies=energies[:3]), cfg)) > 350
+        tracemalloc.start()
+        try:
+            spec = sample_spectrum(m, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(spec.counts.sum()) == 10**4
+        assert peak < 16 * 2**20, peak
 
     def test_split_cell_refuses_past_lattice(self):
         # S = 400 splits one line of 1e5 events; counts past ~300 at

@@ -458,6 +458,20 @@ class TestModeDistribution:
             assert tail >= 0.0
             assert abs(tail - want) <= 1e-12 * want, (s, k)
 
+    @pytest.mark.parametrize("k, overflow, match", [
+        (2, "Cap", "overflow must be 'truncate' or 'cap', got 'Cap'"),
+        (2, "clip", "overflow must be 'truncate' or 'cap', got 'clip'"),
+        (-1, "truncate", "max_quanta must be >= 0, got -1"),
+        (-1, "cap", "max_quanta must be >= 0, got -1"),
+        (1.5, "truncate", r"max_quanta must be an integer, got 1\.5"),
+        (True, "cap", "max_quanta must be an integer, got True"),
+    ])
+    def test_refuses_what_sos_config_refuses(self, k, overflow, match):
+        # an unknown rule once fell back to truncation, a negative K to [],
+        # and K=True indexed p[True], scaling every bin (sum 1.18 at S=0.5)
+        with pytest.raises(ValueError, match=match):
+            mode_distribution(0.5, k, overflow)
+
     def test_click_tail_against_survival_function(self):
         for s in np.geomspace(1e-9, 60.0, 50):
             got = mode_distribution(s, 3, "truncate", DETECTORS["click"])[1]
@@ -589,10 +603,18 @@ class TestSosConfig:
     @pytest.mark.parametrize("kw, match", [
         ({"max_quanta": -1}, "max_quanta must be >= 0"),
         ({"overflow": "clip"}, "overflow must be 'truncate' or 'cap'"),
+        ({"max_quanta": 1.5}, r"max_quanta must be an integer, got 1\.5"),
+        ({"max_quanta": True}, "max_quanta must be an integer, got True"),
+        ({"enumeration_budget": 1e8}, r"enumeration_budget must be an integer, got 100000000\.0"),
+        ({"enumeration_budget": False}, "enumeration_budget must be an integer, got False"),
     ])
     def test_bad_config_rejected(self, kw, match):
         with pytest.raises(ValueError, match=match):
             SosConfig(**kw)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SosConfig(max_quanta=np.int64(2), enumeration_budget=np.int32(10**6))
+        assert build_reference_spectrum(molecule([0.5], energies=[500.0]), cfg).total > 0.98
 
 
 class TestLineSpectrum:
