@@ -6,8 +6,8 @@ exceeded, 4 grid violation (a non-finite grid, a grid over the point
 guard, or `broaden` sticks so far outside an explicit --grid that a
 lattice holding them and the grid exceeds that guard).
 
-Every CSV is written by `io.write_table`, with the written result's
-provenance as its header; the `converge` table's records the study's
+Every CSV is written from its columns by `io.write_table`, with the
+written result's provenance as its header; the `converge` table's records the study's
 `runs`.  `sample` and `converge` draw, so they accept
 --seed; when omitted, a process-entropy seed is drawn (or taken from
 VIBRONIC_SEED) and recorded in the provenance so any run can be
@@ -147,8 +147,8 @@ def cmd_converge(args) -> int:
         m, cfg, _detector(args), event_counts, args.runs, sos_cfg
     )
     io.write_table(report.provenance, "events,mean_fidelity,std_fidelity",
-                   zip(report.event_counts, report.mean_fidelity.tolist(),
-                       report.std_fidelity.tolist()), args.out)
+                   (report.event_counts, report.mean_fidelity.tolist(),
+                    report.std_fidelity.tolist()), args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 

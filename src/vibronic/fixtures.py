@@ -20,6 +20,7 @@ __all__ = [
     "naphthalene_like_9",
     "anthracene_like_12",
     "large_acene_like",
+    "fine_acene_like",
 ]
 
 
@@ -77,3 +78,15 @@ def large_acene_like(n_modes: int = 66) -> Molecule:
     hr = np.exp(rng.uniform(np.log(1e-4), np.log(0.45), size=n_modes))
     return _molecule(f"large-acene-like-{n_modes}", 26000.0, energies, hr,
                      atom_count=(n_modes + 6) // 3 + 2)
+
+
+def fine_acene_like(n_modes: int = 66) -> Molecule:
+    """`large_acene_like(n_modes)` with each mode energy raised by a
+    fixed-seed U(0, 1) draw and rounded to 0.001 cm^-1, as computed
+    frequencies are: the mode energies share a 0.001 cm^-1 gcd, not
+    1 cm^-1, so far fewer lines coincide.
+    """
+    m = large_acene_like(n_modes)
+    u = np.random.default_rng(0).random(n_modes)
+    energies = [round(e + float(x), 3) for e, x in zip(m.energies, u)]
+    return _molecule(f"fine-acene-like-{n_modes}", m.e00, energies, m.huang_rhys, m.atom_count)

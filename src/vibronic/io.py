@@ -5,11 +5,12 @@ surface immediately.  Spectrum files are UTF-8 CSV with LF endings,
 a `#`-prefixed provenance block (the result's provenance dict, one
 `# key: value` line per entry), the exact header
 `energy_cm1,intensity`, and shortest-round-trip float formatting so
-emit -> parse -> emit is byte-identical; `write_table` writes every CSV,
-formatting each column by `repr` in one pass.  `read_spectrum` parses
-all data rows in one pass with exactly `float()`'s syntax; only when
-that pass fails (a refused file, or blank rows, which are skipped) are
-the rows read one by one, to name the first bad line.
+emit -> parse -> emit is byte-identical; `write_table` writes every CSV
+from its columns, formatting each column by `repr` in one pass.
+`read_spectrum` parses all data rows in one pass with exactly
+`float()`'s syntax; only when that pass fails (a refused file, or blank
+rows, which are skipped) are the rows read one by one, to name the
+first bad line.
 """
 
 from __future__ import annotations
@@ -168,19 +169,14 @@ def provenance_lines(prov: dict) -> list[str]:
     return lines
 
 
-def write_table(prov: dict, header: str, rows, path) -> None:
-    """Emit a CSV: `prov`'s header lines, the column `header`, then each
-    row's values by shortest round-trip `repr`, comma-joined; UTF-8, LF.
-    Rows of unequal length are refused (ValueError) before the file opens."""
-    _write_columns(prov, header, zip(*rows, strict=True), path)
-
-
-def _write_columns(prov: dict, header: str, columns, path) -> None:
-    """`write_table` given the columns: each is formatted by `repr` in one
-    pass, then the rows are comma-joined."""
+def write_table(prov: dict, header: str, columns, path) -> None:
+    """Emit a CSV: `prov`'s header lines, the column `header`, then the
+    rows of `columns`, each value by shortest round-trip `repr` (one
+    pass per column), comma-joined; UTF-8, LF.  Columns of unequal
+    length are refused (ValueError) before the file opens."""
     lines = provenance_lines(prov)
     lines.append(header)
-    lines += map(",".join, zip(*(map(repr, column) for column in columns)))
+    lines += map(",".join, zip(*(map(repr, column) for column in columns), strict=True))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -191,8 +187,8 @@ def write_spectrum(spec: LineSpectrum, path) -> None:
     opened, as `read_spectrum` would refuse the file."""
     if len(spec) == 0:
         raise ValueError("spectrum has no lines; refusing to write a file with no data rows")
-    _write_columns(spec.provenance, SPECTRUM_HEADER,
-                   map(np.ndarray.tolist, (spec.energies, spec.intensities)), path)
+    write_table(spec.provenance, SPECTRUM_HEADER,
+                (spec.energies.tolist(), spec.intensities.tolist()), path)
 
 
 def read_spectrum(path) -> LineSpectrum:

@@ -54,6 +54,24 @@ class ValidationError(ValueError):
     """A molecule or mode violates a structural invariant."""
 
 
+def check_integers(**fields) -> None:
+    """Refuse each field that is not an integer, naming it: numpy
+    integers pass; a bool, a float (even 1e6) or a str does not."""
+    _check_kind(numbers.Integral, "an integer", fields)
+
+
+def check_reals(**fields) -> None:
+    """Refuse each field that is not a real number, naming it: numpy
+    numbers pass; a bool or a str does not."""
+    _check_kind(numbers.Real, "a real number", fields)
+
+
+def _check_kind(kind: type, what: str, fields: dict) -> None:
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Mode:
     """One vibrational normal mode.  Its number is its 1-based position
@@ -81,9 +99,10 @@ class Molecule:
 
     Construction checks every invariant: a str name, the transition, a
     finite e00 >= 0, each mode's finite energy > 0 and finite S >= 0, and at
-    most 3M-5 modes for `atom_count` M.  Every violation is reported
-    together in one ValidationError, naming modes by position.  A
-    molecule with zero modes is legal (its spectrum is a pure 0-0 line).
+    most 3M-5 modes for `atom_count` M, an integer (a bool or float is
+    not).  Every violation is reported together in one ValidationError,
+    naming modes by position.  A molecule with zero modes is legal (its
+    spectrum is a pure 0-0 line).
     """
 
     name: str
@@ -109,7 +128,9 @@ class Molecule:
             if not math.isfinite(mode.huang_rhys) or mode.huang_rhys < 0:
                 problems.append(f"mode {i}: huang_rhys >= 0 violated (got {mode.huang_rhys!r})")
         if self.atom_count is not None:
-            if self.atom_count < 1:
+            if isinstance(self.atom_count, bool) or not isinstance(self.atom_count, numbers.Integral):
+                problems.append(f"atom_count must be an integer, got {self.atom_count!r}")
+            elif self.atom_count < 1:
                 problems.append(f"atom_count must be positive, got {self.atom_count}")
             elif len(self.modes) > 3 * self.atom_count - 5:
                 problems.append(f"{len(self.modes)} modes exceeds 3M-5 = "
@@ -144,6 +165,10 @@ class DetectorModel:
         Expected dark counts per gate, added as an independent Poisson.
     threshold_mode : bool
         True emulates SPAD/SNSPD click detectors: any count >= 1 is 1.
+
+    Construction refuses a bool for either number and anything but a
+    bool (numpy's too) for `threshold_mode`, naming the field; numpy
+    numbers pass.
     """
 
     efficiency: float = 1.0
@@ -151,6 +176,9 @@ class DetectorModel:
     threshold_mode: bool = False
 
     def __post_init__(self):
+        check_reals(efficiency=self.efficiency, dark_mean=self.dark_mean)
+        if not isinstance(self.threshold_mode, (bool, np.bool_)):
+            raise ValueError(f"threshold_mode must be a bool, got {self.threshold_mode!r}")
         if not (0.0 < self.efficiency <= 1.0):
             raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
         if not (0.0 <= self.dark_mean < math.inf):
@@ -243,14 +271,6 @@ def check_key_reach(reach: int) -> None:
     if reach > KEY_LIMIT:
         raise ValueError(f"transition energies reach {reach / TICKS_PER_CM1:.6g} cm^-1, "
                          "beyond the energy lattice")
-
-
-def check_integers(**fields) -> None:
-    """Refuse each field that is not an integer, naming it: numpy
-    integers pass; a bool, a float (even 1e6) or a str does not."""
-    for name, value in fields.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def hr_from_gradient(omega: float, gradient: float) -> float:

@@ -24,10 +24,13 @@ step's fixed cost added, would exceed the chunk's events (a huge
 recorded mean, or a small chunk), it draws its events one at a time
 and counts them per (j, line) by one `np.bincount`, or by
 `sum_by_key` where that table would pass `model._DENSE_SPAN` cells an
-event.  Either way the cell derives its law and sub-stream once,
-refuses a shift past the energy lattice, and moves its lines by one
-`sum_by_key` of cell[line] + j x the mode's cells per quantum; keys
-are formed once, from the merged cells.
+event.  The call plans once, before any draw: it derives each mode's
+law and sweep length (refusing a mean numpy cannot draw, whichever
+mode it is) and drops the modes that always record 0.  Whichever way
+it draws, a cell opens its sub-stream once, refuses a shift past the
+energy lattice, and moves its lines by one `sum_by_key` of cell[line]
++ j x the mode's cells per quantum; keys are formed once, from the
+merged cells.
 
 Reproducibility: every (seed, mode position, chunk) triple owns an
 independent counter-based Philox sub-stream, so results are
@@ -216,25 +219,20 @@ class SampledSpectrum(LineSpectrum):
         return self.intensities.astype(np.int64)
 
 
-def _spectrum_chunk(
-    m: Molecule, chunk_index: int, size: int, cfg: SamplerConfig, d: DetectorModel, lattice: tuple
-) -> tuple[np.ndarray, np.ndarray]:
+def _spectrum_chunk(plan: list, chunk_index: int, size: int, seed: int,
+                    lattice: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Unique sublattice cells and counts for one chunk of events.
 
     The chunk's histogram starts as one line of `size` events at cell 0
-    (key(e00)); each mode then moves every line's events by j quanta,
-    drawing only from its (seed, mode, chunk) sub-stream.  A mode
-    whose recorded count is always 0 leaves the lines as they are and
-    draws nothing.  `lattice` is `model.sublattice(m)`.
+    (key(e00)); each planned mode (i, cells per quantum, mean, top,
+    sweep) then moves every line's events by j quanta, drawing only
+    from the (seed, i, chunk) sub-stream, which it opens once.
+    `lattice` is `model.sublattice(m)`.
     """
-    origin, step, quanta = lattice
+    origin, step, _ = lattice
     cells, counts = np.zeros(1, dtype=np.int64), np.array([size], dtype=np.int64)
-    for i, (s, t) in enumerate(zip(m.huang_rhys, quanta), 1):
-        mean, top = _recorded(s, i, cfg, d)
-        if mean == 0.0 or top == 0:
-            continue
-        sweep = min(mean + 10.0 * math.sqrt(mean) + 10.0, math.inf if top is None else top + 1)
-        rng = substream(cfg.seed, i, chunk_index)
+    for i, t, mean, top, sweep in plan:
+        rng = substream(seed, i, chunk_index)
         if (cells.size + _SPLIT_STEP_LINES) * sweep > size:  # per-event draws are cheaper
             j = _sample_mode_chunk(mean, top, rng, size)
             lo = int(j.min())  # (j - lo, line) as one index cannot overflow
@@ -268,13 +266,18 @@ def sample_spectrum(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    origin, step, quanta = lattice = model.sublattice(m)
+    laws = [(i, t, *_recorded(s, i, cfg, d))  # a refused mean raises before any sub-stream opens
+            for i, (s, t) in enumerate(zip(m.huang_rhys, quanta), 1)]
+    plan = [(i, t, mean, top, min(mean + 10.0 * math.sqrt(mean) + 10.0,
+                                  math.inf if top is None else top + 1))  # the sweep
+            for i, t, mean, top in laws if mean > 0.0 and top != 0]  # silent modes draw nothing
     chunks = _chunks(cfg.events)
-    origin, step, _ = lattice = model.sublattice(m)
     if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: _spectrum_chunk(m, *c, cfg, d, lattice), chunks))
+            results = list(pool.map(lambda c: _spectrum_chunk(plan, *c, cfg.seed, lattice), chunks))
     else:
-        results = [_spectrum_chunk(m, *c, cfg, d, lattice) for c in chunks]
+        results = [_spectrum_chunk(plan, *c, cfg.seed, lattice) for c in chunks]
 
     cells, counts = model.sum_by_key(*map(np.concatenate, zip(*results)))
     prov = result_provenance(m, d, engine="sampler", events=cfg.events, seed=cfg.seed,

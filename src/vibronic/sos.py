@@ -77,7 +77,8 @@ class SosConfig:
     `enumeration_budget` bounds the terms (cells or live sticks x
     (K+1)) that any one convolution step may materialize.  Both it and
     `max_quanta` are integers (numpy integers too; a bool or a float
-    is refused).
+    is refused), the budget >= 1; `fc_prune`, when set, is a real
+    number >= 0 (a bool is refused).
     """
 
     max_quanta: int = 1
@@ -87,9 +88,13 @@ class SosConfig:
 
     def __post_init__(self):
         model.check_integers(enumeration_budget=self.enumeration_budget)
+        if self.enumeration_budget < 1:
+            raise ValueError(f"enumeration_budget must be >= 1, got {self.enumeration_budget}")
         _check_cutoff(self.max_quanta, self.overflow)
-        if self.fc_prune is not None and not self.fc_prune >= 0:
-            raise ValueError(f"fc_prune must be >= 0, got {self.fc_prune}")
+        if self.fc_prune is not None:
+            model.check_reals(fc_prune=self.fc_prune)
+            if not self.fc_prune >= 0:
+                raise ValueError(f"fc_prune must be >= 0, got {self.fc_prune}")
 
 
 def _check_cutoff(k: int, overflow: str) -> None:

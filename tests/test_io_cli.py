@@ -249,7 +249,7 @@ class TestSpectrumFile:
 
     def test_write_table(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_table({"molecule": "x", "runs": 3}, "events,mean", [(100, 0.5), (1000, 1 / 3)],
+        write_table({"molecule": "x", "runs": 3}, "events,mean", [(100, 1000), (0.5, 1 / 3)],
                     path)
         assert path.read_bytes() == (b"# molecule: x\n# runs: 3\nevents,mean\n"
                                      b"100,0.5\n1000,0.3333333333333333\n")
@@ -257,7 +257,7 @@ class TestSpectrumFile:
     def test_write_table_refuses_ragged_rows(self, tmp_path):
         path = tmp_path / "t.csv"
         with pytest.raises(ValueError):
-            write_table({}, "events,mean", [(100, 0.5), (1000,)], path)
+            write_table({}, "events,mean", [(100, 1000), (0.5,)], path)
         assert not path.exists()
 
     @pytest.mark.parametrize("row", ["0.0,inf", "nan,1.0", "-inf,1.0", "0.0,nan", "1e400,1.0"])

@@ -100,6 +100,7 @@ class TestValidateMolecule:
     def test_mode_count_within_atom_bound(self):
         # 8 modes, 36 atoms: well under 3*36 - 5 = 103
         make_molecule([0.1] * 8, atom_count=36)
+        make_molecule([0.1] * 8, atom_count=np.int64(36))
 
     def test_mode_count_exceeding_atom_bound(self):
         with pytest.raises(ValidationError, match="3M-5"):
@@ -124,6 +125,9 @@ class TestValidateMolecule:
         ({"name": None}, "name must be a string"),
         ({"name": ["a", 1]}, "name must be a string"),
         ({"name": 3}, "name must be a string"),
+        ({"atom_count": 2.5}, "atom_count must be an integer, got 2.5"),
+        ({"atom_count": True}, "atom_count must be an integer, got True"),
+        ({"atom_count": "4"}, "atom_count must be an integer, got '4'"),
     ])
     def test_library_construction_refuses(self, kw, match):
         # No CLI involved: the constructor itself refuses the molecule.
@@ -185,10 +189,17 @@ class TestDetectorModel:
     @pytest.mark.parametrize("kw", [
         {"efficiency": 0.0}, {"efficiency": 1.5}, {"efficiency": math.nan},
         {"dark_mean": -0.1}, {"dark_mean": math.nan}, {"dark_mean": math.inf},
+        {"efficiency": True}, {"dark_mean": False}, {"efficiency": "0.5"},
+        {"threshold_mode": "no"}, {"threshold_mode": 1}, {"threshold_mode": None},
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):
             DetectorModel(**kw)
+
+    def test_numpy_values_accepted(self):
+        d = DetectorModel(efficiency=np.float32(0.5), dark_mean=np.int64(1),
+                          threshold_mode=np.bool_(True))
+        assert d.recorded(2.0, None) == (2.0, 1)
 
     def test_recorded_law(self):
         assert DetectorModel().recorded(0.3, None) == (0.3, None)

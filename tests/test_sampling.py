@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from vibronic import sampling
+from vibronic import model, sampling
 from vibronic.analysis import BroadeningKernel, EnergyGrid, broaden, fidelity, normalize
-from vibronic.model import Mode, Molecule, energy_keys, key_energies
+from vibronic.fixtures import fine_acene_like
+from vibronic.model import TICKS_PER_CM1, Mode, Molecule, energy_keys, key_energies
 from vibronic.sampling import (
     IDEAL_DETECTOR,
     DetectorModel,
@@ -20,7 +21,7 @@ from vibronic.sampling import (
     sample_spectrum,
     substream,
 )
-from vibronic.sos import LineSpectrum, mode_distribution
+from vibronic.sos import LineSpectrum, SosConfig, build_reference_spectrum, mode_distribution
 
 
 def molecule(hr, energies=None, e00=0.0):
@@ -334,6 +335,17 @@ class TestSampleSpectrum:
         with pytest.raises(ValueError, match="workers"):
             sample_spectrum(molecule([0.3]), SamplerConfig(events=100), workers=workers)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_refused_mean_opens_no_substream(self, workers, monkeypatch):
+        # mode 2's mean is past numpy's Poisson limit: the call refuses it
+        # before mode 1 (or any worker) opens a sub-stream, over 3 chunks
+        monkeypatch.setattr(sampling, "_CHUNK_EVENTS", 100)
+        opened = []
+        monkeypatch.setattr(sampling, "substream", lambda *a: opened.append(a) or substream(*a))
+        with pytest.raises(ValueError, match=r"^mode 2: recorded mean .*Poisson mean must be"):
+            sample_spectrum(molecule([0.5, 2e19]), SamplerConfig(events=300), workers=workers)
+        assert opened == []
+
     def test_energies_on_lattice(self):
         m = molecule([0.5, 0.8], energies=[300.0, 700.0], e00=1000.0)
         spec = sample_spectrum(m, SamplerConfig(events=20000, seed=4))
@@ -424,12 +436,32 @@ class TestSampleSpectrum:
                                            np.append(exp[big], exp[~big].sum()))
         assert p_value > 1e-4
 
+    def test_fine_energies_law(self):
+        # energies on 0.001 cm^-1, as computed frequencies are: 1e6 events
+        # land on the capped reference's exact lines and follow its law
+        m = fine_acene_like(6)
+        assert model.sublattice(m)[1] == TICKS_PER_CM1 // 1000
+        ref = build_reference_spectrum(m, SosConfig(max_quanta=2, overflow="cap"))
+        assert len(ref) == 3**6
+        cfg = SamplerConfig(events=10**6, seed=6, max_quanta=2)
+        spec = sample_spectrum(m, cfg)
+        at = np.searchsorted(ref.energies, spec.energies)
+        assert np.array_equal(ref.energies[at], spec.energies)
+        obs = np.zeros(len(ref))
+        obs[at] = spec.counts
+        exp = ref.intensities * cfg.events
+        big = exp >= 5.0  # merge the sparse tails into one bin
+        _, p_value = scipy.stats.chisquare(np.append(obs[big], obs[~big].sum()),
+                                           np.append(exp[big], exp[~big].sum()))
+        assert p_value > 1e-4
+
     @pytest.mark.parametrize("chunk_events, methods", [
         (10**4, {"_sample_mode_chunk", "_split"}), (10**5, {"_split"})])
     def test_each_cell_derives_law_and_stream_once(self, chunk_events, methods, monkeypatch):
         # S = 400 draws per event in chunks of 1e4 and splits in 1e5; the
-        # small modes split.  Every cell derives its law and opens its
-        # sub-stream exactly once, whichever method it takes.
+        # small modes split.  The call derives each mode's law once, and
+        # every cell opens its sub-stream exactly once, whichever method
+        # it takes.
         monkeypatch.setattr(sampling, "_CHUNK_EVENTS", chunk_events)
         calls = {name: [] for name in ("_recorded", "substream", "_sample_mode_chunk", "_split")}
         for name, log in calls.items():
@@ -441,7 +473,7 @@ class TestSampleSpectrum:
         sample_spectrum(m, cfg)
         cells = [(i, ci) for ci, _ in sampling._chunks(cfg.events) for i in (1, 2, 3)]
         assert sorted(a[1:] for a in calls["substream"]) == sorted(cells)
-        assert sorted(a[1] for a in calls["_recorded"]) == sorted(i for i, _ in cells)
+        assert [a[1] for a in calls["_recorded"]] == [1, 2, 3]
         assert {name for name in methods if calls[name]} == methods
         assert len(calls["_sample_mode_chunk"]) + len(calls["_split"]) == len(cells)
         for log in calls.values():

@@ -10,8 +10,8 @@ import scipy.stats
 from vibronic import model, sos
 from vibronic.analysis import fidelity, normalize
 from vibronic.cli import main
-from vibronic.fixtures import (anthracene_like_12, large_acene_like, naphthalene_like_9,
-                               pentacene_like_8, pentacene_like_18)
+from vibronic.fixtures import (anthracene_like_12, fine_acene_like, large_acene_like,
+                               naphthalene_like_9, pentacene_like_8, pentacene_like_18)
 from vibronic.io import read_spectrum, write_molecule
 from vibronic.model import IDEAL_DETECTOR, DetectorModel, Mode, Molecule, energy_keys
 from vibronic.sampling import SamplerConfig, sample_spectrum
@@ -510,6 +510,7 @@ class TestLattice:
                         anthracene_like_12, large_acene_like)),
         replace(anthracene_like_12(), transition="emission"),
         molecule([0.3, 0.3], energies=[100.0, 100.0000008]),
+        fine_acene_like(6),
     ], ids=lambda m: f"{m.name}-{m.transition}")
     def test_sublattice_and_sort_merges_agree(self, m):
         # a run lays its sticks out once: on a dense array over the modes'
@@ -607,13 +608,18 @@ class TestSosConfig:
         ({"max_quanta": True}, "max_quanta must be an integer, got True"),
         ({"enumeration_budget": 1e8}, r"enumeration_budget must be an integer, got 100000000\.0"),
         ({"enumeration_budget": False}, "enumeration_budget must be an integer, got False"),
+        ({"enumeration_budget": 0}, "enumeration_budget must be >= 1, got 0"),
+        ({"enumeration_budget": -5}, "enumeration_budget must be >= 1, got -5"),
+        ({"fc_prune": True}, "fc_prune must be a real number, got True"),
+        ({"fc_prune": "1e-3"}, "fc_prune must be a real number, got '1e-3'"),
     ])
     def test_bad_config_rejected(self, kw, match):
         with pytest.raises(ValueError, match=match):
             SosConfig(**kw)
 
     def test_numpy_integers_accepted(self):
-        cfg = SosConfig(max_quanta=np.int64(2), enumeration_budget=np.int32(10**6))
+        cfg = SosConfig(max_quanta=np.int64(2), enumeration_budget=np.int32(10**6),
+                        fc_prune=np.float32(0.0))
         assert build_reference_spectrum(molecule([0.5], energies=[500.0]), cfg).total > 0.98
 
 
