@@ -6,10 +6,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 
 import numpy as np
 
-from .model import DetectorModel, Molecule, energy_keys, result_provenance, sum_by_key
+from .model import (KEY_LIMIT, TICKS_PER_CM1, DetectorModel, Molecule, check, energy_keys, finite,
+                    refusal, result_provenance, sum_by_key)
 from .sampling import SamplerConfig, sample_spectrum
 from .sos import LineSpectrum, SosConfig, build_reference_spectrum
 
@@ -49,8 +51,7 @@ class BroadeningKernel:
     def __post_init__(self):
         if self.shape not in ("lorentzian", "gaussian"):
             raise ValueError(f"shape must be 'lorentzian' or 'gaussian', got {self.shape!r}")
-        if not (0 < self.fwhm < math.inf):
-            raise ValueError(f"fwhm must be finite and > 0, got {self.fwhm}")
+        check("fwhm", self.fwhm, Real, "finite and > 0", lambda w: finite(w) and w > 0)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self.shape == "lorentzian":
@@ -62,7 +63,8 @@ class BroadeningKernel:
 
 @dataclass(frozen=True)
 class EnergyGrid:
-    """Uniform evaluation grid in cm^-1; start, stop and step are finite."""
+    """Uniform evaluation grid in cm^-1; start, stop and step are finite
+    real numbers (`model.finite`), or GridError names the first that is not."""
 
     start: float
     stop: float
@@ -71,17 +73,16 @@ class EnergyGrid:
     _MAX_POINTS = 10**7
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.start, self.stop, self.step))):
-            raise GridError(f"grid {self.start}:{self.stop}:{self.step} must be finite")
+        for name, value in (("start", self.start), ("stop", self.stop), ("step", self.step)):
+            if (reason := refusal(name, value, Real, "finite", finite)) is not None:
+                raise GridError(f"grid {self.start}:{self.stop}:{self.step}: {reason}")
         if not self.stop > self.start:
             raise GridError(f"stop ({self.stop}) must exceed start ({self.start})")
         if not self.step > 0:
             raise GridError(f"step must be > 0, got {self.step}")
-        if (self.stop - self.start) / self.step > self._MAX_POINTS:
-            raise GridError(
-                f"grid of {(self.stop - self.start) / self.step:.3g} points "
-                f"exceeds the {self._MAX_POINTS} guard"
-            )
+        points = (float(self.stop) - float(self.start)) / float(self.step)  # not in numpy's float32
+        if points > self._MAX_POINTS:
+            raise GridError(f"grid of {points:.3g} points exceeds the {self._MAX_POINTS} guard")
 
     def points(self) -> np.ndarray:
         n = int(math.floor((self.stop - self.start) / self.step)) + 1
@@ -115,8 +116,8 @@ def normalize(spec: LineSpectrum, mode: str, e00: float | None = None) -> LineSp
     Modes: "raw" (no-op copy, also of an empty spectrum), "unit_l1"
     (sum 1), "unit_l2" (sum of squares 1), "max_one", and
     "zero_zero_one" (intensity 1 at the stick whose lattice key equals
-    that of `e00`).  The result's provenance records the mode as
-    "normalization".
+    that of `e00`, a finite real number on the energy lattice).  The
+    result's provenance records the mode as "normalization".
     """
     if mode not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization mode {mode!r}")
@@ -134,6 +135,8 @@ def normalize(spec: LineSpectrum, mode: str, e00: float | None = None) -> LineSp
     else:
         if e00 is None:
             raise ValueError("zero_zero_one normalization requires e00")
+        check("e00", e00, Real, "finite and within the energy lattice",
+              lambda e: finite(e) and abs(float(e)) <= KEY_LIMIT / TICKS_PER_CM1)
         hit = energy_keys(spec.energies) == energy_keys(e00)
         if not hit.any():
             raise ValueError(f"no stick at the 0-0 energy {e00}")
@@ -303,11 +306,13 @@ def convergence_study(
     detector `d` (each seeded from the base seed) are compared against
     the exact reference of what `d` records, built once from `sos_cfg`,
     which must cap (overflow "cap") at the sampler's finite max_quanta
-    and prune nothing.  `provenance["runs"]` records `runs`.
+    and prune nothing.  `event_counts` must not be empty and `runs` is an
+    integer >= 1.  `provenance["runs"]` records `runs`.
     Means typically rise toward 1 with event count but are not forced to.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
+    check("runs", runs, Integral, ">= 1", lambda n: n >= 1)
+    if len(event_counts) == 0:
+        raise ValueError("event_counts must not be empty")
     if sos_cfg.overflow != "cap" or sos_cfg.max_quanta != cfg_base.max_quanta or sos_cfg.fc_prune:
         raise ValueError(
             f"reference law (max_quanta={sos_cfg.max_quanta}, overflow={sos_cfg.overflow!r}, "

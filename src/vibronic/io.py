@@ -71,9 +71,10 @@ def read_molecule(path) -> Molecule:
     `gradient` (Huang-Rhys is then computed as G^2 / (2 omega) in the
     caller's consistent unit system).  Supplying both forms on one
     mode is an error.  Numeric fields must be JSON numbers (not bools
-    or strings), and `atom_count` an integer.  The molecule's own
-    invariants are checked by its constructor; a violation is reported
-    as a MoleculeFileError naming the file.
+    or strings) within float range, and `atom_count`, if present, an
+    integer, not null.  The molecule's own invariants, the integer
+    `atom_count` among them, are checked by its constructor; a
+    violation is reported as a MoleculeFileError naming the file.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -90,9 +91,8 @@ def read_molecule(path) -> Molecule:
             raise MoleculeFileError(f"{path}: missing required key {key!r}")
     if not isinstance(doc["modes"], list):
         raise MoleculeFileError(f"{path}: modes must be a list")
-    atom_count = doc.get("atom_count")
-    if "atom_count" in doc and (isinstance(atom_count, bool) or not isinstance(atom_count, int)):
-        raise MoleculeFileError(f"{path}: atom_count must be an integer, got {atom_count!r}")
+    if "atom_count" in doc and doc["atom_count"] is None:  # Molecule reads None as no count
+        raise MoleculeFileError(f"{path}: atom_count must be an integer, got None")
 
     modes = []
     for i, md in enumerate(doc["modes"]):
@@ -113,10 +113,8 @@ def read_molecule(path) -> Molecule:
         if has_s:
             s = _number(md["huang_rhys"], f"{label}: huang_rhys")
         elif "omega" in md and "gradient" in md:
-            omega = _number(md["omega"], f"{label}: omega")
-            gradient = _number(md["gradient"], f"{label}: gradient")
-            try:
-                s = hr_from_gradient(omega, gradient)
+            try:  # it refuses a non-number as _number would, by the same key
+                s = hr_from_gradient(md["omega"], md["gradient"])
             except ValueError as exc:
                 raise MoleculeFileError(f"{label}: {exc}") from exc
         else:
@@ -128,7 +126,7 @@ def read_molecule(path) -> Molecule:
 
     e00 = _number(doc["e00_cm1"], f"{path}: e00_cm1")
     try:
-        return Molecule(doc["name"], e00, doc["transition"], tuple(modes), atom_count)
+        return Molecule(doc["name"], e00, doc["transition"], tuple(modes), doc.get("atom_count"))
     except ValidationError as exc:
         raise MoleculeFileError(f"{path}: {exc}") from None
 

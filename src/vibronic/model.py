@@ -5,6 +5,13 @@ entry point (the library, the file reader, the CLI) holds a valid one.
 A mode is numbered by its 1-based position in `Molecule.modes`; that
 number keys the sampler's random sub-streams.
 
+Public constructors and numeric functions refuse their numbers
+through `check` (or, where all problems are reported together,
+`refusal`), naming the field or parameter: a bool, a str or any other
+non-number is refused before the field's rule, and nothing is
+converted, so numpy numbers and huge ints pass where their rule holds.
+`finite` is the one test of a finite real number.
+
 All spectral energies (mode quanta, zero-phonon line) are in cm^-1.
 Huang-Rhys factors are dimensionless, so everything downstream of
 `hr_from_gradient` is unit-free.
@@ -54,22 +61,41 @@ class ValidationError(ValueError):
     """A molecule or mode violates a structural invariant."""
 
 
-def check_integers(**fields) -> None:
-    """Refuse each field that is not an integer, naming it: numpy
-    integers pass; a bool, a float (even 1e6) or a str does not."""
-    _check_kind(numbers.Integral, "an integer", fields)
+_KINDS = {numbers.Integral: "an integer", numbers.Real: "a real number"}
 
 
-def check_reals(**fields) -> None:
-    """Refuse each field that is not a real number, naming it: numpy
-    numbers pass; a bool or a str does not."""
-    _check_kind(numbers.Real, "a real number", fields)
+def refusal(name: str, value, kind: type, rule: str, ok) -> str | None:
+    """Why the field or parameter `name` refuses `value`, or None.
+
+    `value` must be a `kind` number (`numbers.Integral` or
+    `numbers.Real`; numpy numbers are, a bool or a str is not) for
+    which `ok(value)` holds, as `rule` says.  It is never converted.
+    """
+    if isinstance(value, bool) or not isinstance(value, kind):
+        return f"{name} must be {_KINDS[kind]}, got {value!r}"
+    if not ok(value):
+        return f"{name} must be {rule}, got {value}"
+    return None
 
 
-def _check_kind(kind: type, what: str, fields: dict) -> None:
-    for name, value in fields.items():
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ValueError(f"{name} must be {what}, got {value!r}")
+def check(name: str, value, kind: type, rule: str, ok) -> None:
+    """Raise `refusal`'s reason, if there is one, as a ValueError."""
+    if (reason := refusal(name, value, kind, rule, ok)) is not None:
+        raise ValueError(reason)
+
+
+def finite(value) -> bool:
+    """Whether `value` is a finite real number: not a bool, a str, nan,
+    +-inf or an int beyond float range."""
+    try:
+        return refusal("", value, numbers.Real, "", math.isfinite) is None
+    except OverflowError:  # math.isfinite converts an int to a float
+        return False
+
+
+def nonnegative(value) -> bool:
+    """Whether `value` is a `finite` real number >= 0."""
+    return finite(value) and value >= 0
 
 
 @dataclass(frozen=True)
@@ -98,11 +124,12 @@ class Molecule:
     "absorption" adds quanta above e00, "emission" subtracts.
 
     Construction checks every invariant: a str name, the transition, a
-    finite e00 >= 0, each mode's finite energy > 0 and finite S >= 0, and at
-    most 3M-5 modes for `atom_count` M, an integer (a bool or float is
-    not).  Every violation is reported together in one ValidationError,
-    naming modes by position.  A molecule with zero modes is legal (its
-    spectrum is a pure 0-0 line).
+    finite e00 >= 0, each mode's finite energy > 0 and finite S >= 0 (a
+    bool or a str is not `finite`), and at most 3M-5 modes for
+    `atom_count` M, an integer (a bool or float is not).  Every
+    violation is reported together in one ValidationError (`refusal`
+    gives each field's), naming modes by position.  A molecule with
+    zero modes is legal (its spectrum is a pure 0-0 line).
     """
 
     name: str
@@ -113,28 +140,27 @@ class Molecule:
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
-        problems: list[str] = []
+        problems: list[str | None] = []
         if not isinstance(self.name, str):
             problems.append(f"name must be a string, got {self.name!r}")
         if self.transition not in ("absorption", "emission"):
             problems.append(
                 f"transition must be 'absorption' or 'emission', got {self.transition!r}"
             )
-        if not math.isfinite(self.e00) or self.e00 < 0:
-            problems.append(f"e00 must be >= 0, got {self.e00!r}")
+        problems.append(refusal("e00", self.e00, numbers.Real, ">= 0", nonnegative))
         for i, mode in enumerate(self.modes, 1):
-            if not math.isfinite(mode.energy) or mode.energy <= 0:
+            if not (finite(mode.energy) and mode.energy > 0):
                 problems.append(f"mode {i}: energy > 0 violated (got {mode.energy!r})")
-            if not math.isfinite(mode.huang_rhys) or mode.huang_rhys < 0:
+            if not nonnegative(mode.huang_rhys):
                 problems.append(f"mode {i}: huang_rhys >= 0 violated (got {mode.huang_rhys!r})")
         if self.atom_count is not None:
-            if isinstance(self.atom_count, bool) or not isinstance(self.atom_count, numbers.Integral):
-                problems.append(f"atom_count must be an integer, got {self.atom_count!r}")
-            elif self.atom_count < 1:
-                problems.append(f"atom_count must be positive, got {self.atom_count}")
-            elif len(self.modes) > 3 * self.atom_count - 5:
-                problems.append(f"{len(self.modes)} modes exceeds 3M-5 = "
-                                f"{3 * self.atom_count - 5} for {self.atom_count} atoms")
+            problems.append(refusal("atom_count", self.atom_count, numbers.Integral, "positive",
+                                    lambda m: m >= 1))
+            # in Python ints: numpy's would wrap
+            if problems[-1] is None and len(self.modes) > (bound := 3 * int(self.atom_count) - 5):
+                problems[-1] = (f"{len(self.modes)} modes exceeds 3M-5 = {bound} "
+                                f"for {self.atom_count} atoms")
+        problems = [p for p in problems if p is not None]
         if problems:
             raise ValidationError(f"invalid molecule {self.name!r}: " + "; ".join(problems))
 
@@ -166,9 +192,9 @@ class DetectorModel:
     threshold_mode : bool
         True emulates SPAD/SNSPD click detectors: any count >= 1 is 1.
 
-    Construction refuses a bool for either number and anything but a
-    bool (numpy's too) for `threshold_mode`, naming the field; numpy
-    numbers pass.
+    Construction refuses a bool or a str for either number (`check`)
+    and anything but a bool (numpy's too) for `threshold_mode`, naming
+    the field; numpy numbers pass.
     """
 
     efficiency: float = 1.0
@@ -176,24 +202,22 @@ class DetectorModel:
     threshold_mode: bool = False
 
     def __post_init__(self):
-        check_reals(efficiency=self.efficiency, dark_mean=self.dark_mean)
+        check("efficiency", self.efficiency, numbers.Real, "in (0, 1]", lambda e: 0 < e <= 1)
+        check("dark_mean", self.dark_mean, numbers.Real, ">= 0 and finite", nonnegative)
         if not isinstance(self.threshold_mode, (bool, np.bool_)):
             raise ValueError(f"threshold_mode must be a bool, got {self.threshold_mode!r}")
-        if not (0.0 < self.efficiency <= 1.0):
-            raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
-        if not (0.0 <= self.dark_mean < math.inf):
-            raise ValueError(f"dark_mean must be >= 0 and finite, got {self.dark_mean}")
 
     def recorded(self, s: float, k: int | None) -> tuple[float, int | None]:
         """(mean, top): one mode's recorded count is Poisson(mean) clipped at top.
 
         Loss thins Poisson(s) photons to Poisson(efficiency * s) and dark
         counts add Poisson(dark_mean); a click detector clips at 1 and the
-        cap at `k` (None: no cap).  Both engines take the law from here.
+        cap at `k` (None: no cap).  Both engines take the law from here,
+        and the mean is a float64 whatever numbers made it.
         """
         if self.threshold_mode:
             k = 1 if k is None else min(k, 1)
-        return self.efficiency * s + self.dark_mean, k
+        return float(self.efficiency) * float(s) + float(self.dark_mean), k
 
 
 IDEAL_DETECTOR = DetectorModel()
@@ -287,10 +311,9 @@ def hr_from_gradient(omega: float, gradient: float) -> float:
         If omega is not a positive finite number, gradient is not
         finite, or S overflows float64.
     """
-    if not math.isfinite(omega) or omega <= 0:
-        raise ValueError(f"omega must be positive and finite, got {omega!r}")
-    if not math.isfinite(gradient):
-        raise ValueError(f"gradient must be finite, got {gradient!r}")
+    check("omega", omega, numbers.Real, "positive and finite", lambda w: finite(w) and w > 0)
+    check("gradient", gradient, numbers.Real, "finite", finite)
+    omega, gradient = float(omega), float(gradient)  # an int G^2 could pass float range
     # omega * (G/omega)^2 / 2 simplified.  Where G^2 is not normal or 2 omega overflows,
     # that rounds S off or gives 0 or inf; dividing G by omega first keeps a normal S.
     s = gradient * gradient / (2.0 * omega)
@@ -309,6 +332,5 @@ def prune_modes(m: Molecule, threshold: float) -> Molecule:
     Survivors are renumbered by their new positions.  Idempotent:
     pruning twice at the same threshold is a no-op the second time.
     """
-    if not threshold >= 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    check("threshold", threshold, numbers.Real, ">= 0 and finite", nonnegative)
     return replace(m, modes=tuple(mode for mode in m.modes if mode.huang_rhys > threshold))

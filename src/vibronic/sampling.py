@@ -45,6 +45,7 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -92,15 +93,12 @@ class SamplerConfig:
     max_quanta: int | None = None
 
     def __post_init__(self):
-        optional = {} if self.max_quanta is None else {"max_quanta": self.max_quanta}
-        model.check_integers(events=self.events, seed=self.seed, **optional)
         # float64 counts (`SampledSpectrum`, `sum_by_key`) are exact to 2**53
-        if not 1 <= self.events <= 2**53:
-            raise ValueError(f"events must be >= 1 and <= 2**53, got {self.events}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.max_quanta is not None and self.max_quanta < 0:
-            raise ValueError(f"max_quanta must be >= 0, got {self.max_quanta}")
+        model.check("events", self.events, Integral, ">= 1 and <= 2**53",
+                    lambda n: 1 <= n <= 2**53)
+        model.check("seed", self.seed, Integral, ">= 0", lambda n: n >= 0)
+        if self.max_quanta is not None:
+            model.check("max_quanta", self.max_quanta, Integral, ">= 0", lambda n: n >= 0)
 
 
 def _chunks(events: int) -> list[tuple[int, int]]:
@@ -203,8 +201,11 @@ def sample_mode(
     """All `cfg.events` recorded counts for one mode, in event order.
 
     Deterministic: the same (seed, mode_index, events) always yields a
-    bit-identical array.
+    bit-identical array.  `s` is a finite real >= 0 and `mode_index`,
+    the mode's 1-based number, an integer >= 1.
     """
+    model.check("s", s, Real, ">= 0 and finite", model.nonnegative)
+    model.check("mode_index", mode_index, Integral, ">= 1", lambda n: n >= 1)
     mean, top = _recorded(s, mode_index, cfg, d)
     return np.concatenate([_sample_mode_chunk(mean, top, substream(cfg.seed, mode_index, ci), size)
                            for ci, size in _chunks(cfg.events)])
@@ -264,8 +265,7 @@ def sample_spectrum(
     threads; sub-stream keying guarantees the merged histogram is
     identical regardless of schedule.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    model.check("workers", workers, Integral, ">= 1", lambda n: n >= 1)
     origin, step, quanta = lattice = model.sublattice(m)
     laws = [(i, t, *_recorded(s, i, cfg, d))  # a refused mean raises before any sub-stream opens
             for i, (s, t) in enumerate(zip(m.huang_rhys, quanta), 1)]

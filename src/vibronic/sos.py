@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -77,8 +78,8 @@ class SosConfig:
     `enumeration_budget` bounds the terms (cells or live sticks x
     (K+1)) that any one convolution step may materialize.  Both it and
     `max_quanta` are integers (numpy integers too; a bool or a float
-    is refused), the budget >= 1; `fc_prune`, when set, is a real
-    number >= 0 (a bool is refused).
+    is refused), the budget >= 1; `fc_prune`, when set, is a finite
+    real number >= 0 (a bool is refused).
     """
 
     max_quanta: int = 1
@@ -87,22 +88,17 @@ class SosConfig:
     overflow: str = "truncate"  # "truncate" | "cap"
 
     def __post_init__(self):
-        model.check_integers(enumeration_budget=self.enumeration_budget)
-        if self.enumeration_budget < 1:
-            raise ValueError(f"enumeration_budget must be >= 1, got {self.enumeration_budget}")
+        model.check("enumeration_budget", self.enumeration_budget, Integral, ">= 1",
+                    lambda n: n >= 1)
         _check_cutoff(self.max_quanta, self.overflow)
         if self.fc_prune is not None:
-            model.check_reals(fc_prune=self.fc_prune)
-            if not self.fc_prune >= 0:
-                raise ValueError(f"fc_prune must be >= 0, got {self.fc_prune}")
+            model.check("fc_prune", self.fc_prune, Real, ">= 0 and finite", model.nonnegative)
 
 
 def _check_cutoff(k: int, overflow: str) -> None:
     """Refuse a cutoff K that is not an integer >= 0 or an unknown
     overflow rule, naming the value."""
-    model.check_integers(max_quanta=k)
-    if k < 0:
-        raise ValueError(f"max_quanta must be >= 0, got {k}")
+    model.check("max_quanta", k, Integral, ">= 0", lambda n: n >= 0)
     if overflow not in ("truncate", "cap"):
         raise ValueError(f"overflow must be 'truncate' or 'cap', got {overflow!r}")
 
@@ -143,12 +139,14 @@ def fc_factor_1d(s: float, j: int) -> float:
 
     Equals the Poisson pmf at j with mean s; always in [0, 1].
     Evaluated in log space for j > 20 to dodge factorial overflow, and
-    for any j where s^j alone would overflow.
+    for any j where s^j alone would overflow.  `s` must be a finite real
+    >= 0 and `j` an integer in [0, 2**53], where lgamma(j + 1) is finite;
+    `model.check` refuses anything else by name.
     """
-    if not math.isfinite(s) or s < 0:
-        raise ValueError(f"Huang-Rhys factor must be >= 0, got {s!r}")
-    if j < 0:
-        raise ValueError(f"quantum number must be >= 0, got {j}")
+    if not (isinstance(s, float) and 0.0 <= s < math.inf and type(j) is int and 0 <= j <= 2**53):
+        model.check("s", s, Real, ">= 0 and finite", model.nonnegative)
+        model.check("j", j, Integral, ">= 0 and <= 2**53", lambda n: 0 <= n <= 2**53)
+        s, j = float(s), int(j)  # numpy's float32 powers would overflow
     if s == 0.0:
         return 1.0 if j == 0 else 0.0
     if j <= _LOG_SPACE_J and j * math.log(s) < _LOG_DIRECT_MAX:
@@ -157,10 +155,11 @@ def fc_factor_1d(s: float, j: int) -> float:
 
 
 def state_count(n_modes: int, k: int) -> int:
-    """Exact configuration count (1+K)^N, arbitrary precision."""
-    if n_modes < 0 or k < 0:
-        raise ValueError("n_modes and k must be >= 0")
-    return (1 + k) ** n_modes
+    """Exact configuration count (1+K)^N, arbitrary precision; each
+    argument an integer >= 0."""
+    model.check("n_modes", n_modes, Integral, ">= 0", lambda n: n >= 0)
+    model.check("k", k, Integral, ">= 0", lambda n: n >= 0)
+    return (1 + int(k)) ** int(n_modes)  # numpy integers would wrap
 
 
 def mode_distribution(s: float, k: int, overflow: str = "truncate",
@@ -173,8 +172,10 @@ def mode_distribution(s: float, k: int, overflow: str = "truncate",
     Poisson pmf values (sums to the regularized CDF, < 1); "cap" piles
     the tail mass P(j >= K) onto the K bin, so the vector sums to 1
     like clipped samples do.  A K that is not an integer >= 0 (a bool
-    included) or another overflow is refused, as `SosConfig` refuses it.
+    included) or another overflow is refused, as `SosConfig` refuses it,
+    and so is an `s` that is not a finite real >= 0.
     """
+    model.check("s", s, Real, ">= 0 and finite", model.nonnegative)
     _check_cutoff(k, overflow)
     mean, top = d.recorded(s, k)
     p = np.array([fc_factor_1d(mean, j) for j in range(top + 1)])

@@ -407,6 +407,12 @@ class TestConvergenceStudy:
             convergence_study(self.toy_molecule(), SamplerConfig(events=1, seed=9, max_quanta=1),
                               DetectorModel(), [100], 0, SosConfig(max_quanta=1, overflow="cap"))
 
+    def test_no_event_counts_refused(self):
+        # an empty list used to return an empty report
+        with pytest.raises(ValueError, match="event_counts must not be empty"):
+            convergence_study(self.toy_molecule(), SamplerConfig(events=1, seed=9, max_quanta=1),
+                              DetectorModel(), [], 1, SosConfig(max_quanta=1, overflow="cap"))
+
     def test_provenance_records_runs_last(self):
         d = DetectorModel(efficiency=0.8)
         report = convergence_study(self.toy_molecule(),

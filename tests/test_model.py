@@ -106,6 +106,11 @@ class TestValidateMolecule:
         with pytest.raises(ValidationError, match="3M-5"):
             make_molecule([0.1] * 5, atom_count=3)
 
+    def test_numpy_atom_count_bound_in_python_ints(self):
+        # 3 * np.uint32(1) - 5 wrapped to 4294967294 and let one mode pass
+        with pytest.raises(ValidationError, match="1 modes exceeds 3M-5 = -2 for 1 atoms"):
+            make_molecule([0.1], atom_count=np.uint32(1))
+
     def test_empty_mode_list_valid(self):
         make_molecule([])
 
@@ -200,6 +205,11 @@ class TestDetectorModel:
         d = DetectorModel(efficiency=np.float32(0.5), dark_mean=np.int64(1),
                           threshold_mode=np.bool_(True))
         assert d.recorded(2.0, None) == (2.0, 1)
+
+    def test_recorded_mean_in_float64(self):
+        mean, _ = DetectorModel(efficiency=np.float32(0.7)).recorded(np.float32(0.4), None)
+        assert type(mean) is float
+        assert mean == float(np.float32(0.7)) * float(np.float32(0.4))
 
     def test_recorded_law(self):
         assert DetectorModel().recorded(0.3, None) == (0.3, None)

@@ -146,6 +146,12 @@ class TestFcFactor1d:
         with pytest.raises(ValueError):
             fc_factor_1d(0.5, -1)
 
+    def test_numpy_numbers_in_float64(self):
+        # float32 arithmetic overflowed s^j to inf, and inf * e^-s is nan
+        assert fc_factor_1d(np.float32(1e30), 2) == 0.0
+        assert fc_factor_1d(np.float32(0.5), np.int64(3)) == fc_factor_1d(0.5, 3)
+        assert mode_distribution(np.float32(1e30), 3).tolist() == [0.0] * 4
+
     def test_large_j_log_space(self):
         # independent log-gamma oracle
         s, j = 3.0, 60
@@ -220,6 +226,11 @@ class TestStateCount:
 
     def test_exact_big_count(self):
         assert state_count(30, 3) == 4**30
+
+    def test_numpy_integers_exact(self):
+        # (1 + np.int64(3)) ** 32 wraps int64 to 0
+        assert state_count(32, np.int64(3)) == 4**32
+        assert state_count(np.uint8(200), np.int32(1)) == 2**200
 
     def test_budget_guard_carries_count(self):
         # the refused step's work, live sticks x (K+1), not (1+K)^N:
