@@ -152,10 +152,18 @@ def normalize(spec: LineSpectrum, mode: str, e00: float | None = None) -> LineSp
 
 def _keyed(spec: LineSpectrum) -> tuple[np.ndarray, np.ndarray]:
     """Strictly increasing lattice keys of a spectrum and the summed
-    intensity (scaled to max 1, so norms stay finite) on each key."""
+    intensity (scaled to max 1, so norms stay finite) on each key.
+
+    A spectrum's keys ascend; where no two lines share one, as nearly
+    always, each key's sum is `sum_by_key`'s 0.0 + w (so -0.0 is 0.0),
+    formed in the scaled array without sorting or copying it."""
     if len(spec) == 0 or not np.any(spec.intensities > 0):
         raise ValueError("fidelity requires non-empty spectra with intensity")
-    return sum_by_key(energy_keys(spec.energies), spec.intensities / spec.intensities.max())
+    keys, scaled = energy_keys(spec.energies), spec.intensities / spec.intensities.max()
+    if not (keys[1:] > keys[:-1]).all():
+        return sum_by_key(keys, scaled)
+    scaled += 0.0
+    return keys, scaled
 
 
 def fidelity(p: LineSpectrum, q: LineSpectrum, norm: str = "l2") -> float:

@@ -147,8 +147,7 @@ def cmd_converge(args) -> int:
         m, cfg, _detector(args), event_counts, args.runs, sos_cfg
     )
     io.write_table(report.provenance, "events,mean_fidelity,std_fidelity",
-                   (report.event_counts, report.mean_fidelity.tolist(),
-                    report.std_fidelity.tolist()), args.out)
+                   (report.event_counts, report.mean_fidelity, report.std_fidelity), args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -6,7 +6,7 @@ a `#`-prefixed provenance block (the result's provenance dict, one
 `# key: value` line per entry), the exact header
 `energy_cm1,intensity`, and shortest-round-trip float formatting so
 emit -> parse -> emit is byte-identical; `write_table` writes every CSV
-from its columns, formatting each column by `repr` in one pass.
+from its columns, formatting and writing them in fixed blocks of rows.
 `read_spectrum` parses all data rows in one pass with exactly
 `float()`'s syntax; only when that pass fails (a refused file, or blank
 rows, which are skipped) are the rows read one by one, to name the
@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 SPECTRUM_HEADER = "energy_cm1,intensity"
+_BLOCK_ROWS = 2**14  # rows `write_table` formats per write
 
 _TOP_KEYS = {"name", "e00_cm1", "transition", "atom_count", "modes"}
 _MODE_KEYS = {"energy_cm1", "huang_rhys", "omega", "gradient"}
@@ -169,13 +170,24 @@ def provenance_lines(prov: dict) -> list[str]:
 
 def write_table(prov: dict, header: str, columns, path) -> None:
     """Emit a CSV: `prov`'s header lines, the column `header`, then the
-    rows of `columns`, each value by shortest round-trip `repr` (one
-    pass per column), comma-joined; UTF-8, LF.  Columns of unequal
-    length are refused (ValueError) before the file opens."""
+    rows of `columns`, each value by shortest round-trip `repr`,
+    comma-joined; UTF-8, LF.  Rows are formatted and written
+    `_BLOCK_ROWS` at a time, a numpy column's as the Python numbers of
+    `.tolist()`, so the text held at once stays one block's whatever
+    the table's length.  Columns of unequal length are refused
+    (ValueError) before the file opens."""
     lines = provenance_lines(prov)
     lines.append(header)
-    lines += map(",".join, zip(*(map(repr, column) for column in columns), strict=True))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    columns = tuple(columns)
+    lengths = [len(column) for column in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns must have equal length, got lengths {lengths}")
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("\n".join(lines) + "\n")
+        for start in range(0, max(lengths, default=0), _BLOCK_ROWS):
+            block = (column[start:start + _BLOCK_ROWS] for column in columns)
+            block = (part.tolist() if isinstance(part, np.ndarray) else part for part in block)
+            f.write("\n".join(map(",".join, zip(*(map(repr, part) for part in block)))) + "\n")
 
 
 def write_spectrum(spec: LineSpectrum, path) -> None:
@@ -185,8 +197,7 @@ def write_spectrum(spec: LineSpectrum, path) -> None:
     opened, as `read_spectrum` would refuse the file."""
     if len(spec) == 0:
         raise ValueError("spectrum has no lines; refusing to write a file with no data rows")
-    write_table(spec.provenance, SPECTRUM_HEADER,
-                (spec.energies.tolist(), spec.intensities.tolist()), path)
+    write_table(spec.provenance, SPECTRUM_HEADER, (spec.energies, spec.intensities), path)
 
 
 def read_spectrum(path) -> LineSpectrum:

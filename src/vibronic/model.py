@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -124,7 +125,8 @@ class Molecule:
     "absorption" adds quanta above e00, "emission" subtracts.
 
     Construction checks every invariant: a str name, the transition, a
-    finite e00 >= 0, each mode's finite energy > 0 and finite S >= 0 (a
+    finite e00 >= 0, `modes` an iterable of `Mode`s (not a str; stored
+    as a tuple), each mode's finite energy > 0 and finite S >= 0 (a
     bool or a str is not `finite`), and at most 3M-5 modes for
     `atom_count` M, an integer (a bool or float is not).  Every
     violation is reported together in one ValidationError (`refusal`
@@ -139,8 +141,11 @@ class Molecule:
     atom_count: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
         problems: list[str | None] = []
+        sequence = isinstance(self.modes, Iterable) and not isinstance(self.modes, str)
+        if not sequence:
+            problems.append(f"modes must be a sequence of Mode, got {self.modes!r}")
+        object.__setattr__(self, "modes", tuple(self.modes) if sequence else ())
         if not isinstance(self.name, str):
             problems.append(f"name must be a string, got {self.name!r}")
         if self.transition not in ("absorption", "emission"):
@@ -149,6 +154,9 @@ class Molecule:
             )
         problems.append(refusal("e00", self.e00, numbers.Real, ">= 0", nonnegative))
         for i, mode in enumerate(self.modes, 1):
+            if not isinstance(mode, Mode):
+                problems.append(f"mode {i}: must be a Mode, got {mode!r}")
+                continue
             if not (finite(mode.energy) and mode.energy > 0):
                 problems.append(f"mode {i}: energy > 0 violated (got {mode.energy!r})")
             if not nonnegative(mode.huang_rhys):
@@ -234,13 +242,13 @@ def energy_keys(energies) -> np.ndarray:
     Raises ValueError for non-finite energies or energies whose key
     would exceed `KEY_LIMIT`.
     """
-    e = np.asarray(energies, dtype=float)
-    # exactly |E * TICKS_PER_CM1| <= KEY_LIMIT in float64, checked before the product can overflow
-    if not np.all(np.abs(e) <= KEY_LIMIT / TICKS_PER_CM1):
-        raise ValueError(
-            f"energies must be finite and within +/-{KEY_LIMIT / TICKS_PER_CM1:.6g} cm^-1"
-        )
-    return np.rint(e * TICKS_PER_CM1).astype(np.int64)
+    ticks, bound = np.array(energies, dtype=float), KEY_LIMIT / TICKS_PER_CM1  # one buffer
+    # exactly |E * TICKS_PER_CM1| <= KEY_LIMIT in float64, checked before the product can
+    # overflow; a nan fails both comparisons, since min and max propagate it
+    if ticks.size and not (-bound <= ticks.min() and ticks.max() <= bound):
+        raise ValueError(f"energies must be finite and within +/-{bound:.6g} cm^-1")
+    ticks *= TICKS_PER_CM1
+    return np.rint(ticks, out=ticks).astype(np.int64)
 
 
 def key_energies(keys) -> np.ndarray:
@@ -255,9 +263,12 @@ def sum_by_key(keys, weights) -> tuple[np.ndarray, np.ndarray]:
     Each key's weights are summed by `np.bincount` in input order, so the
     sums have the same bits however the keys are indexed: as key - min
     where they span under `_DENSE_SPAN` x their count, else by stable sort.
-    Callers pass keys on one lattice as its cells (`sublattice`), where
-    lines that are sparse in keys are dense.  int64 weights come back
-    int64, exact while each total is below 2**53.
+    A key with one weight w so gets 0.0 + w (-0.0 comes back 0.0): the
+    bits `analysis._keyed` forms in place, skipping this merge, when a
+    spectrum's keys already ascend and all differ.  Callers pass keys
+    on one lattice as its cells (`sublattice`), where lines that are
+    sparse in keys are dense.  int64 weights come back int64, exact
+    while each total is below 2**53.
     """
     keys, weights = np.asarray(keys), np.asarray(weights)
     if keys.size == 0:

@@ -68,8 +68,10 @@ __all__ = [
 # worker threads share.  It selects the draws, so the version fixes it.
 _CHUNK_EVENTS = 1_000_000
 
-# The largest mean numpy's Poisson generator accepts (int64 max - 10 sd).
-POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+# numpy draws int64 counts; the largest mean its Poisson generator
+# accepts is int64 max - 10 sd.
+_INT64_MAX = np.iinfo(np.int64).max
+POISSON_MEAN_MAX = float(_INT64_MAX - np.sqrt(_INT64_MAX) * 10)
 
 # A split step's fixed cost (one vectorized binomial call, ~10 us)
 # counted in lines (~0.1 us each per step); one per-event draw costs
@@ -114,16 +116,18 @@ def substream(seed: int, mode_index: int, chunk_index: int) -> np.random.Generat
 
 
 def _check_mean(mean: float) -> None:
-    if not 0 <= mean <= POISSON_MEAN_MAX:
-        raise ValueError(f"Poisson mean must be in [0, {POISSON_MEAN_MAX:.6g}], got {mean!r}")
+    if not (isinstance(mean, float) and 0.0 <= mean <= POISSON_MEAN_MAX):  # else say why
+        model.check("Poisson mean", mean, Real, f"in [0, {POISSON_MEAN_MAX:.6g}]",
+                    lambda x: 0 <= x <= POISSON_MEAN_MAX)
 
 
 def poisson_draw(mean: float, rng: np.random.Generator, size: int | None = None):
     """Exact-distribution Poisson variate(s) with the given mean.
 
     Mean 0 short-circuits to zeros without consuming the stream.  A
-    mean outside [0, POISSON_MEAN_MAX] (or nan) is refused before any
-    draw.
+    mean that is not a real number (a bool or a str included) or lies
+    outside [0, POISSON_MEAN_MAX] (nan does) is refused by `model.check`
+    before any draw.
     """
     _check_mean(mean)
     if mean == 0.0:
@@ -133,8 +137,11 @@ def poisson_draw(mean: float, rng: np.random.Generator, size: int | None = None)
 
 def _recorded(s: float, mode_index: int, cfg: SamplerConfig,
               d: DetectorModel) -> tuple[float, int | None]:
-    """`d.recorded` for one mode, its mean refused before any draw."""
-    mean, top = d.recorded(s, cfg.max_quanta)
+    """`d.recorded` for one mode, its mean refused before any draw.  A cap
+    at or above the int64 maximum never binds on numpy's int64 draws,
+    so it is taken as no cap."""
+    k = cfg.max_quanta
+    mean, top = d.recorded(s, None if k is not None and k >= _INT64_MAX else k)
     try:
         _check_mean(mean)
     except ValueError as exc:

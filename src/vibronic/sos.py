@@ -105,10 +105,10 @@ def _check_cutoff(k: int, overflow: str) -> None:
 
 @dataclass
 class LineSpectrum:
-    """A discrete stick spectrum: finite, strictly increasing energies
-    (cm^-1) with finite, non-negative intensities.  `provenance` is the
-    spectrum's one metadata record; `io.write_spectrum` writes it as the
-    file header."""
+    """A discrete stick spectrum: one-dimensional arrays of finite,
+    strictly increasing energies (cm^-1) and finite, non-negative
+    intensities.  `provenance` is the spectrum's one metadata record;
+    `io.write_spectrum` writes it as the file header."""
 
     energies: np.ndarray
     intensities: np.ndarray
@@ -119,9 +119,11 @@ class LineSpectrum:
         self.intensities = np.asarray(self.intensities, dtype=float)
         if self.energies.shape != self.intensities.shape:
             raise ValueError("energies and intensities must have equal length")
+        if self.energies.ndim != 1:
+            raise ValueError("energies and intensities must be one-dimensional")
         if not (np.isfinite(self.energies).all() and np.isfinite(self.intensities).all()):
             raise ValueError("energies and intensities must be finite")
-        if self.energies.size > 1 and not np.all(np.diff(self.energies) > 0):
+        if not (self.energies[1:] > self.energies[:-1]).all():
             raise ValueError("energies must be strictly increasing")
         if np.any(self.intensities < 0):
             raise ValueError("intensities must be non-negative")
@@ -245,12 +247,17 @@ def build_reference_spectrum(m: Molecule, cfg: SosConfig,
     # Canonical mode order fixes the float order of the intensity
     # products, so the result is independent of the caller's mode
     # permutation, bit for bit.
-    for mode, ts in sorted(zip(m.modes, steps), key=lambda ms: (ms[0].energy, ms[0].huang_rhys)):
+    # Dense steps fill one of two span-long buffers from the other, so a run allocates
+    # them once, not a fresh, page-faulting array per mode.
+    buffers = (np.empty(span), np.empty(span)) if dense else ()
+    for n, (mode, ts) in enumerate(sorted(zip(m.modes, steps),
+                                          key=lambda ms: (ms[0].energy, ms[0].huang_rhys))):
         if not dense and cells.size * (top + 1) > cfg.enumeration_budget:
             raise BudgetExceededError(cells.size * (top + 1), cfg.enumeration_budget)
         p = mode_distribution(mode.huang_rhys, k, cfg.overflow, d)
         if dense:
-            y, base = np.zeros(inten.size + top * abs(ts)), top * -min(ts, 0)
+            y, base = buffers[n % 2][:inten.size + top * abs(ts)], top * -min(ts, 0)
+            y.fill(0.0)
             for j in range(top + 1):  # j-major from 0.0, as `sum_by_key` sums
                 y[base + j * ts:base + j * ts + inten.size] += p[j] * inten
             inten, c0 = y, c0 - base
@@ -268,9 +275,13 @@ def build_reference_spectrum(m: Molecule, cfg: SosConfig,
             live &= inten >= cfg.fc_prune
         cells, inten = cells[live], inten[live]
     if dense:
-        nz = np.flatnonzero(inten)
-        cells, inten = c0 + nz, inten[nz]
-
+        buffers = ()  # frees the one inten is not in
+        cells = np.flatnonzero(inten)
+        inten = inten[cells]
+        cells += c0
+    # keys formed in the cells' own buffer: one array besides the result's
+    cells *= step
+    cells += origin
     prov = result_provenance(m, d, engine="sos", max_quanta=k, overflow=cfg.overflow,
                              fc_prune=cfg.fc_prune)
-    return LineSpectrum(key_energies(origin + step * cells), inten, provenance=prov)
+    return LineSpectrum(key_energies(cells), inten, provenance=prov)

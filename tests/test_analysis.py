@@ -11,6 +11,7 @@ from vibronic.analysis import (
     BroadeningKernel,
     EnergyGrid,
     GridError,
+    _keyed,
     _smooth_length,
     broaden,
     convergence_study,
@@ -18,8 +19,8 @@ from vibronic.analysis import (
     normalize,
 )
 from vibronic.fixtures import pentacene_like_8
-from vibronic.model import Mode, Molecule
-from vibronic.sampling import DetectorModel, SamplerConfig
+from vibronic.model import Mode, Molecule, energy_keys, sum_by_key
+from vibronic.sampling import DetectorModel, SamplerConfig, sample_spectrum
 from vibronic.sos import LineSpectrum, SosConfig
 
 
@@ -158,6 +159,27 @@ class TestFidelity:
         p = sticks([(0.0, 1.0), (0.1, 1.0), (0.1 + 1e-10, 1.0)])
         q = sticks([(0.0, 1.0), (0.1, 2.0)])
         assert fidelity(p, q) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("spec", [
+        random_sticks(3, n=500),
+        # lines within one tick share a key: two repeats, one of three lines
+        sticks([(0.0, 0.1), (1e-7, 0.7), (2e-7, 0.3), (5.0, 1.0), (5.0 + 1e-7, 1 / 3)]),
+        sticks([(0.0, 1.0), (2.0, -0.0), (3.0, 0.25)]),  # -0.0 comes back 0.0
+        sample_spectrum(pentacene_like_8(), SamplerConfig(events=10**4, seed=2)),  # counts
+    ], ids=["floats", "repeats", "negative-zero", "counts"])
+    def test_keyed_is_the_merge_bit_for_bit(self, spec):
+        # lines whose keys ascend skip the merge's sort: the same bits as
+        # the merge, and as summing each key's scaled weights from 0.0 in order
+        keys, weights = _keyed(spec)
+        merged_keys, merged = sum_by_key(energy_keys(spec.energies),
+                                         spec.intensities / spec.intensities.max())
+        assert keys.tolist() == merged_keys.tolist()
+        assert weights.tobytes() == merged.tobytes()
+        oracle: dict[int, float] = {}
+        scaled = (spec.intensities / spec.intensities.max()).tolist()
+        for k, w in zip(energy_keys(spec.energies).tolist(), scaled):
+            oracle[k] = oracle.get(k, 0.0) + w
+        assert np.array(list(oracle.values())).tobytes() == weights.tobytes()
 
     def test_float_noise_keys_align(self):
         e = 0.1 + 0.2  # 0.30000000000000004

@@ -11,13 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from vibronic.analysis import BroadeningKernel, EnergyGrid, convergence_study, normalize
 from vibronic.model import DetectorModel, Mode, Molecule, hr_from_gradient, prune_modes
-from vibronic.sampling import SamplerConfig, sample_mode, sample_spectrum
+from vibronic.sampling import SamplerConfig, poisson_draw, sample_mode, sample_spectrum
 from vibronic.sos import LineSpectrum, SosConfig, fc_factor_1d, mode_distribution, state_count
 
 ACCEPTED = object()  # a function call that passed its checks
 STICKS = LineSpectrum([-3.0, 0.0, 1.0, 2.5], [1.0, 2.0, 3.0, 4.0])
 MODE = Mode(500.0, np.float64(0.1))  # a numpy S: a huge int threshold would overflow against it
 CFG = SamplerConfig(events=10, seed=1)
+RNG = np.random.default_rng(1)
 
 
 def molecule(**kw):
@@ -37,9 +38,11 @@ def called(call, *later):
     return run
 
 
-# target: (the name its refusals give, the kind it takes ("?": or None), the
-# call, whose result is the value it stores or ACCEPTED)
+# target: (the name its refusals give, as a regex, the kind it takes ("?":
+# or None), the call, whose result is the value it stores or ACCEPTED)
 TARGETS = {
+    # no special value is a sequence of modes: each is refused, as `modes` or `mode 1`
+    "Molecule.modes": ("modes?", "modes", lambda v: molecule(modes=v).modes),
     "Mode.energy": ("energy", "real", lambda v: molecule(modes=(Mode(v, 0.1),)).modes[0].energy),
     "Mode.huang_rhys": ("huang_rhys", "real",
                         lambda v: molecule(modes=(Mode(500.0, v),)).modes[0].huang_rhys),
@@ -82,6 +85,7 @@ TARGETS = {
     # the sampler refuses a recorded mean past numpy's Poisson limit
     "sample_mode.s": ("s", "real", called(lambda v: sample_mode(v, 1, CFG), "Poisson mean")),
     "sample_mode.mode_index": ("mode_index", "int", called(lambda v: sample_mode(0.5, v, CFG))),
+    "poisson_draw.mean": ("mean", "real", called(lambda v: poisson_draw(v, RNG, 3))),
     "normalize.e00": ("e00", "real",
                       called(lambda v: normalize(STICKS, "zero_zero_one", e00=v), "no stick")),
     # a reference law that is not the sampler's is refused after `runs` is checked

@@ -16,6 +16,7 @@ from vibronic import __version__
 from vibronic.cli import main
 from vibronic.fixtures import pentacene_like_8
 from vibronic.io import (
+    _BLOCK_ROWS,
     SPECTRUM_HEADER,
     MoleculeFileError,
     SpectrumFileError,
@@ -253,6 +254,21 @@ class TestSpectrumFile:
                     path)
         assert path.read_bytes() == (b"# molecule: x\n# runs: 3\nevents,mean\n"
                                      b"100,0.5\n1000,0.3333333333333333\n")
+
+    def test_write_table_blocks_write_the_one_join_bytes(self, tmp_path):
+        # past two blocks of rows: the bytes of formatting the whole table
+        # by `repr` of each Python number and joining it once
+        n = 2 * _BLOCK_ROWS + 5
+        rng = np.random.default_rng(4)
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        floats[[0, 7, _BLOCK_ROWS, n - 1]] = [-0.0, 0.1 + 0.2, 5e-324, 1e16]
+        ints = list(range(-3, n - 3))
+        prov = {"molecule": "x", "runs": 3}
+        path = tmp_path / "t.csv"
+        write_table(prov, "events,value,again", (ints, floats, floats.tolist()), path)
+        rows = zip(map(repr, ints), map(repr, floats.tolist()), map(repr, floats.tolist()))
+        lines = provenance_lines(prov) + ["events,value,again"] + list(map(",".join, rows))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_write_table_refuses_ragged_rows(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -133,6 +133,11 @@ class TestValidateMolecule:
         ({"atom_count": 2.5}, "atom_count must be an integer, got 2.5"),
         ({"atom_count": True}, "atom_count must be an integer, got True"),
         ({"atom_count": "4"}, "atom_count must be an integer, got '4'"),
+        ({"modes": 5}, "modes must be a sequence of Mode, got 5"),
+        ({"modes": None}, "modes must be a sequence of Mode, got None"),
+        ({"modes": ""}, "modes must be a sequence of Mode, got ''"),
+        ({"modes": (500.0,)}, "mode 1: must be a Mode, got 500.0"),
+        ({"modes": [Mode(500.0, 0.1), "x"]}, "mode 2: must be a Mode, got 'x'"),
     ])
     def test_library_construction_refuses(self, kw, match):
         # No CLI involved: the constructor itself refuses the molecule.
@@ -148,6 +153,18 @@ class TestValidateMolecule:
         for part in ("e00 must be >= 0", "mode 2: energy > 0", "mode 3: huang_rhys >= 0",
                      "3 modes exceeds 3M-5 = 1"):
             assert part in msg
+
+    def test_modes_refused_with_other_problems(self):
+        with pytest.raises(ValidationError) as err:
+            Molecule("bad", -1.0, "absorption", 5, atom_count=0)
+        msg = str(err.value)
+        for part in ("modes must be a sequence of Mode", "e00 must be >= 0",
+                     "atom_count must be positive"):
+            assert part in msg
+
+    def test_modes_iterable_stored_as_tuple(self):
+        modes = [Mode(500.0, 0.1), Mode(600.0, 0.2)]
+        assert Molecule("it", 0.0, "absorption", iter(modes)).modes == tuple(modes)
 
     def test_replace_revalidates(self):
         m = make_molecule([0.1])
@@ -286,3 +303,16 @@ def test_energy_keys_bound_is_the_key_limit():
     assert energy_keys([-edge, edge]).tolist() == [-KEY_LIMIT, KEY_LIMIT]
     with pytest.raises(ValueError, match="finite and within"):
         energy_keys([math.nextafter(edge, math.inf)])
+
+
+@pytest.mark.parametrize("energies", [[math.nan], [1.0, math.nan], [math.inf, 1.0], [-math.inf],
+                                      math.nan])
+def test_energy_keys_refuses_non_finite(energies):
+    with pytest.raises(ValueError, match="finite and within"):
+        energy_keys(energies)
+
+
+def test_energy_keys_shapes():
+    assert energy_keys([]).dtype == np.int64 and energy_keys([]).size == 0
+    assert int(energy_keys(1.5)) == 1_500_000
+    assert energy_keys(np.array([[0.25], [-2.0000004]])).tolist() == [[250_000], [-2_000_000]]

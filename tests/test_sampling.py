@@ -9,7 +9,8 @@ import scipy.stats
 
 from vibronic import model, sampling
 from vibronic.analysis import BroadeningKernel, EnergyGrid, broaden, fidelity, normalize
-from vibronic.fixtures import fine_acene_like
+from vibronic.fixtures import fine_acene_like, large_acene_like
+from vibronic.io import read_spectrum, write_spectrum
 from vibronic.model import TICKS_PER_CM1, Mode, Molecule, energy_keys, key_energies
 from vibronic.sampling import (
     IDEAL_DETECTOR,
@@ -58,6 +59,18 @@ def assert_same_counts(a, b):
         pa, pb = (a == v).mean(), (b == v).mean()
         p = (pa + pb) / 2.0
         assert abs(pa - pb) <= 4.0 * math.sqrt(2.0 * p * (1.0 - p) / n) + 1e-12, v
+
+
+def traced(call):
+    """`call()`'s result, and the peak and the final bytes tracemalloc
+    traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, retained
 
 
 def oracle_counts(s, d, seed, n, max_quanta=None):
@@ -492,12 +505,7 @@ class TestSampleSpectrum:
         m = molecule([2.0, 2.0, 2.0, 1e8], energies=energies)
         cfg = SamplerConfig(events=10**4, seed=5)
         assert len(sample_spectrum(molecule([2.0] * 3, energies=energies[:3]), cfg)) > 350
-        tracemalloc.start()
-        try:
-            spec = sample_spectrum(m, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        spec, peak, _ = traced(lambda: sample_spectrum(m, cfg))
         assert int(spec.counts.sum()) == 10**4
         assert peak < 16 * 2**20, peak
 
@@ -513,3 +521,50 @@ class TestSampleSpectrum:
         cfg = SamplerConfig(events=50000, seed=19, max_quanta=1)
         spec = sample_spectrum(m, cfg)
         assert set(spec.energies.tolist()) <= {0.0, 500.0}
+
+    @pytest.mark.parametrize("cap", [2**63 - 1, 2**63, np.uint64(2**64 - 1), 10**30])
+    @pytest.mark.parametrize("events", [50, 10**5])  # per-event cells, split cells
+    def test_cap_past_int64_is_no_cap(self, cap, events):
+        # numpy draws int64 counts, so such a cap never binds: it draws as no cap
+        m = molecule([0.5, 3.0])
+        capped, free = (SamplerConfig(events=events, seed=8, max_quanta=k) for k in (cap, None))
+        assert np.array_equal(sample_mode(0.5, 1, capped), sample_mode(0.5, 1, free))
+        for d in (IDEAL_DETECTOR, DetectorModel(threshold_mode=True)):
+            a, b = sample_spectrum(m, capped, d), sample_spectrum(m, free, d)
+            assert np.array_equal(a.energies, b.energies) and np.array_equal(a.counts, b.counts)
+
+
+class TestExactReferenceMemory:
+    """Each stage of the exact-reference path holds about one array of
+    transient memory, 8 B a stick, on the 66-mode K=3 capped reference
+    (178,628 sticks): no whole text, whole-column list or sort of keys
+    that already ascend."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        m = large_acene_like(66)
+        cfg = SosConfig(max_quanta=3, overflow="cap")
+        ref = build_reference_spectrum(m, cfg)
+        assert len(ref) == 178_628
+        return m, cfg, ref
+
+    def test_build_reference_spectrum(self, reference):
+        m, cfg, ref = reference
+        spec, peak, retained = traced(lambda: build_reference_spectrum(m, cfg))
+        assert spec.energies.tobytes() == ref.energies.tobytes()
+        assert retained <= 16.1 * len(ref)  # the result's two arrays
+        assert peak - retained <= 24 * len(ref), (peak - retained) / len(ref)
+
+    def test_write_spectrum(self, reference, tmp_path):
+        ref = reference[2]
+        path = tmp_path / "ref.csv"
+        _, peak, _ = traced(lambda: write_spectrum(ref, path))
+        assert read_spectrum(path).energies.tobytes() == ref.energies.tobytes()
+        assert peak <= 32 * len(ref), peak / len(ref)
+
+    def test_fidelity(self, reference):
+        m, _, ref = reference
+        sample = sample_spectrum(m, SamplerConfig(events=10**5, seed=1))
+        f, peak, _ = traced(lambda: fidelity(sample, ref))
+        assert 0.9 < f <= 1.0
+        assert peak <= 24 * len(ref), peak / len(ref)

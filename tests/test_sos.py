@@ -646,6 +646,12 @@ class TestLineSpectrum:
         with pytest.raises(ValueError, match="equal length"):
             LineSpectrum([0.0, 1.0], [1.0])
 
+    @pytest.mark.parametrize("energies, intensities", [
+        (5.0, 1.0), ([[0.0, 1.0], [2.0, 3.0]], [[1.0, 1.0], [1.0, 1.0]])])
+    def test_rejects_other_dimensions(self, energies, intensities):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            LineSpectrum(energies, intensities)
+
     def test_rejects_negative_intensity(self):
         with pytest.raises(ValueError):
             LineSpectrum(np.array([1.0, 2.0]), np.array([1.0, -1.0]))
