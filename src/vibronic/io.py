@@ -168,14 +168,20 @@ def provenance_lines(prov: dict) -> list[str]:
     return lines
 
 
+def _python(value):
+    """A numpy scalar as its Python number, int as int and float as float."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def write_table(prov: dict, header: str, columns, path) -> None:
     """Emit a CSV: `prov`'s header lines, the column `header`, then the
     rows of `columns`, each value by shortest round-trip `repr`,
     comma-joined; UTF-8, LF.  Rows are formatted and written
     `_BLOCK_ROWS` at a time, a numpy column's as the Python numbers of
-    `.tolist()`, so the text held at once stays one block's whatever
-    the table's length.  Columns of unequal length are refused
-    (ValueError) before the file opens."""
+    `.tolist()` and a numpy scalar in a list as its `.item()`, so the
+    text held at once stays one block's whatever the table's length.
+    Columns of unequal length are refused (ValueError) before the file
+    opens."""
     lines = provenance_lines(prov)
     lines.append(header)
     columns = tuple(columns)
@@ -186,7 +192,8 @@ def write_table(prov: dict, header: str, columns, path) -> None:
         f.write("\n".join(lines) + "\n")
         for start in range(0, max(lengths, default=0), _BLOCK_ROWS):
             block = (column[start:start + _BLOCK_ROWS] for column in columns)
-            block = (part.tolist() if isinstance(part, np.ndarray) else part for part in block)
+            block = (part.tolist() if isinstance(part, np.ndarray) else map(_python, part)
+                     for part in block)
             f.write("\n".join(map(",".join, zip(*(map(repr, part) for part in block)))) + "\n")
 
 

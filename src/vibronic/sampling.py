@@ -14,29 +14,39 @@ the paper describes it.  `sample_spectrum` only needs the histogram,
 so it draws that directly, on SOS's sublattice (`model.sublattice`):
 a chunk carries its lines as (cell, events) pairs, and each (mode,
 chunk) cell counts how many of each line's events record j quanta,
-as (j, line, events), in one of two ways.  It splits every line's
-events over j = 0, 1, ... by conditional binomials, Binomial(events
-left, P(J = j | J >= j)), the multinomial drawn as a sequence of
-binomials (Davis 1993, Comput. Stat. Data Anal. 16:205): the same law
-as per-event draws at a cost of live lines x sweep length, so events
-enter only through the chunk count.  Where that cost, with a split
-step's fixed cost added, would exceed the chunk's events (a huge
-recorded mean, or a small chunk), it draws its events one at a time
-and counts them per (j, line) by one `np.bincount`, or by
-`sum_by_key` where that table would pass `model._DENSE_SPAN` cells an
-event.  The call plans once, before any draw: it derives each mode's
-law and sweep length (refusing a mean numpy cannot draw, whichever
-mode it is) and drops the modes that always record 0.  Whichever way
-it draws, a cell opens its sub-stream once, refuses a shift past the
-energy lattice, and moves its lines by one `sum_by_key` of cell[line]
-+ j x the mode's cells per quantum; keys are formed once, from the
-merged cells.
+in one of two ways.  It splits every line's events over j = 0, 1, ...
+by conditional binomials, Binomial(events left, P(J = j | J >= j)),
+the multinomial drawn as a sequence of binomials (Davis 1993, Comput.
+Stat. Data Anal. 16:205): the same law as per-event draws.  After j =
+0 a step draws only over the lines with events left; numpy draws
+nothing for a line with none, so this gives the bits of a draw over
+every line, and a cell's work is the lines it must split.  Where the
+lines x sweep length, with a split step's fixed cost added, would
+exceed the chunk's events (a huge recorded mean, or a small chunk),
+it draws its events one at a time and counts them per (j, line) by
+one `np.bincount`, or by `sum_by_key` where that table would pass
+`model._DENSE_SPAN` cells an event.  The call plans once, before any
+draw: it derives each mode's law and sweep length (refusing a mean
+numpy cannot draw, whichever mode it is), drops the modes that always
+record 0, and orders the rest by ascending recorded mean, equal means
+in position order.  A low-mean mode moves few events and so adds few
+lines; splitting those first keeps the line count low while most
+modes are split.  Whichever way it draws, a cell opens its sub-stream
+once, refuses a shift past the energy lattice, and moves its lines by
+one `sum_by_key` of cell + j x the mode's cells per quantum; keys are
+formed once, from the merged cells.  A call of one chunk skips the
+final merge: its cells already ascend and differ.
 
-Reproducibility: every (seed, mode position, chunk) triple owns an
-independent counter-based Philox sub-stream, so results are
-bit-identical for any worker count or execution order.  Chunks hold a
-fixed 10^6 events, so the chunking selects the draws and the version
-pins it.
+Reproducibility: every (seed, mode position, chunk) cell owns a
+counter-based Philox sub-stream (Salmon et al., SC'11).  A call
+derives one 128-bit key from `SeedSequence(seed)`, and each chunk's
+Philox starts each cell at counter (0, 0, chunk, position); Philox
+counts up from there in the low 128 bits, so the cells' streams are
+disjoint ranges of 2**128 blocks under one key, independent by
+construction and bit-identical for any worker count or order.  A
+position past 2**64 folds its high bits into the key's spawn key.
+Chunks hold a fixed 10^6 events, so the chunking selects the draws
+and the version pins it.
 """
 
 from __future__ import annotations
@@ -78,6 +88,12 @@ POISSON_MEAN_MAX = float(_INT64_MAX - np.sqrt(_INT64_MAX) * 10)
 # about as much as one line-step.
 _SPLIT_STEP_LINES = 128
 
+# numpy keeps freed blocks under 1 KiB for reuse, up to 7 of each size,
+# and its binomial checks n with three temporaries of n bytes.  A draw
+# over fewer lines is padded with empty lines to a power of two, so the
+# draws meet ten block sizes, not one for every live-line count.
+_CACHED_BYTES = 1024
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -109,10 +125,32 @@ def _chunks(events: int) -> list[tuple[int, int]]:
     return [(i, min(_CHUNK_EVENTS, events - s)) for i, s in enumerate(starts)]
 
 
+def _key(seed: int, high: int = 0) -> np.ndarray:
+    """The Philox key of `seed`'s streams for modes at positions
+    high * 2**64 to (high + 1) * 2**64 - 1."""
+    return np.random.SeedSequence(seed, spawn_key=(high,)).generate_state(2, np.uint64)
+
+
+def _cell_stream(rng: np.random.Generator, key: np.ndarray, mode_index: int,
+                 chunk_index: int) -> np.random.Generator:
+    """`rng`, its Philox reset to the (mode, chunk) cell's stream: `key`
+    at counter (0, 0, chunk_index, mode_index mod 2**64), its buffer
+    empty.  Philox counts up in the counter's low 128 bits, so each
+    cell owns 2**128 blocks."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+        "state": {"key": key, "counter": [0, 0, chunk_index, mode_index % 2**64]}}
+    return rng
+
+
 def substream(seed: int, mode_index: int, chunk_index: int) -> np.random.Generator:
-    """Independent counter-based RNG stream for one (mode, chunk) cell."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(mode_index, chunk_index))
-    return np.random.Generator(np.random.Philox(ss))
+    """Independent counter-based RNG stream for one (mode, chunk) cell,
+    built fresh: the stream `sample_spectrum` draws that cell from."""
+    mode_index = int(mode_index)  # a numpy integer's shifts would wrap
+    key = _key(seed, mode_index >> 64)
+    return _cell_stream(np.random.Generator(np.random.Philox(key=key)), key,
+                        mode_index, chunk_index)
 
 
 def _check_mean(mean: float) -> None:
@@ -179,24 +217,47 @@ def _hazards(mean: float, top: int | None):
             yield 1.0 / tail_ratio(mean, j)
 
 
-def _split(counts: np.ndarray, mean: float, top: int | None, rng: np.random.Generator) -> tuple:
-    """Split each line's events over j = 0, 1, ... by conditional binomials.
+def _padded(counts: np.ndarray) -> np.ndarray:
+    """`counts`, or under `_CACHED_BYTES` lines `counts` then zeros to
+    a power of two; numpy draws nothing for a line of 0 events."""
+    if counts.size >= _CACHED_BYTES:
+        return counts
+    padded = np.zeros(1 << (counts.size - 1).bit_length(), dtype=np.int64)
+    padded[:counts.size] = counts
+    return padded
 
-    At each j, every line sends Binomial(events left, h_j) of them to j
-    quanta, drawn from `rng` over the lines in order (a line with none
-    left draws nothing); a hazard of 1 sends all that is left without a
-    draw.  Stops when nothing is left.  Returns (at, events) for the
-    entries with events > 0, at = j * lines + line ascending.
+
+def _split(cells: np.ndarray, counts: np.ndarray, t: int, mean: float, top: int | None,
+           rng: np.random.Generator, reach: tuple[int, int]) -> tuple:
+    """Move each line's events by j = 0, 1, ... quanta of `t` cells by
+    conditional binomials.
+
+    At each j, every line with events left sends Binomial(events left,
+    h_j) of them to cell + j * t, drawn from `rng` over those lines in
+    cell order; a hazard of 1 sends all that is left without a draw.
+    numpy draws nothing for a line with none left, so drawing over the
+    live lines alone gives the bits a draw over every line would.
+    Stops when nothing is left.  `reach` = (the lines' largest |key|,
+    key ticks a quantum) refuses a step past the energy lattice before
+    it is formed.  Returns the (cell, events) moves with events > 0.
     """
-    takes = []
-    for h in _hazards(mean, top):
-        takes.append(counts if h == 1.0 else rng.binomial(counts, h))
-        counts = counts - takes[-1]
-        if not counts.any():
+    edge, tick = reach
+    moved, events = [], []
+    for j, h in enumerate(_hazards(mean, top)):
+        model.check_key_reach(edge + tick * j)
+        if h == 1.0:  # all lines left are live
+            moved.append(cells + t * j)
+            events.append(counts)
             break
-    takes = np.concatenate(takes)  # row j holds lines 0, 1, ...
-    at = takes.nonzero()[0]
-    return at, takes[at]
+        take = rng.binomial(_padded(counts), h)[:counts.size]
+        at = take.nonzero()[0]
+        moved.append(cells[at] + t * j)
+        events.append(take[at])
+        live = np.subtract(counts, take, out=take).nonzero()[0]
+        if not live.size:
+            break
+        cells, counts = cells[live], take[live]
+    return np.concatenate(moved), np.concatenate(events)
 
 
 def sample_mode(
@@ -227,20 +288,22 @@ class SampledSpectrum(LineSpectrum):
         return self.intensities.astype(np.int64)
 
 
-def _spectrum_chunk(plan: list, chunk_index: int, size: int, seed: int,
+def _spectrum_chunk(plan: list, chunk_index: int, size: int, key: np.ndarray,
                     lattice: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Unique sublattice cells and counts for one chunk of events.
 
     The chunk's histogram starts as one line of `size` events at cell 0
     (key(e00)); each planned mode (i, cells per quantum, mean, top,
     sweep) then moves every line's events by j quanta, drawing only
-    from the (seed, i, chunk) sub-stream, which it opens once.
+    from the (i, chunk) cell's stream under `key`, which it opens once.
     `lattice` is `model.sublattice(m)`.
     """
     origin, step, _ = lattice
+    rng = np.random.Generator(np.random.Philox(key=key))
     cells, counts = np.zeros(1, dtype=np.int64), np.array([size], dtype=np.int64)
     for i, t, mean, top, sweep in plan:
-        rng = substream(seed, i, chunk_index)
+        _cell_stream(rng, key, i, chunk_index)
+        edge = max(abs(origin + step * int(cells[0])), abs(origin + step * int(cells[-1])))
         if (cells.size + _SPLIT_STEP_LINES) * sweep > size:  # per-event draws are cheaper
             j = _sample_mode_chunk(mean, top, rng, size)
             lo = int(j.min())  # (j - lo, line) as one index cannot overflow
@@ -250,13 +313,13 @@ def _spectrum_chunk(plan: list, chunk_index: int, size: int, seed: int,
                 events = table[at]
             else:  # a huge mean: sort the events, allocating no lines x spread table
                 at, events = model.sum_by_key(at, np.ones(size, np.int64))
+            j = at // cells.size  # at = (j - lo) * lines + line ascends, so j - lo does
+            line = at - cells.size * j
+            model.check_key_reach(edge + step * abs(t) * (int(j[-1]) + lo))
+            cells, counts = model.sum_by_key(cells[line] + t * (j + lo), events)
         else:
-            lo, (at, events) = 0, _split(counts, mean, top, rng)
-        j = at // cells.size  # at = (j - lo) * lines + line ascends, so j - lo does
-        line = at - cells.size * j
-        edge = max(abs(origin + step * int(cells[0])), abs(origin + step * int(cells[-1])))
-        model.check_key_reach(edge + step * abs(t) * (int(j[-1]) + lo))
-        cells, counts = model.sum_by_key(cells[line] + t * (j + lo), events)
+            moved = _split(cells, counts, t, mean, top, rng, (edge, step * abs(t)))
+            cells, counts = model.sum_by_key(*moved)
     return cells, counts
 
 
@@ -278,15 +341,18 @@ def sample_spectrum(
             for i, (s, t) in enumerate(zip(m.huang_rhys, quanta), 1)]
     plan = [(i, t, mean, top, min(mean + 10.0 * math.sqrt(mean) + 10.0,
                                   math.inf if top is None else top + 1))  # the sweep
-            for i, t, mean, top in laws if mean > 0.0 and top != 0]  # silent modes draw nothing
-    chunks = _chunks(cfg.events)
+            for i, t, mean, top in sorted(laws, key=lambda law: law[2])  # ascending mean
+            if mean > 0.0 and top != 0]  # silent modes draw nothing
+    key, chunks = _key(cfg.seed), _chunks(cfg.events)
     if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: _spectrum_chunk(plan, *c, cfg.seed, lattice), chunks))
+            results = list(pool.map(lambda c: _spectrum_chunk(plan, *c, key, lattice), chunks))
     else:
-        results = [_spectrum_chunk(plan, *c, cfg.seed, lattice) for c in chunks]
+        results = [_spectrum_chunk(plan, *c, key, lattice) for c in chunks]
 
-    cells, counts = model.sum_by_key(*map(np.concatenate, zip(*results)))
+    # one chunk's cells already ascend and differ, its counts int64
+    cells, counts = (results[0] if len(results) == 1
+                     else model.sum_by_key(*map(np.concatenate, zip(*results))))
     prov = result_provenance(m, d, engine="sampler", events=cfg.events, seed=cfg.seed,
-                             max_quanta=cfg.max_quanta, generator="philox-seedseq")
+                             max_quanta=cfg.max_quanta, generator="philox-counter")
     return SampledSpectrum(key_energies(origin + step * cells), counts, provenance=prov)

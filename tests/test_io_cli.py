@@ -270,6 +270,15 @@ class TestSpectrumFile:
         lines = provenance_lines(prov) + ["events,value,again"] + list(map(",".join, rows))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
+    def test_write_table_numpy_scalars_as_python_numbers(self, tmp_path):
+        # a numpy scalar in a list column writes as its Python number, as
+        # an array column's values do
+        path = tmp_path / "t.csv"
+        write_table({}, "events,mean", ([np.int64(100), 7], np.array([0.5, 1.5])), path)
+        assert path.read_bytes() == b"events,mean\n100,0.5\n7,1.5\n"
+        write_table({}, "events,mean", ([np.uint8(3)], [np.float64(1 / 3)]), path)
+        assert path.read_bytes() == b"events,mean\n3,0.3333333333333333\n"
+
     def test_write_table_refuses_ragged_rows(self, tmp_path):
         path = tmp_path / "t.csv"
         with pytest.raises(ValueError):

@@ -78,19 +78,28 @@ def oracle_counts(s, d, seed, n, max_quanta=None):
     return apply_detector(poisson_draw(s, rng, size=n), d, rng, max_quanta)
 
 
-def replay_split(m, cfg, d=IDEAL_DETECTOR):
+def plan_order(m, cfg, d=IDEAL_DETECTOR):
+    """The 1-based mode positions in the order the sampler splits them:
+    ascending recorded mean, equal means in position order."""
+    return sorted(range(1, m.n_modes + 1),
+                  key=lambda i: d.recorded(m.modes[i - 1].huang_rhys, cfg.max_quanta)[0])
+
+
+def replay_split(m, cfg, d=IDEAL_DETECTOR, order=None):
     """Oracle: the sampler's cell rule, one dict of lines per chunk.
 
-    Each (mode i, chunk) cell draws from `substream(seed, i, chunk)`:
-    for j = 0, 1, ..., Binomial(events left, h_j) over every line in key
-    order, a line with none left included (it draws nothing), and a
-    hazard of 1 takes all that is left.  A mode that records 0 draws
-    nothing.
+    Modes are replayed in `order` (1-based positions; the plan's order
+    by default).  Each (mode i, chunk) cell draws from `substream(seed,
+    i, chunk)`: for j = 0, 1, ..., Binomial(events left, h_j) over every
+    line in key order, a line with none left included (it draws
+    nothing), and a hazard of 1 takes all that is left.  A mode that
+    records 0 draws nothing.
     """
     hist = {}
     for ci, size in sampling._chunks(cfg.events):
         lines = {int(energy_keys(m.e00)): size}
-        for i, mode in enumerate(m.modes, 1):
+        for i in order or plan_order(m, cfg, d):
+            mode = m.modes[i - 1]
             mean, top = d.recorded(mode.huang_rhys, cfg.max_quanta)
             if mean == 0.0 or top == 0:
                 continue
@@ -116,17 +125,19 @@ def replay_per_event(m, cfg, d=IDEAL_DETECTOR):
     """Oracle: the sampler's per-event cells, one array of event keys
     per chunk.
 
-    Each chunk's events start at key(e00); each mode then pairs the
-    sorted keys with its `sample_mode` counts for that chunk and moves
-    each event by its count times the mode's key.
+    Each chunk's events start at key(e00); each mode, in the plan's
+    order, then pairs the sorted keys with its `sample_mode` counts for
+    that chunk and moves each event by its count times the mode's key.
     """
-    draws = [sample_mode(mode.huang_rhys, i, cfg, d) for i, mode in enumerate(m.modes, 1)]
+    order = plan_order(m, cfg, d)
+    draws = {i: sample_mode(m.modes[i - 1].huang_rhys, i, cfg, d) for i in order}
     keys = []
     for ci, size in sampling._chunks(cfg.events):
         e = np.full(size, int(energy_keys(m.e00)), dtype=np.int64)
         lo = ci * sampling._CHUNK_EVENTS
-        for mode, j in zip(m.modes, draws):
-            e = np.sort(e) + int(energy_keys(mode.energy)) * m.sign * j[lo:lo + size]
+        for i in order:
+            t = int(energy_keys(m.modes[i - 1].energy)) * m.sign
+            e = np.sort(e) + t * draws[i][lo:lo + size]
         keys.append(e)
     return np.unique(np.concatenate(keys), return_counts=True)
 
@@ -152,6 +163,31 @@ class TestPoissonDraw:
         n = 10**6
         draws = poisson_draw(1.0, substream(321, 1, 0), size=n)
         assert abs(draws.mean() - 1.0) < 3.0 / math.sqrt(n)
+
+
+class TestSubstream:
+    def test_is_the_cells_stream(self):
+        # a chunk's generator, reset to cell (i, c) after another cell left
+        # it mid-buffer, draws what a fresh `substream(seed, i, c)` draws
+        key = sampling._key(7)
+        rng = sampling._cell_stream(np.random.Generator(np.random.Philox(key=key)), key, 3, 1)
+        for i, c in ((2, 1), (5, 0), (2, 1), (2**64 - 1, 2)):
+            rng.integers(2**32, size=3, dtype=np.uint32)  # leaves a half-used word
+            rng.random()  # and a half-used Philox block
+            cell, fresh = sampling._cell_stream(rng, key, i, c), substream(7, i, c)
+            for draw in (lambda g: g.integers(2**32, size=5, dtype=np.uint32),
+                         lambda g: g.binomial(np.arange(100), 0.3),
+                         lambda g: g.poisson(2.5, 1000), lambda g: g.random(3)):
+                assert np.array_equal(draw(cell), draw(fresh))
+
+    @pytest.mark.parametrize("i", [1, 2**64 - 1])
+    def test_positions_past_2_64_keep_their_own_stream(self, i):
+        # position i + 2**64 shares i's counter under another key
+        a, b = (substream(7, k, 0).random(8) for k in (i, i + 2**64))
+        assert not np.array_equal(a, b)
+        assert np.array_equal(b, substream(7, i + 2**64, 0).random(8))
+        assert not np.array_equal(substream(7, 1, 0).random(8), substream(7, 2, 0).random(8))
+        assert not np.array_equal(substream(7, 1, 0).random(8), substream(7, 1, 1).random(8))
 
 
 class TestHazards:
@@ -354,7 +390,8 @@ class TestSampleSpectrum:
         # before mode 1 (or any worker) opens a sub-stream, over 3 chunks
         monkeypatch.setattr(sampling, "_CHUNK_EVENTS", 100)
         opened = []
-        monkeypatch.setattr(sampling, "substream", lambda *a: opened.append(a) or substream(*a))
+        real = sampling._cell_stream
+        monkeypatch.setattr(sampling, "_cell_stream", lambda *a: opened.append(a) or real(*a))
         with pytest.raises(ValueError, match=r"^mode 2: recorded mean .*Poisson mean must be"):
             sample_spectrum(molecule([0.5, 2e19]), SamplerConfig(events=300), workers=workers)
         assert opened == []
@@ -406,6 +443,41 @@ class TestSampleSpectrum:
         keys, counts = replay_split(m, cfg)
         assert np.array_equal(spec.energies, key_energies(keys))
         assert np.array_equal(spec.counts, counts)
+
+    @pytest.mark.parametrize("chunk_events", [7000, 10**6])  # 3 chunks merged, or 1 as it is
+    @pytest.mark.parametrize("d", [IDEAL_DETECTOR, DetectorModel(efficiency=0.6, dark_mean=0.05)])
+    def test_modes_split_in_ascending_mean(self, d, chunk_events, monkeypatch):
+        # the file order is not ascending, and modes 2 and 4 tie: the
+        # spectrum replays in the plan's order and not in the file's
+        monkeypatch.setattr(sampling, "_CHUNK_EVENTS", chunk_events)
+        m = molecule([0.8, 0.2, 0.5, 0.2], energies=[100.0, 300.0, 700.0, 1100.0], e00=1000.0)
+        cfg = SamplerConfig(events=20000, seed=6)
+        assert plan_order(m, cfg, d) == [2, 4, 3, 1]
+        spec = sample_spectrum(m, cfg, d)
+        keys, counts = replay_split(m, cfg, d)
+        assert np.array_equal(spec.energies, key_energies(keys))
+        assert np.array_equal(spec.counts, counts)
+        keys, counts = replay_split(m, cfg, d, order=[1, 2, 3, 4])
+        assert not (np.array_equal(spec.energies, key_energies(keys))
+                    and np.array_equal(spec.counts, counts))
+
+    def test_binomial_work_follows_live_lines(self, monkeypatch):
+        # 66 modes at 1e6 events: split low means first and draw only over
+        # lines with events left (1.44M lines passed to binomial in file
+        # order over every line; 0.37M now, the empty lines that pad a
+        # draw over fewer than 1024 lines to a power of two included)
+        drawn = []
+
+        class Counting(np.random.Generator):
+            def binomial(self, n, p, size=None):
+                drawn.append(np.size(n))
+                return super().binomial(n, p, size)
+
+        monkeypatch.setattr(np.random, "Generator", Counting)
+        spec = sample_spectrum(large_acene_like(66), SamplerConfig(events=10**6, seed=1))
+        assert int(spec.counts.sum()) == 10**6
+        assert 0 < sum(drawn) <= 500_000, sum(drawn)
+        assert all(n & (n - 1) == 0 for n in drawn if n < sampling._CACHED_BYTES)
 
     @pytest.mark.parametrize("d, max_quanta, energies", [
         pytest.param(IDEAL_DETECTOR, None, [100.0, 300.0, 700.0], id="ideal"),
@@ -473,10 +545,11 @@ class TestSampleSpectrum:
     def test_each_cell_derives_law_and_stream_once(self, chunk_events, methods, monkeypatch):
         # S = 400 draws per event in chunks of 1e4 and splits in 1e5; the
         # small modes split.  The call derives each mode's law once, and
-        # every cell opens its sub-stream exactly once, whichever method
-        # it takes.
+        # every cell opens its sub-stream (sets its Philox counter) exactly
+        # once, whichever method it takes.
         monkeypatch.setattr(sampling, "_CHUNK_EVENTS", chunk_events)
-        calls = {name: [] for name in ("_recorded", "substream", "_sample_mode_chunk", "_split")}
+        names = ("_recorded", "_cell_stream", "_sample_mode_chunk", "_split")
+        calls = {name: [] for name in names}
         for name, log in calls.items():
             real = getattr(sampling, name)
             monkeypatch.setattr(sampling, name,
@@ -485,7 +558,7 @@ class TestSampleSpectrum:
         cfg = SamplerConfig(events=2 * 10**5, seed=4)
         sample_spectrum(m, cfg)
         cells = [(i, ci) for ci, _ in sampling._chunks(cfg.events) for i in (1, 2, 3)]
-        assert sorted(a[1:] for a in calls["substream"]) == sorted(cells)
+        assert sorted(a[2:] for a in calls["_cell_stream"]) == sorted(cells)
         assert [a[1] for a in calls["_recorded"]] == [1, 2, 3]
         assert {name for name in methods if calls[name]} == methods
         assert len(calls["_sample_mode_chunk"]) + len(calls["_split"]) == len(cells)
@@ -493,7 +566,7 @@ class TestSampleSpectrum:
             log.clear()
         sample_mode(400.0, 1, cfg)
         assert len(calls["_recorded"]) == 1
-        assert (len(calls["substream"]) == len(calls["_sample_mode_chunk"])
+        assert (len(calls["_cell_stream"]) == len(calls["_sample_mode_chunk"])
                 == len(sampling._chunks(cfg.events)))
 
     def test_huge_mean_per_event_cell_memory_bounded(self, monkeypatch):
