@@ -25,9 +25,11 @@ from .analysis import (
 from .model import (
     IDEAL_DETECTOR,
     DetectorModel,
+    LineSpectrum,
     Mode,
     Molecule,
     ValidationError,
+    fc_factor_1d,
     hr_from_gradient,
     prune_modes,
 )
@@ -40,10 +42,8 @@ from .sampling import (
 )
 from .sos import (
     BudgetExceededError,
-    LineSpectrum,
     SosConfig,
     build_reference_spectrum,
-    fc_factor_1d,
     state_count,
 )
 

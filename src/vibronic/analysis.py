@@ -10,10 +10,10 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .model import (KEY_LIMIT, TICKS_PER_CM1, DetectorModel, Molecule, check, energy_keys, finite,
-                    refusal, result_provenance, sum_by_key)
+from .model import (KEY_LIMIT, TICKS_PER_CM1, DetectorModel, LineSpectrum, Molecule, check,
+                    energy_keys, finite, refusal, result_provenance, sum_by_key)
 from .sampling import SamplerConfig, sample_spectrum
-from .sos import LineSpectrum, SosConfig, build_reference_spectrum
+from .sos import SosConfig, build_reference_spectrum
 
 __all__ = [
     "BroadeningKernel",

@@ -9,17 +9,15 @@ lattice holding them and the grid exceeds that guard).
 Every CSV is written from its columns by `io.write_table`, with the
 written result's provenance as its header; the `converge` table's records the study's
 `runs`.  `sample` and `converge` draw, so they accept
---seed; when omitted, a process-entropy seed is drawn (or taken from
-VIBRONIC_SEED) and recorded in the provenance so any run can be
-replayed.  `sos` is deterministic.  `broaden` carries its source's
-provenance into its output; `converge` scores against the capped
-reference at --max-quanta.
+--seed; when omitted, a process-entropy seed is drawn and recorded in
+the provenance so any run can be replayed.  `sos` is deterministic.
+`broaden` carries its source's provenance into its output; `converge`
+scores against the capped reference at --max-quanta.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -32,18 +30,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_GRID = 4
-
-
-def _resolve_seed(seed: int | None) -> int:
-    if seed is not None:
-        return seed
-    env = os.environ.get("VIBRONIC_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"VIBRONIC_SEED must be an integer, got {env!r}") from None
-    return int(np.random.SeedSequence().entropy) & (2**64 - 1)
 
 
 def _load_molecule(path, prune_s: float | None):
@@ -90,7 +76,7 @@ def cmd_sos(args) -> int:
 
 def cmd_sample(args) -> int:
     m = _load_molecule(args.molecule, args.prune_s)
-    cfg = sampling.SamplerConfig(events=args.events, seed=args.seed_value,
+    cfg = sampling.SamplerConfig(events=args.events, seed=args.seed,
                                  max_quanta=args.max_quanta)
     t0 = time.perf_counter()
     sampled = sampling.sample_spectrum(m, cfg, _detector(args), workers=args.workers)
@@ -139,7 +125,7 @@ def cmd_converge(args) -> int:
                          f"got {args.events_list!r}") from None
     cfg = sampling.SamplerConfig(
         events=max(event_counts),
-        seed=args.seed_value,
+        seed=args.seed,
         max_quanta=args.max_quanta,
     )
     sos_cfg = sos.SosConfig(max_quanta=args.max_quanta, overflow="cap")
@@ -224,9 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "seed" in args and args.seed is None:  # drawn once, so the provenance can replay it
+        args.seed = int(np.random.SeedSequence().entropy) & (2**64 - 1)
     try:
-        if "seed" in args:
-            args.seed_value = _resolve_seed(args.seed)
         return args.func(args)
     except sos.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,8 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Mode, Molecule, ValidationError, hr_from_gradient
-from .sos import LineSpectrum
+from .model import LineSpectrum, Mode, Molecule, ValidationError, hr_from_gradient
 
 __all__ = [
     "MoleculeFileError",

@@ -12,6 +12,18 @@ non-number is refused before the field's rule, and nothing is
 converted, so numpy numbers and huge ints pass where their rule holds.
 `finite` is the one test of a finite real number.
 
+The per-mode count law, shared by both engines and stated here once:
+mode i's recorded count J is Poisson(efficiency * S_i + dark_mean),
+clipped at 1 by a click detector and at the cutoff K
+(`DetectorModel.recorded`); at the ideal detector its pmf is the
+one-dimensional Franck-Condon factor (`fc_factor_1d`).  SOS convolves
+`mode_distribution`'s vector of P(J = j), j = 0..top.  The sampler
+splits events by the hazards h_j = P(J = j | J >= j) (`hazards`), which
+keep their own form rather than reading that vector: without a cap J
+is unbounded, so no finite vector holds it, and above the mean 1/h_j
+is `tail_ratio`'s upward series, which needs no pmf value, so deep in
+the tail nothing underflows to 0/0 or cancels in 1 - head.
+
 All spectral energies (mode quanta, zero-phonon line) are in cm^-1.
 Huang-Rhys factors are dimensionless, so everything downstream of
 `hr_from_gradient` is unit-free.
@@ -27,6 +39,7 @@ however it indexes the keys.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from collections.abc import Iterable
@@ -41,6 +54,10 @@ __all__ = [
     "Molecule",
     "DetectorModel",
     "IDEAL_DETECTOR",
+    "LineSpectrum",
+    "fc_factor_1d",
+    "mode_distribution",
+    "tail_ratio",
     "ValidationError",
     "hr_from_gradient",
     "prune_modes",
@@ -56,6 +73,11 @@ TICKS_PER_CM1 = 10**6
 # returns the correctly rounded lattice value (|E| < ~9e9 cm^-1).
 KEY_LIMIT = 2**53
 _DENSE_SPAN = 4  # lines spanning fewer sublattice cells each are indexed densely
+
+# Above this j, or this log(s^j), the direct product risks overflow,
+# so switch to log-space evaluation.
+_LOG_SPACE_J = 20
+_LOG_DIRECT_MAX = 700.0
 
 
 class ValidationError(ValueError):
@@ -229,6 +251,130 @@ class DetectorModel:
 
 
 IDEAL_DETECTOR = DetectorModel()
+
+
+def check_cutoff(k: int, overflow: str) -> None:
+    """Refuse a cutoff K that is not an integer >= 0 or an unknown
+    overflow rule, naming the value."""
+    check("max_quanta", k, numbers.Integral, ">= 0", lambda n: n >= 0)
+    if overflow not in ("truncate", "cap"):
+        raise ValueError(f"overflow must be 'truncate' or 'cap', got {overflow!r}")
+
+
+def fc_factor_1d(s: float, j: int) -> float:
+    """One-dimensional Franck-Condon factor s^j e^-s / j!.
+
+    Equals the Poisson pmf at j with mean s; always in [0, 1].
+    Evaluated in log space for j > 20 to dodge factorial overflow, and
+    for any j where s^j alone would overflow.  `s` must be a finite real
+    >= 0 and `j` an integer in [0, 2**53], where lgamma(j + 1) is finite;
+    `check` refuses anything else by name.
+    """
+    if not (isinstance(s, float) and 0.0 <= s < math.inf and type(j) is int and 0 <= j <= 2**53):
+        check("s", s, numbers.Real, ">= 0 and finite", nonnegative)
+        check("j", j, numbers.Integral, ">= 0 and <= 2**53", lambda n: 0 <= n <= 2**53)
+        s, j = float(s), int(j)  # numpy's float32 powers would overflow
+    if s == 0.0:
+        return 1.0 if j == 0 else 0.0
+    if j <= _LOG_SPACE_J and j * math.log(s) < _LOG_DIRECT_MAX:
+        return s**j * math.exp(-s) / math.factorial(j)
+    return math.exp(j * math.log(s) - s - math.lgamma(j + 1))
+
+
+def mode_distribution(s: float, k: int, overflow: str = "truncate",
+                      d: DetectorModel = IDEAL_DETECTOR) -> np.ndarray:
+    """Probability of each count `d` records for one mode, j = 0..top.
+
+    The count is Poisson(mean) clipped at top, (mean, top) =
+    `d.recorded(s, K)`; a click detector's clip piles P(j >= 1) onto 1
+    under either overflow.  At the cutoff K, "truncate" keeps raw
+    Poisson pmf values (sums to the regularized CDF, < 1); "cap" piles
+    the tail mass P(j >= K) onto the K bin, so the vector sums to 1
+    like clipped samples do.  A K that is not an integer >= 0 (a bool
+    included) or another overflow is refused, as `SosConfig` refuses it,
+    and so is an `s` that is not a finite real >= 0.
+    """
+    check("s", s, numbers.Real, ">= 0 and finite", nonnegative)
+    check_cutoff(k, overflow)
+    mean, top = d.recorded(s, k)
+    p = np.array([fc_factor_1d(mean, j) for j in range(top + 1)])
+    if overflow == "cap" or top == d.recorded(s, None)[1]:
+        if mean < top:  # sum the tail upward, where 1 - head would cancel
+            p[top] *= tail_ratio(mean, top)
+        else:  # the tail is >= 1/2, so 1 - head loses nothing
+            p[top] = 1.0 - p[:top].sum()
+    return p
+
+
+def tail_ratio(mean: float, j: int) -> float:
+    """P(J >= j) / P(J = j) for J ~ Poisson(mean) and j > mean.
+
+    The series 1 + mean/(j+1) + mean^2/((j+1)(j+2)) + ... is summed
+    upward until a term no longer changes it; every ratio mean/i < 1,
+    so the terms fall.  It needs no pmf value, so it neither underflows
+    nor cancels deep in the tail.
+    """
+    total, term = 0.0, 1.0
+    while total + term != total:
+        total, j = total + term, j + 1
+        term *= mean / j
+    return total
+
+
+def hazards(mean: float, top: int | None):
+    """Yield h_j = P(J = j | J >= j), j = 0, 1, ..., for the recorded
+    count J: Poisson(mean) clipped at `top` (None: unbounded), so
+    h_top = 1 and an unbounded sequence never ends.
+
+    For j <= mean, h_j = p_j / (1 - head): the tail there is >= ~1/2,
+    so the subtraction loses nothing.  Above the mean, h_j =
+    1 / `tail_ratio(mean, j)`, which needs no p_j and so cannot give
+    0/0 or a value above 1 deep in the tail.
+    """
+    head = 0.0
+    for j in itertools.count():
+        if j == top:
+            yield 1.0
+            return
+        if j <= mean:
+            p = fc_factor_1d(mean, j)
+            yield p / (1.0 - head)
+            head += p
+        else:
+            yield 1.0 / tail_ratio(mean, j)
+
+
+@dataclass
+class LineSpectrum:
+    """A discrete stick spectrum: one-dimensional arrays of finite,
+    strictly increasing energies (cm^-1) and finite, non-negative
+    intensities.  `provenance` is the spectrum's one metadata record;
+    `io.write_spectrum` writes it as the file header."""
+
+    energies: np.ndarray
+    intensities: np.ndarray
+    provenance: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.energies = np.asarray(self.energies, dtype=float)
+        self.intensities = np.asarray(self.intensities, dtype=float)
+        if self.energies.shape != self.intensities.shape:
+            raise ValueError("energies and intensities must have equal length")
+        if self.energies.ndim != 1:
+            raise ValueError("energies and intensities must be one-dimensional")
+        if not (np.isfinite(self.energies).all() and np.isfinite(self.intensities).all()):
+            raise ValueError("energies and intensities must be finite")
+        if not (self.energies[1:] > self.energies[:-1]).all():
+            raise ValueError("energies must be strictly increasing")
+        if np.any(self.intensities < 0):
+            raise ValueError("intensities must be non-negative")
+
+    def __len__(self) -> int:
+        return self.energies.size
+
+    @property
+    def total(self) -> float:
+        return float(self.intensities.sum())
 
 
 def result_provenance(m: Molecule, d: DetectorModel, **fields) -> dict:

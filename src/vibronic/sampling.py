@@ -2,7 +2,7 @@
 
 Each vibrational mode is emulated by an attenuated coherent pulse
 train seen by a photon detector.  Per event, each mode's recorded
-count follows the law `DetectorModel.recorded` states:
+count follows the per-mode count law that `model` states:
 Poisson(efficiency * S + dark_mean), clipped at 1 for a click detector
 and at the cap K.  Counts are weighted by the mode's quantum on the
 energy lattice, summed event-wise across modes, and histogrammed on
@@ -15,14 +15,15 @@ so it draws that directly, on SOS's sublattice (`model.sublattice`):
 a chunk carries its lines as (cell, events) pairs, and each (mode,
 chunk) cell counts how many of each line's events record j quanta,
 in one of two ways.  It splits every line's events over j = 0, 1, ...
-by conditional binomials, Binomial(events left, P(J = j | J >= j)),
-the multinomial drawn as a sequence of binomials (Davis 1993, Comput.
-Stat. Data Anal. 16:205): the same law as per-event draws.  After j =
-0 a step draws only over the lines with events left; numpy draws
-nothing for a line with none, so this gives the bits of a draw over
-every line, and a cell's work is the lines it must split.  Where the
-lines x sweep length, with a split step's fixed cost added, would
-exceed the chunk's events (a huge recorded mean, or a small chunk),
+by conditional binomials, Binomial(events left, h_j) with the law's
+hazards h_j = P(J = j | J >= j) (`model.hazards`), the multinomial
+drawn as a sequence of binomials (Davis 1993, Comput. Stat. Data Anal.
+16:205): the same law as per-event draws.  After j = 0 a step draws
+only over the lines with events left; numpy draws nothing for a line
+with none, so this gives the bits of a draw over every line, and a
+cell's work is the lines it must split.  Where the lines x sweep
+length, with a split step's fixed cost added, would exceed the chunk's
+events (a huge recorded mean, or a small chunk),
 it draws its events one at a time and counts them per (j, line) by
 one `np.bincount`, or by `sum_by_key` where that table would pass
 `model._DENSE_SPAN` cells an event.  The call plans once, before any
@@ -51,7 +52,6 @@ and the version pins it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -60,8 +60,8 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import model
-from .model import IDEAL_DETECTOR, DetectorModel, Molecule, key_energies, result_provenance
-from .sos import LineSpectrum, fc_factor_1d, tail_ratio
+from .model import (IDEAL_DETECTOR, DetectorModel, LineSpectrum, Molecule, hazards, key_energies,
+                    result_provenance)
 
 __all__ = [
     "SamplerConfig",
@@ -162,14 +162,12 @@ def _check_mean(mean: float) -> None:
 def poisson_draw(mean: float, rng: np.random.Generator, size: int | None = None):
     """Exact-distribution Poisson variate(s) with the given mean.
 
-    Mean 0 short-circuits to zeros without consuming the stream.  A
-    mean that is not a real number (a bool or a str included) or lies
-    outside [0, POISSON_MEAN_MAX] (nan does) is refused by `model.check`
-    before any draw.
+    numpy returns zeros for mean 0 and draws nothing, so such a call
+    leaves `rng` where it was.  A mean that is not a real number (a
+    bool or a str included) or lies outside [0, POISSON_MEAN_MAX] (nan
+    does) is refused by `model.check` before any draw.
     """
     _check_mean(mean)
-    if mean == 0.0:
-        return 0 if size is None else np.zeros(size, dtype=np.int64)
     return rng.poisson(mean, size=size)
 
 
@@ -192,29 +190,6 @@ def _sample_mode_chunk(mean: float, top: int | None, rng: np.random.Generator,
                        size: int) -> np.ndarray:
     counts = poisson_draw(mean, rng, size)
     return counts if top is None else np.minimum(counts, top)
-
-
-def _hazards(mean: float, top: int | None):
-    """Yield h_j = P(J = j | J >= j), j = 0, 1, ..., for the recorded
-    count J: Poisson(mean) clipped at `top` (None: unbounded), so
-    h_top = 1 and an unbounded sequence never ends.
-
-    For j <= mean, h_j = p_j / (1 - head): the tail there is >= ~1/2,
-    so the subtraction loses nothing.  Above the mean, h_j =
-    1 / `tail_ratio(mean, j)`, which needs no p_j and so cannot give
-    0/0 or a value above 1 deep in the tail.
-    """
-    head = 0.0
-    for j in itertools.count():
-        if j == top:
-            yield 1.0
-            return
-        if j <= mean:
-            p = fc_factor_1d(mean, j)
-            yield p / (1.0 - head)
-            head += p
-        else:
-            yield 1.0 / tail_ratio(mean, j)
 
 
 def _padded(counts: np.ndarray) -> np.ndarray:
@@ -243,7 +218,7 @@ def _split(cells: np.ndarray, counts: np.ndarray, t: int, mean: float, top: int 
     """
     edge, tick = reach
     moved, events = [], []
-    for j, h in enumerate(_hazards(mean, top)):
+    for j, h in enumerate(hazards(mean, top)):
         model.check_key_reach(edge + tick * j)
         if h == 1.0:  # all lines left are live
             moved.append(cells + t * j)

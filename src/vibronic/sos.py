@@ -2,46 +2,40 @@
 
 The spectrum is the distribution of E00 +/- sum_i E_i j_i over all
 configurations (j_1, ..., j_N) with each j_i <= K, weighted by the
-product of the probabilities that a detector records each j_i
-(`DetectorModel.recorded`; for the ideal detector, the one-dimensional
-Franck-Condon factors), so a reference is exact for samples taken
-through its detector.  It is built by one algorithm, a mode-by-mode
-convolution on the integer energy lattice: each mode contributes K+1
-sticks, and sticks on one key are summed after every mode, in one order,
-on one dense array over the cells a run can reach (chosen once, where
-the configurations could fill it) or by `sum_by_key`.  A step costs
-cells or live sticks x (K+1), not (1+K)^N, within a work budget.
+product of the probabilities that a detector records each j_i, each
+from `mode_distribution` (the per-mode count law, stated in `model`),
+so a reference is exact for samples taken through its detector.  It
+is built by one algorithm, a mode-by-mode convolution on the integer
+energy lattice: each mode contributes K+1 sticks, and sticks on one
+key are summed after every mode, in one order, on one dense array over
+the cells a run can reach (chosen once, where the configurations could
+fill it) or by `sum_by_key`.  A step costs cells or live sticks x
+(K+1), not (1+K)^N, within a work budget.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
 
 from . import model
-from .model import (IDEAL_DETECTOR, DetectorModel, Molecule, check_key_reach, key_energies,
+# `LineSpectrum`, `fc_factor_1d` and `mode_distribution` also keep their old import path
+# here; the engine looks `mode_distribution` up in this module, so patching it here sees each call.
+from .model import (IDEAL_DETECTOR, DetectorModel, LineSpectrum, Molecule,  # noqa: F401
+                    check_key_reach, fc_factor_1d, key_energies, mode_distribution,
                     result_provenance, sum_by_key)
 
 __all__ = [
     "SosConfig",
-    "LineSpectrum",
     "BudgetExceededError",
-    "fc_factor_1d",
     "state_count",
     "build_reference_spectrum",
-    "mode_distribution",
     "DEFAULT_ENUMERATION_BUDGET",
 ]
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
-
-# Above this j, or this log(s^j), the direct product risks overflow,
-# so switch to log-space evaluation.
-_LOG_SPACE_J = 20
-_LOG_DIRECT_MAX = 700.0
 
 
 class BudgetExceededError(RuntimeError):
@@ -90,70 +84,9 @@ class SosConfig:
     def __post_init__(self):
         model.check("enumeration_budget", self.enumeration_budget, Integral, ">= 1",
                     lambda n: n >= 1)
-        _check_cutoff(self.max_quanta, self.overflow)
+        model.check_cutoff(self.max_quanta, self.overflow)
         if self.fc_prune is not None:
             model.check("fc_prune", self.fc_prune, Real, ">= 0 and finite", model.nonnegative)
-
-
-def _check_cutoff(k: int, overflow: str) -> None:
-    """Refuse a cutoff K that is not an integer >= 0 or an unknown
-    overflow rule, naming the value."""
-    model.check("max_quanta", k, Integral, ">= 0", lambda n: n >= 0)
-    if overflow not in ("truncate", "cap"):
-        raise ValueError(f"overflow must be 'truncate' or 'cap', got {overflow!r}")
-
-
-@dataclass
-class LineSpectrum:
-    """A discrete stick spectrum: one-dimensional arrays of finite,
-    strictly increasing energies (cm^-1) and finite, non-negative
-    intensities.  `provenance` is the spectrum's one metadata record;
-    `io.write_spectrum` writes it as the file header."""
-
-    energies: np.ndarray
-    intensities: np.ndarray
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.energies = np.asarray(self.energies, dtype=float)
-        self.intensities = np.asarray(self.intensities, dtype=float)
-        if self.energies.shape != self.intensities.shape:
-            raise ValueError("energies and intensities must have equal length")
-        if self.energies.ndim != 1:
-            raise ValueError("energies and intensities must be one-dimensional")
-        if not (np.isfinite(self.energies).all() and np.isfinite(self.intensities).all()):
-            raise ValueError("energies and intensities must be finite")
-        if not (self.energies[1:] > self.energies[:-1]).all():
-            raise ValueError("energies must be strictly increasing")
-        if np.any(self.intensities < 0):
-            raise ValueError("intensities must be non-negative")
-
-    def __len__(self) -> int:
-        return self.energies.size
-
-    @property
-    def total(self) -> float:
-        return float(self.intensities.sum())
-
-
-def fc_factor_1d(s: float, j: int) -> float:
-    """One-dimensional Franck-Condon factor s^j e^-s / j!.
-
-    Equals the Poisson pmf at j with mean s; always in [0, 1].
-    Evaluated in log space for j > 20 to dodge factorial overflow, and
-    for any j where s^j alone would overflow.  `s` must be a finite real
-    >= 0 and `j` an integer in [0, 2**53], where lgamma(j + 1) is finite;
-    `model.check` refuses anything else by name.
-    """
-    if not (isinstance(s, float) and 0.0 <= s < math.inf and type(j) is int and 0 <= j <= 2**53):
-        model.check("s", s, Real, ">= 0 and finite", model.nonnegative)
-        model.check("j", j, Integral, ">= 0 and <= 2**53", lambda n: 0 <= n <= 2**53)
-        s, j = float(s), int(j)  # numpy's float32 powers would overflow
-    if s == 0.0:
-        return 1.0 if j == 0 else 0.0
-    if j <= _LOG_SPACE_J and j * math.log(s) < _LOG_DIRECT_MAX:
-        return s**j * math.exp(-s) / math.factorial(j)
-    return math.exp(j * math.log(s) - s - math.lgamma(j + 1))
 
 
 def state_count(n_modes: int, k: int) -> int:
@@ -162,46 +95,6 @@ def state_count(n_modes: int, k: int) -> int:
     model.check("n_modes", n_modes, Integral, ">= 0", lambda n: n >= 0)
     model.check("k", k, Integral, ">= 0", lambda n: n >= 0)
     return (1 + int(k)) ** int(n_modes)  # numpy integers would wrap
-
-
-def mode_distribution(s: float, k: int, overflow: str = "truncate",
-                      d: DetectorModel = IDEAL_DETECTOR) -> np.ndarray:
-    """Probability of each count `d` records for one mode, j = 0..top.
-
-    The count is Poisson(mean) clipped at top, (mean, top) =
-    `d.recorded(s, K)`; a click detector's clip piles P(j >= 1) onto 1
-    under either overflow.  At the cutoff K, "truncate" keeps raw
-    Poisson pmf values (sums to the regularized CDF, < 1); "cap" piles
-    the tail mass P(j >= K) onto the K bin, so the vector sums to 1
-    like clipped samples do.  A K that is not an integer >= 0 (a bool
-    included) or another overflow is refused, as `SosConfig` refuses it,
-    and so is an `s` that is not a finite real >= 0.
-    """
-    model.check("s", s, Real, ">= 0 and finite", model.nonnegative)
-    _check_cutoff(k, overflow)
-    mean, top = d.recorded(s, k)
-    p = np.array([fc_factor_1d(mean, j) for j in range(top + 1)])
-    if overflow == "cap" or top == d.recorded(s, None)[1]:
-        if mean < top:  # sum the tail upward, where 1 - head would cancel
-            p[top] *= tail_ratio(mean, top)
-        else:  # the tail is >= 1/2, so 1 - head loses nothing
-            p[top] = 1.0 - p[:top].sum()
-    return p
-
-
-def tail_ratio(mean: float, j: int) -> float:
-    """P(J >= j) / P(J = j) for J ~ Poisson(mean) and j > mean.
-
-    The series 1 + mean/(j+1) + mean^2/((j+1)(j+2)) + ... is summed
-    upward until a term no longer changes it; every ratio mean/i < 1,
-    so the terms fall.  It needs no pmf value, so it neither underflows
-    nor cancels deep in the tail.
-    """
-    total, term = 0.0, 1.0
-    while total + term != total:
-        total, j = total + term, j + 1
-        term *= mean / j
-    return total
 
 
 def build_reference_spectrum(m: Molecule, cfg: SosConfig,

@@ -97,6 +97,16 @@ def test_criterion_3_small_instance_oracle():
                f"max dev {worst_dev:.2e}, min chi2 p {worst_p:.2e}")
 
 
+def merged_chi2_p(obs, exp) -> float:
+    """Chi-square p of counts `obs` against expected counts `exp`, the
+    bins expected below 5 merged into one so the statistic is valid."""
+    small = exp < 5.0
+    if small.any():
+        obs = np.append(obs[~small], obs[small].sum())
+        exp = np.append(exp[~small], exp[small].sum())
+    return float(scipy.stats.chisquare(obs, exp)[1])
+
+
 def tail_free_cap(m, d):
     """The least K at which every mode's recorded P(J >= K) < 1e-12."""
     means = [d.recorded(md.huang_rhys, None)[0] for md in m.modes]
@@ -129,14 +139,7 @@ def small_instance_gate(d, seed, trials, events=10**6, capped=True):
         q = np.array([probs.get(key, 0.0) for key in keys])
         obs = np.array([counts.get(key, 0) for key in keys], dtype=float)
         worst_dev = max(worst_dev, float(np.abs(obs / events - q).max()))
-
-        # merge low-expectation bins so the chi-square stat is valid
-        exp = q * events
-        big = exp >= 5.0
-        obs_b = np.concatenate([obs[big], [obs[~big].sum()]]) if (~big).any() else obs[big]
-        exp_b = np.concatenate([exp[big], [exp[~big].sum()]]) if (~big).any() else exp[big]
-        _, p_value = scipy.stats.chisquare(obs_b, exp_b)
-        worst_p = min(worst_p, float(p_value))
+        worst_p = min(worst_p, merged_chi2_p(obs, q * events))
     return worst_dev, worst_p
 
 
@@ -238,15 +241,11 @@ def test_criterion_7_unbounded_k_sample_exact_pmf():
     assert np.all(offset % g == 0)
     obs = np.bincount(offset // g, weights=sampled.counts, minlength=pmf.size)
     assert obs.size == pmf.size and obs.sum() == events
-    # merge low-expectation bins so the chi-square stat is valid
     exp = np.maximum(pmf, 0.0) * events
-    big = exp >= 5.0
-    obs_b = np.append(obs[big], obs[~big].sum())
-    exp_b = np.append(exp[big], exp[~big].sum())
-    _, p_value = scipy.stats.chisquare(obs_b, exp_b)
+    p_value = merged_chi2_p(obs, exp)
     ok = p_value > 1e-4 and abs(pmf.sum() - 1.0) < 1e-12
     report("criterion 7 (66-mode unbounded-K sample vs exact pmf)", ok,
-           f"chi2 p {p_value:.3g} over {big.sum() + 1} bins, {len(sampled)} lines, "
+           f"chi2 p {p_value:.3g} over {(exp >= 5.0).sum() + 1} bins, {len(sampled)} lines, "
            f"pmf length {pmf.size}")
 
 
@@ -302,6 +301,28 @@ def test_criterion_9_detector_small_instance_oracle(d):
     worst_dev, worst_p = small_instance_gate(d, seed=93, trials=5)
     ok = worst_dev <= 5e-3 and worst_p > 1e-4
     report(f"criterion 9 ({d})", ok, f"max dev {worst_dev:.2e}, min chi2 p {worst_p:.2e}")
+
+
+@pytest.mark.parametrize("d, k", [
+    (DetectorModel(efficiency=0.7, dark_mean=0.05), 1),
+    (DetectorModel(efficiency=0.7, dark_mean=0.05), 2),
+    (DetectorModel(efficiency=0.8, dark_mean=0.01, threshold_mode=True), 1),
+], ids=["loss-dark-K1", "loss-dark-K2", "click-K1"])
+def test_criterion_9_large_n_detector_exact_pmf(d, k):
+    """66 modes through detector `d`, capped at K, 1e6 events:
+    chi-square of the sampled lines against the exact capped reference
+    of what `d` records, p > 1e-4 (criteria 3, 7)."""
+    m, events = large_acene_like(66), 10**6
+    ref = build_reference_spectrum(m, SosConfig(max_quanta=k, overflow="cap"), d)
+    sampled = sample_spectrum(m, SamplerConfig(events=events, seed=run_seed(66, k),
+                                               max_quanta=k), d)
+    ref_keys, keys = energy_keys(ref.energies), energy_keys(sampled.energies)
+    at = np.searchsorted(ref_keys, keys)
+    assert np.array_equal(ref_keys[np.minimum(at, ref_keys.size - 1)], keys)  # no line off the law
+    obs = np.bincount(at, weights=sampled.counts, minlength=ref_keys.size)
+    p_value = merged_chi2_p(obs, ref.intensities * events)
+    report(f"criterion 9 (66 modes, {d}, K={k})", p_value > 1e-4,
+           f"chi2 p {p_value:.3g}, {len(sampled)} of {len(ref)} reference lines")
 
 
 def test_criterion_10_broadening_and_round_trip(tmp_path):

@@ -339,9 +339,8 @@ class TestCliSos:
         assert main(["sos", str(path), "--max-quanta", "100",
                      "--out", str(tmp_path / "x.csv")]) == 3
 
-    def test_deterministic_bytes(self, tmp_path, molecule_path, monkeypatch):
+    def test_deterministic_bytes(self, tmp_path, molecule_path):
         # SOS draws nothing, so no seed (given or drawn) enters its output
-        monkeypatch.delenv("VIBRONIC_SEED", raising=False)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
             assert main(["sos", str(molecule_path), "--max-quanta", "2",
@@ -585,42 +584,26 @@ class TestCliSeed:
             main(argv + ["--seed", "1"])
         assert err.value.code == 2
 
-    def test_env_seed_recorded(self, tmp_path, molecule_path, monkeypatch):
-        outs = [tmp_path / "env.csv", tmp_path / "flag.csv"]
-        monkeypatch.setenv("VIBRONIC_SEED", "1234")
+    def test_drawn_seed_recorded(self, tmp_path, molecule_path):
+        # without --seed one entropy seed is drawn; the header's seed replays the run
+        outs = [tmp_path / "drawn.csv", tmp_path / "flag.csv"]
         assert main(["sample", str(molecule_path), "--events", "1000",
                      "--out", str(outs[0])]) == 0
-        assert "# seed: 1234" in outs[0].read_text(encoding="utf-8").splitlines()
-        monkeypatch.delenv("VIBRONIC_SEED")
-        assert main(["sample", str(molecule_path), "--events", "1000", "--seed", "1234",
+        header = dict(line[2:].split(": ", 1)
+                      for line in read_spectrum(outs[0]).provenance["comments"])
+        seed = header["seed"]
+        assert main(["sample", str(molecule_path), "--events", "1000", "--seed", seed,
                      "--out", str(outs[1])]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
-    @pytest.mark.parametrize("argv, env", [
-        (["sample", "--events", "100", "--seed", "-1"], None),
-        (["converge", "--events-list", "100", "--runs", "1"], "-3"),
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--events", "100", "--seed", "-1"],
+        ["converge", "--events-list", "100", "--runs", "1", "--seed", "-3"],
     ])
-    def test_negative_seed_exit_2(self, tmp_path, molecule_path, monkeypatch, capsys,
-                                  argv, env):
-        if env is None:
-            monkeypatch.delenv("VIBRONIC_SEED", raising=False)
-        else:
-            monkeypatch.setenv("VIBRONIC_SEED", env)
+    def test_negative_seed_exit_2(self, tmp_path, molecule_path, capsys, argv):
         out = tmp_path / "o.csv"
         assert main([argv[0], str(molecule_path), *argv[1:], "--out", str(out)]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["sample", "converge"])
-    def test_non_integer_env_seed_exit_2(self, tmp_path, molecule_path, monkeypatch, capsys,
-                                         command):
-        # the refusal names the variable and its value, not int()'s parse
-        monkeypatch.setenv("VIBRONIC_SEED", "abc")
-        out = tmp_path / "o.csv"
-        argv = [command, str(molecule_path), "--out", str(out)]
-        argv += ["--events", "100"] if command == "sample" else ["--events-list", "100"]
-        assert main(argv) == 2
-        assert "VIBRONIC_SEED must be an integer, got 'abc'" in capsys.readouterr().err
         assert not out.exists()
 
 

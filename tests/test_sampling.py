@@ -11,12 +11,11 @@ from vibronic import model, sampling
 from vibronic.analysis import BroadeningKernel, EnergyGrid, broaden, fidelity, normalize
 from vibronic.fixtures import fine_acene_like, large_acene_like
 from vibronic.io import read_spectrum, write_spectrum
-from vibronic.model import TICKS_PER_CM1, Mode, Molecule, energy_keys, key_energies
+from vibronic.model import TICKS_PER_CM1, Mode, Molecule, energy_keys, hazards, key_energies
 from vibronic.sampling import (
     IDEAL_DETECTOR,
     DetectorModel,
     SamplerConfig,
-    _hazards,
     poisson_draw,
     sample_mode,
     sample_spectrum,
@@ -107,7 +106,7 @@ def replay_split(m, cfg, d=IDEAL_DETECTOR, order=None):
             keys = sorted(lines)
             left = np.array([lines[k] for k in keys], dtype=np.int64)
             lines = {}
-            for j, h in enumerate(_hazards(mean, top)):
+            for j, h in enumerate(hazards(mean, top)):
                 take = left if h == 1.0 else rng.binomial(left, h)
                 for k, n in zip(keys, take.tolist()):
                     if n:
@@ -144,9 +143,10 @@ def replay_per_event(m, cfg, d=IDEAL_DETECTOR):
 
 class TestPoissonDraw:
     def test_zero_mean_always_zero(self):
-        rng = substream(0, 1, 0)
+        rng, fresh = substream(0, 1, 0), substream(0, 1, 0)
         assert poisson_draw(0.0, rng) == 0
         assert not poisson_draw(0.0, rng, size=1000).any()
+        assert rng.random() == fresh.random()  # numpy drew nothing: the stream has not moved
 
     def test_negative_mean_rejected(self):
         with pytest.raises(ValueError):
@@ -195,7 +195,7 @@ class TestHazards:
         # h_j = P(J = j) / P(J >= j) wherever scipy's pmf is normal
         for s in np.append(np.geomspace(1e-9, 60.0, 200), 400.0):
             n = int(s + 10.0 * math.sqrt(s) + 30.0)
-            h = np.fromiter(itertools.islice(_hazards(s, None), n), float, n)
+            h = np.fromiter(itertools.islice(hazards(s, None), n), float, n)
             assert ((h >= 0.0) & (h <= 1.0)).all(), s
             j = np.arange(n)
             want = scipy.stats.poisson.pmf(j, s) / scipy.stats.poisson.sf(j - 1, s)
@@ -205,7 +205,7 @@ class TestHazards:
     def test_cap_takes_all_at_top(self):
         for s in (0.0, 0.3, 5.0):
             for top in (0, 1, 4):
-                h = list(_hazards(s, top))
+                h = list(hazards(s, top))
                 assert len(h) == top + 1 and h[-1] == 1.0, (s, top)
 
 
