@@ -11,7 +11,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .model import (KEY_LIMIT, TICKS_PER_CM1, DetectorModel, LineSpectrum, Molecule, check,
-                    energy_keys, finite, refusal, result_provenance, sum_by_key)
+                    energy_keys, finite, result_provenance, store, sum_by_key)
 from .sampling import SamplerConfig, sample_spectrum
 from .sos import SosConfig, build_reference_spectrum
 
@@ -37,12 +37,18 @@ class GridError(ValueError):
     """An energy grid violates its invariants."""
 
 
+def _width(w) -> bool:
+    """Whether `w` is a line width: a `finite` real number > 0."""
+    return finite(w) and w > 0
+
+
 @dataclass(frozen=True)
 class BroadeningKernel:
     """Unit-area line shape applied to every stick.
 
     shape : "lorentzian" or "gaussian"
-    fwhm : full width at half maximum in cm^-1, finite and > 0
+    fwhm : full width at half maximum in cm^-1, finite and > 0, stored
+        as a Python float
     """
 
     shape: str
@@ -51,7 +57,7 @@ class BroadeningKernel:
     def __post_init__(self):
         if self.shape not in ("lorentzian", "gaussian"):
             raise ValueError(f"shape must be 'lorentzian' or 'gaussian', got {self.shape!r}")
-        check("fwhm", self.fwhm, Real, "finite and > 0", lambda w: finite(w) and w > 0)
+        store(self, "fwhm", Real, "finite and > 0", _width)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self.shape == "lorentzian":
@@ -64,7 +70,8 @@ class BroadeningKernel:
 @dataclass(frozen=True)
 class EnergyGrid:
     """Uniform evaluation grid in cm^-1; start, stop and step are finite
-    real numbers (`model.finite`), or GridError names the first that is not."""
+    real numbers (`model.finite`), stored as Python floats, or GridError
+    names the first that is not."""
 
     start: float
     stop: float
@@ -73,14 +80,16 @@ class EnergyGrid:
     _MAX_POINTS = 10**7
 
     def __post_init__(self):
-        for name, value in (("start", self.start), ("stop", self.stop), ("step", self.step)):
-            if (reason := refusal(name, value, Real, "finite", finite)) is not None:
-                raise GridError(f"grid {self.start}:{self.stop}:{self.step}: {reason}")
+        try:
+            for name in ("start", "stop", "step"):
+                store(self, name, Real, "finite", finite)
+        except ValueError as exc:
+            raise GridError(f"grid {self.start}:{self.stop}:{self.step}: {exc}") from None
         if not self.stop > self.start:
             raise GridError(f"stop ({self.stop}) must exceed start ({self.start})")
         if not self.step > 0:
             raise GridError(f"step must be > 0, got {self.step}")
-        points = (float(self.stop) - float(self.start)) / float(self.step)  # not in numpy's float32
+        points = (self.stop - self.start) / self.step
         if points > self._MAX_POINTS:
             raise GridError(f"grid of {points:.3g} points exceeds the {self._MAX_POINTS} guard")
 
@@ -91,7 +100,9 @@ class EnergyGrid:
     @classmethod
     def around(cls, energies, fwhm: float):
         """Grid spanning the sticks with GRID_MARGIN_FWHM * FWHM padding
-        and step GRID_STEP_FWHM * FWHM."""
+        and step GRID_STEP_FWHM * FWHM; `fwhm` is refused as
+        `BroadeningKernel` refuses it."""
+        fwhm = check("fwhm", fwhm, Real, "finite and > 0", _width)
         energies = np.asarray(energies, dtype=float)
         return cls(
             float(energies.min()) - GRID_MARGIN_FWHM * fwhm,
@@ -135,8 +146,8 @@ def normalize(spec: LineSpectrum, mode: str, e00: float | None = None) -> LineSp
     else:
         if e00 is None:
             raise ValueError("zero_zero_one normalization requires e00")
-        check("e00", e00, Real, "finite and within the energy lattice",
-              lambda e: finite(e) and abs(float(e)) <= KEY_LIMIT / TICKS_PER_CM1)
+        e00 = check("e00", e00, Real, "finite and within the energy lattice",
+                    lambda e: finite(e) and abs(float(e)) <= KEY_LIMIT / TICKS_PER_CM1)
         hit = energy_keys(spec.energies) == energy_keys(e00)
         if not hit.any():
             raise ValueError(f"no stick at the 0-0 energy {e00}")
@@ -314,13 +325,16 @@ def convergence_study(
     detector `d` (each seeded from the base seed) are compared against
     the exact reference of what `d` records, built once from `sos_cfg`,
     which must cap (overflow "cap") at the sampler's finite max_quanta
-    and prune nothing.  `event_counts` must not be empty and `runs` is an
-    integer >= 1.  `provenance["runs"]` records `runs`.
+    and prune nothing.  `event_counts` must not be empty, each entry a
+    valid `SamplerConfig.events`, and `runs` is an integer >= 1; all
+    are refused before any reference is built or any sample drawn.
+    `provenance["runs"]` records `runs`.
     Means typically rise toward 1 with event count but are not forced to.
     """
-    check("runs", runs, Integral, ">= 1", lambda n: n >= 1)
+    runs = check("runs", runs, Integral, ">= 1", lambda n: n >= 1)
     if len(event_counts) == 0:
         raise ValueError("event_counts must not be empty")
+    cfgs = [replace(cfg_base, events=events) for events in event_counts]
     if sos_cfg.overflow != "cap" or sos_cfg.max_quanta != cfg_base.max_quanta or sos_cfg.fc_prune:
         raise ValueError(
             f"reference law (max_quanta={sos_cfg.max_quanta}, overflow={sos_cfg.overflow!r}, "
@@ -329,16 +343,15 @@ def convergence_study(
     reference = build_reference_spectrum(m, sos_cfg, d)
     means = []
     stds = []
-    for pi, events in enumerate(event_counts):
+    for pi, cfg in enumerate(cfgs):
         vals = []
         for r in range(runs):
-            cfg = replace(cfg_base, events=events, seed=run_seed(cfg_base.seed, (pi, r)))
-            sampled = sample_spectrum(m, cfg, d)
+            sampled = sample_spectrum(m, replace(cfg, seed=run_seed(cfg_base.seed, (pi, r))), d)
             vals.append(fidelity(sampled, reference))
         means.append(np.mean(vals))
         stds.append(np.std(vals))
     return ConvergenceReport(
-        event_counts=list(event_counts),
+        event_counts=[cfg.events for cfg in cfgs],
         mean_fidelity=np.array(means),
         std_fidelity=np.array(stds),
         provenance={**result_provenance(m, d, seed=cfg_base.seed, max_quanta=cfg_base.max_quanta,

@@ -25,10 +25,7 @@ __all__ = [
 
 
 def _molecule(name: str, e00: float, energies, hr, atom_count=None) -> Molecule:
-    modes = tuple(Mode(energy=float(e), huang_rhys=float(s)) for e, s in zip(energies, hr))
-    return Molecule(
-        name=name, e00=e00, transition="absorption", modes=modes, atom_count=atom_count
-    )
+    return Molecule(name, e00, "absorption", tuple(map(Mode, energies, hr)), atom_count)
 
 
 def pentacene_like_8() -> Molecule:

@@ -20,11 +20,12 @@ import math
 from contextlib import suppress
 from itertools import chain, repeat
 from operator import contains
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
-from .model import LineSpectrum, Mode, Molecule, ValidationError, hr_from_gradient
+from .model import LineSpectrum, Mode, Molecule, check, finite, hr_from_gradient
 
 __all__ = [
     "MoleculeFileError",
@@ -54,81 +55,61 @@ class SpectrumFileError(ValueError):
     """A spectrum CSV file is malformed."""
 
 
-def _number(value, label: str) -> float:
-    """A JSON number as a float; bools, strings and the rest are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MoleculeFileError(f"{label} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise MoleculeFileError(f"{label} is out of float range") from None
-
-
 def read_molecule(path) -> Molecule:
     """Parse a molecule JSON file.
 
     Each mode supplies either `huang_rhys` directly, or `omega` plus
     `gradient` (Huang-Rhys is then computed as G^2 / (2 omega) in the
     caller's consistent unit system).  Supplying both forms on one
-    mode is an error.  Numeric fields must be JSON numbers (not bools
-    or strings) within float range, and `atom_count`, if present, an
-    integer, not null.  The molecule's own invariants, the integer
-    `atom_count` among them, are checked by its constructor; a
-    violation is reported as a MoleculeFileError naming the file.
+    mode is an error.  Numeric fields must be finite JSON numbers (not
+    bools, strings, NaN or Infinity, nor numbers past float range),
+    refused by `model.check` under their JSON key, and `atom_count`, if
+    present, an integer, not null.  The molecule's own invariants, the
+    integer `atom_count` among them, are checked by its constructor.
+    Every refusal is a MoleculeFileError naming the file, and the mode
+    where it lies.
     """
+    label = path  # what a refusal names: the file, then the mode being read
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError("top level must be a JSON object")
+        if unknown := set(doc) - _TOP_KEYS:
+            raise ValueError(f"unknown top-level keys: {sorted(unknown)}")
+        for key in ("name", "e00_cm1", "transition", "modes"):
+            if key not in doc:
+                raise ValueError(f"missing required key {key!r}")
+        if not isinstance(doc["modes"], list):
+            raise ValueError("modes must be a list")
+        if "atom_count" in doc and doc["atom_count"] is None:  # Molecule reads None as no count
+            raise ValueError("atom_count must be an integer, got None")
+
+        modes = []
+        for i, md in enumerate(doc["modes"], 1):
+            label = f"{path}: mode {i}"
+            if not isinstance(md, dict):
+                raise ValueError("must be an object")
+            if unknown := set(md) - _MODE_KEYS:
+                raise ValueError(f"unknown keys: {sorted(unknown)}")
+            if "energy_cm1" not in md:
+                raise ValueError("missing energy_cm1")
+            if "huang_rhys" in md and ("omega" in md or "gradient" in md):
+                raise ValueError("supply either huang_rhys or omega+gradient, not both")
+            if "huang_rhys" in md:
+                s = check("huang_rhys", md["huang_rhys"], Real, "finite", finite)
+            elif "omega" in md and "gradient" in md:  # it names omega and gradient as the file does
+                s = hr_from_gradient(md["omega"], md["gradient"])
+            else:
+                raise ValueError("need huang_rhys, or both omega and gradient")
+            modes.append(Mode(check("energy_cm1", md["energy_cm1"], Real, "finite", finite), s))
+
+        label = path
+        e00 = check("e00_cm1", doc["e00_cm1"], Real, "finite", finite)
+        return Molecule(doc["name"], e00, doc["transition"], tuple(modes), doc.get("atom_count"))
     except json.JSONDecodeError as exc:
         raise MoleculeFileError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MoleculeFileError(f"{path}: top level must be a JSON object")
-
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise MoleculeFileError(f"{path}: unknown top-level keys: {sorted(unknown)}")
-    for key in ("name", "e00_cm1", "transition", "modes"):
-        if key not in doc:
-            raise MoleculeFileError(f"{path}: missing required key {key!r}")
-    if not isinstance(doc["modes"], list):
-        raise MoleculeFileError(f"{path}: modes must be a list")
-    if "atom_count" in doc and doc["atom_count"] is None:  # Molecule reads None as no count
-        raise MoleculeFileError(f"{path}: atom_count must be an integer, got None")
-
-    modes = []
-    for i, md in enumerate(doc["modes"]):
-        label = f"{path}: mode {i + 1}"
-        if not isinstance(md, dict):
-            raise MoleculeFileError(f"{label}: must be an object")
-        unknown = set(md) - _MODE_KEYS
-        if unknown:
-            raise MoleculeFileError(f"{label}: unknown keys: {sorted(unknown)}")
-        if "energy_cm1" not in md:
-            raise MoleculeFileError(f"{label}: missing energy_cm1")
-        has_s = "huang_rhys" in md
-        has_grad = "omega" in md or "gradient" in md
-        if has_s and has_grad:
-            raise MoleculeFileError(
-                f"{label}: supply either huang_rhys or omega+gradient, not both"
-            )
-        if has_s:
-            s = _number(md["huang_rhys"], f"{label}: huang_rhys")
-        elif "omega" in md and "gradient" in md:
-            try:  # it refuses a non-number as _number would, by the same key
-                s = hr_from_gradient(md["omega"], md["gradient"])
-            except ValueError as exc:
-                raise MoleculeFileError(f"{label}: {exc}") from exc
-        else:
-            raise MoleculeFileError(
-                f"{label}: need huang_rhys, or both omega and gradient"
-            )
-        energy = _number(md["energy_cm1"], f"{label}: energy_cm1")
-        modes.append(Mode(energy=energy, huang_rhys=s))
-
-    e00 = _number(doc["e00_cm1"], f"{path}: e00_cm1")
-    try:
-        return Molecule(doc["name"], e00, doc["transition"], tuple(modes), doc.get("atom_count"))
-    except ValidationError as exc:
-        raise MoleculeFileError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        raise MoleculeFileError(f"{label}: {exc}") from None
 
 
 def molecule_to_dict(m: Molecule) -> dict:

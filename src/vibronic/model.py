@@ -8,8 +8,13 @@ number keys the sampler's random sub-streams.
 Public constructors and numeric functions refuse their numbers
 through `check` (or, where all problems are reported together,
 `refusal`), naming the field or parameter: a bool, a str or any other
-non-number is refused before the field's rule, and nothing is
-converted, so numpy numbers and huge ints pass where their rule holds.
+non-number is refused before the field's rule, so numpy numbers and
+huge ints pass where their rule holds.  `check` returns what it
+accepts as a Python number, an `int` for an integer field and a
+`float` for a real one; constructors store that (`store`; a
+`Molecule` converts its numbers once every check has passed) and
+functions compute with it, so a numpy input gives the arithmetic of
+the Python number it equals and nothing downstream converts again.
 `finite` is the one test of a finite real number.
 
 The per-mode count law, shared by both engines and stated here once:
@@ -92,7 +97,7 @@ def refusal(name: str, value, kind: type, rule: str, ok) -> str | None:
 
     `value` must be a `kind` number (`numbers.Integral` or
     `numbers.Real`; numpy numbers are, a bool or a str is not) for
-    which `ok(value)` holds, as `rule` says.  It is never converted.
+    which `ok(value)` holds, as `rule` says.
     """
     if isinstance(value, bool) or not isinstance(value, kind):
         return f"{name} must be {_KINDS[kind]}, got {value!r}"
@@ -101,10 +106,20 @@ def refusal(name: str, value, kind: type, rule: str, ok) -> str | None:
     return None
 
 
-def check(name: str, value, kind: type, rule: str, ok) -> None:
-    """Raise `refusal`'s reason, if there is one, as a ValueError."""
+def check(name: str, value, kind: type, rule: str, ok) -> int | float:
+    """Raise `refusal`'s reason, if there is one, as a ValueError; else
+    return `value` as a Python number: `int(value)` for an integer
+    `kind`, `float(value)` for a real one (an int past 2**53 rounds to
+    the nearest float)."""
     if (reason := refusal(name, value, kind, rule, ok)) is not None:
         raise ValueError(reason)
+    return int(value) if kind is numbers.Integral else float(value)
+
+
+def store(obj, name: str, kind: type, rule: str, ok) -> None:
+    """`check` the frozen dataclass field `name` of `obj` and store the
+    Python number it returns."""
+    object.__setattr__(obj, name, check(name, getattr(obj, name), kind, rule, ok))
 
 
 def finite(value) -> bool:
@@ -152,8 +167,10 @@ class Molecule:
     bool or a str is not `finite`), and at most 3M-5 modes for
     `atom_count` M, an integer (a bool or float is not).  Every
     violation is reported together in one ValidationError (`refusal`
-    gives each field's), naming modes by position.  A molecule with
-    zero modes is legal (its spectrum is a pure 0-0 line).
+    gives each field's), naming modes by position.  Only a molecule
+    that passes them all stores its numbers as Python numbers (`check`):
+    e00 and each mode's energy and S as floats, `atom_count` as an int.
+    A molecule with zero modes is legal (its spectrum is a pure 0-0 line).
     """
 
     name: str
@@ -186,13 +203,17 @@ class Molecule:
         if self.atom_count is not None:
             problems.append(refusal("atom_count", self.atom_count, numbers.Integral, "positive",
                                     lambda m: m >= 1))
-            # in Python ints: numpy's would wrap
-            if problems[-1] is None and len(self.modes) > (bound := 3 * int(self.atom_count) - 5):
-                problems[-1] = (f"{len(self.modes)} modes exceeds 3M-5 = {bound} "
-                                f"for {self.atom_count} atoms")
+            if problems[-1] is None:
+                object.__setattr__(self, "atom_count", int(self.atom_count))
+                if len(self.modes) > (bound := 3 * self.atom_count - 5):
+                    problems[-1] = (f"{len(self.modes)} modes exceeds 3M-5 = {bound} "
+                                    f"for {self.atom_count} atoms")
         problems = [p for p in problems if p is not None]
         if problems:
             raise ValidationError(f"invalid molecule {self.name!r}: " + "; ".join(problems))
+        object.__setattr__(self, "e00", float(self.e00))
+        object.__setattr__(self, "modes", tuple(Mode(float(mode.energy), float(mode.huang_rhys))
+                                                for mode in self.modes))
 
     @property
     def n_modes(self) -> int:
@@ -224,7 +245,7 @@ class DetectorModel:
 
     Construction refuses a bool or a str for either number (`check`)
     and anything but a bool (numpy's too) for `threshold_mode`, naming
-    the field; numpy numbers pass.
+    the field; numpy numbers pass, stored as Python floats and a bool.
     """
 
     efficiency: float = 1.0
@@ -232,10 +253,11 @@ class DetectorModel:
     threshold_mode: bool = False
 
     def __post_init__(self):
-        check("efficiency", self.efficiency, numbers.Real, "in (0, 1]", lambda e: 0 < e <= 1)
-        check("dark_mean", self.dark_mean, numbers.Real, ">= 0 and finite", nonnegative)
+        store(self, "efficiency", numbers.Real, "in (0, 1]", lambda e: 0 < e <= 1)
+        store(self, "dark_mean", numbers.Real, ">= 0 and finite", nonnegative)
         if not isinstance(self.threshold_mode, (bool, np.bool_)):
             raise ValueError(f"threshold_mode must be a bool, got {self.threshold_mode!r}")
+        object.__setattr__(self, "threshold_mode", bool(self.threshold_mode))
 
     def recorded(self, s: float, k: int | None) -> tuple[float, int | None]:
         """(mean, top): one mode's recorded count is Poisson(mean) clipped at top.
@@ -243,22 +265,23 @@ class DetectorModel:
         Loss thins Poisson(s) photons to Poisson(efficiency * s) and dark
         counts add Poisson(dark_mean); a click detector clips at 1 and the
         cap at `k` (None: no cap).  Both engines take the law from here,
-        and the mean is a float64 whatever numbers made it.
+        and the mean is a float64 whatever number `s` is.
         """
         if self.threshold_mode:
             k = 1 if k is None else min(k, 1)
-        return float(self.efficiency) * float(s) + float(self.dark_mean), k
+        return self.efficiency * float(s) + self.dark_mean, k
 
 
 IDEAL_DETECTOR = DetectorModel()
 
 
-def check_cutoff(k: int, overflow: str) -> None:
-    """Refuse a cutoff K that is not an integer >= 0 or an unknown
-    overflow rule, naming the value."""
-    check("max_quanta", k, numbers.Integral, ">= 0", lambda n: n >= 0)
+def check_cutoff(k: int, overflow: str) -> int:
+    """The cutoff K as a Python int; refuse one that is not an integer
+    >= 0 or an unknown overflow rule, naming the value."""
+    k = check("max_quanta", k, numbers.Integral, ">= 0", lambda n: n >= 0)
     if overflow not in ("truncate", "cap"):
         raise ValueError(f"overflow must be 'truncate' or 'cap', got {overflow!r}")
+    return k
 
 
 def fc_factor_1d(s: float, j: int) -> float:
@@ -271,9 +294,8 @@ def fc_factor_1d(s: float, j: int) -> float:
     `check` refuses anything else by name.
     """
     if not (isinstance(s, float) and 0.0 <= s < math.inf and type(j) is int and 0 <= j <= 2**53):
-        check("s", s, numbers.Real, ">= 0 and finite", nonnegative)
-        check("j", j, numbers.Integral, ">= 0 and <= 2**53", lambda n: 0 <= n <= 2**53)
-        s, j = float(s), int(j)  # numpy's float32 powers would overflow
+        s = check("s", s, numbers.Real, ">= 0 and finite", nonnegative)
+        j = check("j", j, numbers.Integral, ">= 0 and <= 2**53", lambda n: 0 <= n <= 2**53)
     if s == 0.0:
         return 1.0 if j == 0 else 0.0
     if j <= _LOG_SPACE_J and j * math.log(s) < _LOG_DIRECT_MAX:
@@ -294,8 +316,8 @@ def mode_distribution(s: float, k: int, overflow: str = "truncate",
     included) or another overflow is refused, as `SosConfig` refuses it,
     and so is an `s` that is not a finite real >= 0.
     """
-    check("s", s, numbers.Real, ">= 0 and finite", nonnegative)
-    check_cutoff(k, overflow)
+    s = check("s", s, numbers.Real, ">= 0 and finite", nonnegative)
+    k = check_cutoff(k, overflow)
     mean, top = d.recorded(s, k)
     p = np.array([fc_factor_1d(mean, j) for j in range(top + 1)])
     if overflow == "cap" or top == d.recorded(s, None)[1]:
@@ -468,9 +490,9 @@ def hr_from_gradient(omega: float, gradient: float) -> float:
         If omega is not a positive finite number, gradient is not
         finite, or S overflows float64.
     """
-    check("omega", omega, numbers.Real, "positive and finite", lambda w: finite(w) and w > 0)
-    check("gradient", gradient, numbers.Real, "finite", finite)
-    omega, gradient = float(omega), float(gradient)  # an int G^2 could pass float range
+    omega = check("omega", omega, numbers.Real, "positive and finite",
+                  lambda w: finite(w) and w > 0)
+    gradient = check("gradient", gradient, numbers.Real, "finite", finite)
     # omega * (G/omega)^2 / 2 simplified.  Where G^2 is not normal or 2 omega overflows,
     # that rounds S off or gives 0 or inf; dividing G by omega first keeps a normal S.
     s = gradient * gradient / (2.0 * omega)
@@ -489,5 +511,5 @@ def prune_modes(m: Molecule, threshold: float) -> Molecule:
     Survivors are renumbered by their new positions.  Idempotent:
     pruning twice at the same threshold is a no-op the second time.
     """
-    check("threshold", threshold, numbers.Real, ">= 0 and finite", nonnegative)
+    threshold = check("threshold", threshold, numbers.Real, ">= 0 and finite", nonnegative)
     return replace(m, modes=tuple(mode for mode in m.modes if mode.huang_rhys > threshold))

@@ -98,7 +98,8 @@ _CACHED_BYTES = 1024
 @dataclass(frozen=True)
 class SamplerConfig:
     """Event count, seed and optional count cap, each an integer (numpy
-    integers too; a bool or a float such as 1e6 is refused).
+    integers too, stored as Python ints; a bool or a float such as 1e6
+    is refused).
 
     `max_quanta=None` leaves drawn counts unbounded.  When set, any
     drawn count above it is capped at that value (the numeric analog
@@ -112,11 +113,10 @@ class SamplerConfig:
 
     def __post_init__(self):
         # float64 counts (`SampledSpectrum`, `sum_by_key`) are exact to 2**53
-        model.check("events", self.events, Integral, ">= 1 and <= 2**53",
-                    lambda n: 1 <= n <= 2**53)
-        model.check("seed", self.seed, Integral, ">= 0", lambda n: n >= 0)
+        model.store(self, "events", Integral, ">= 1 and <= 2**53", lambda n: 1 <= n <= 2**53)
+        model.store(self, "seed", Integral, ">= 0", lambda n: n >= 0)
         if self.max_quanta is not None:
-            model.check("max_quanta", self.max_quanta, Integral, ">= 0", lambda n: n >= 0)
+            model.store(self, "max_quanta", Integral, ">= 0", lambda n: n >= 0)
 
 
 def _chunks(events: int) -> list[tuple[int, int]]:
@@ -146,17 +146,23 @@ def _cell_stream(rng: np.random.Generator, key: np.ndarray, mode_index: int,
 
 def substream(seed: int, mode_index: int, chunk_index: int) -> np.random.Generator:
     """Independent counter-based RNG stream for one (mode, chunk) cell,
-    built fresh: the stream `sample_spectrum` draws that cell from."""
-    mode_index = int(mode_index)  # a numpy integer's shifts would wrap
+    built fresh: the stream `sample_spectrum` draws that cell from.
+    `seed` is an integer >= 0, `mode_index` the mode's 1-based number
+    and `chunk_index` an integer in [0, 2**64)."""
+    seed = model.check("seed", seed, Integral, ">= 0", lambda n: n >= 0)
+    mode_index = model.check("mode_index", mode_index, Integral, ">= 1", lambda n: n >= 1)
+    chunk_index = model.check("chunk_index", chunk_index, Integral, "in [0, 2**64)",
+                              lambda n: 0 <= n < 2**64)
     key = _key(seed, mode_index >> 64)
     return _cell_stream(np.random.Generator(np.random.Philox(key=key)), key,
                         mode_index, chunk_index)
 
 
-def _check_mean(mean: float) -> None:
-    if not (isinstance(mean, float) and 0.0 <= mean <= POISSON_MEAN_MAX):  # else say why
-        model.check("Poisson mean", mean, Real, f"in [0, {POISSON_MEAN_MAX:.6g}]",
-                    lambda x: 0 <= x <= POISSON_MEAN_MAX)
+def _check_mean(mean: float) -> float:
+    if isinstance(mean, float) and 0.0 <= mean <= POISSON_MEAN_MAX:
+        return mean
+    return model.check("Poisson mean", mean, Real, f"in [0, {POISSON_MEAN_MAX:.6g}]",
+                       lambda x: 0 <= x <= POISSON_MEAN_MAX)
 
 
 def poisson_draw(mean: float, rng: np.random.Generator, size: int | None = None):
@@ -167,8 +173,7 @@ def poisson_draw(mean: float, rng: np.random.Generator, size: int | None = None)
     bool or a str included) or lies outside [0, POISSON_MEAN_MAX] (nan
     does) is refused by `model.check` before any draw.
     """
-    _check_mean(mean)
-    return rng.poisson(mean, size=size)
+    return rng.poisson(_check_mean(mean), size=size)
 
 
 def _recorded(s: float, mode_index: int, cfg: SamplerConfig,
@@ -247,8 +252,8 @@ def sample_mode(
     bit-identical array.  `s` is a finite real >= 0 and `mode_index`,
     the mode's 1-based number, an integer >= 1.
     """
-    model.check("s", s, Real, ">= 0 and finite", model.nonnegative)
-    model.check("mode_index", mode_index, Integral, ">= 1", lambda n: n >= 1)
+    s = model.check("s", s, Real, ">= 0 and finite", model.nonnegative)
+    mode_index = model.check("mode_index", mode_index, Integral, ">= 1", lambda n: n >= 1)
     mean, top = _recorded(s, mode_index, cfg, d)
     return np.concatenate([_sample_mode_chunk(mean, top, substream(cfg.seed, mode_index, ci), size)
                            for ci, size in _chunks(cfg.events)])
@@ -310,7 +315,7 @@ def sample_spectrum(
     threads; sub-stream keying guarantees the merged histogram is
     identical regardless of schedule.
     """
-    model.check("workers", workers, Integral, ">= 1", lambda n: n >= 1)
+    workers = model.check("workers", workers, Integral, ">= 1", lambda n: n >= 1)
     origin, step, quanta = lattice = model.sublattice(m)
     laws = [(i, t, *_recorded(s, i, cfg, d))  # a refused mean raises before any sub-stream opens
             for i, (s, t) in enumerate(zip(m.huang_rhys, quanta), 1)]

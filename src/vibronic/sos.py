@@ -71,9 +71,10 @@ class SosConfig:
 
     `enumeration_budget` bounds the terms (cells or live sticks x
     (K+1)) that any one convolution step may materialize.  Both it and
-    `max_quanta` are integers (numpy integers too; a bool or a float
-    is refused), the budget >= 1; `fc_prune`, when set, is a finite
-    real number >= 0 (a bool is refused).
+    `max_quanta` are integers (numpy integers too, stored as Python
+    ints; a bool or a float is refused), the budget >= 1; `fc_prune`,
+    when set, is a finite real number >= 0 (a bool is refused), stored
+    as a Python float.
     """
 
     max_quanta: int = 1
@@ -82,19 +83,18 @@ class SosConfig:
     overflow: str = "truncate"  # "truncate" | "cap"
 
     def __post_init__(self):
-        model.check("enumeration_budget", self.enumeration_budget, Integral, ">= 1",
-                    lambda n: n >= 1)
-        model.check_cutoff(self.max_quanta, self.overflow)
+        model.store(self, "enumeration_budget", Integral, ">= 1", lambda n: n >= 1)
+        object.__setattr__(self, "max_quanta", model.check_cutoff(self.max_quanta, self.overflow))
         if self.fc_prune is not None:
-            model.check("fc_prune", self.fc_prune, Real, ">= 0 and finite", model.nonnegative)
+            model.store(self, "fc_prune", Real, ">= 0 and finite", model.nonnegative)
 
 
 def state_count(n_modes: int, k: int) -> int:
     """Exact configuration count (1+K)^N, arbitrary precision; each
     argument an integer >= 0."""
-    model.check("n_modes", n_modes, Integral, ">= 0", lambda n: n >= 0)
-    model.check("k", k, Integral, ">= 0", lambda n: n >= 0)
-    return (1 + int(k)) ** int(n_modes)  # numpy integers would wrap
+    n_modes = model.check("n_modes", n_modes, Integral, ">= 0", lambda n: n >= 0)
+    k = model.check("k", k, Integral, ">= 0", lambda n: n >= 0)
+    return (1 + k) ** n_modes
 
 
 def build_reference_spectrum(m: Molecule, cfg: SosConfig,

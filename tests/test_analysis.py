@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vibronic import analysis
 from vibronic.analysis import (
     GRID_STEP_FWHM,
     BroadeningKernel,
@@ -348,6 +349,20 @@ class TestBroaden:
         broaden(spec, BroadeningKernel("gaussian", fwhm), grid)
         assert lengths == [_smooth_length(2 * grid.points().size - 1)] * 2
 
+    @pytest.mark.parametrize("shape", ["lorentzian", "gaussian"])
+    @pytest.mark.parametrize("w", [0.8, 30.0, 1e25])
+    def test_float32_fwhm_gives_its_floats_band(self, shape, w):
+        # float32 squared gamma = 5e24 to inf at w = 1e25: an all-zero band
+        spec = sticks([(0.0, 0.7), (300.0, 0.3)])
+        exact = float(np.float32(w))
+        grid = EnergyGrid.around(spec.energies, np.float32(w))
+        assert grid == EnergyGrid.around(spec.energies, exact)
+        got = broaden(spec, BroadeningKernel(shape, np.float32(w)), grid)
+        want = broaden(spec, BroadeningKernel(shape, exact), grid)
+        assert got.intensities.tobytes() == want.intensities.tobytes()
+        assert got.provenance == want.provenance
+        assert want.intensities.sum() * grid.step == pytest.approx(1.0, rel=0.1)
+
     def test_smooth_length(self):
         smooth = sorted(2**a * 3**b * 5**c for a in range(13) for b in range(8) for c in range(6))
         for n in range(1, 4000):
@@ -434,6 +449,22 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="event_counts must not be empty"):
             convergence_study(self.toy_molecule(), SamplerConfig(events=1, seed=9, max_quanta=1),
                               DetectorModel(), [], 1, SosConfig(max_quanta=1, overflow="cap"))
+
+    def test_event_counts_refused_before_any_work(self, monkeypatch):
+        # [100, 0] built the reference and drew three samples before refusing 0
+        calls = []
+        for name in ("build_reference_spectrum", "sample_spectrum"):
+            monkeypatch.setattr(analysis, name, lambda *a, name=name, **kw: calls.append(name))
+        with pytest.raises(ValueError, match="events must be >= 1"):
+            convergence_study(self.toy_molecule(), SamplerConfig(events=1, seed=9, max_quanta=1),
+                              DetectorModel(), [100, 0], 3, SosConfig(max_quanta=1, overflow="cap"))
+        assert calls == []
+
+    def test_numpy_event_counts_reported_as_python_ints(self):
+        report = convergence_study(self.toy_molecule(),
+                                   SamplerConfig(events=1, seed=9, max_quanta=1), DetectorModel(),
+                                   [np.int64(100)], 1, SosConfig(max_quanta=1, overflow="cap"))
+        assert report.event_counts == [100] and type(report.event_counts[0]) is int
 
     def test_provenance_records_runs_last(self):
         d = DetectorModel(efficiency=0.8)

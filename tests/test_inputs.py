@@ -1,6 +1,7 @@
 """The input contract: every field of a public constructor and every
-numeric parameter of a public function either takes a value unchanged
-or refuses it with a ValueError naming the field (`model.check`)."""
+numeric parameter of a public function either takes a value, storing
+it as the Python number (or bool) it equals, or refuses it with a
+ValueError naming the field (`model.check`)."""
 
 import math
 import re
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from vibronic.analysis import BroadeningKernel, EnergyGrid, convergence_study, normalize
 from vibronic.model import DetectorModel, Mode, Molecule, hr_from_gradient, prune_modes
-from vibronic.sampling import SamplerConfig, poisson_draw, sample_mode, sample_spectrum
+from vibronic.sampling import SamplerConfig, poisson_draw, sample_mode, sample_spectrum, substream
 from vibronic.sos import LineSpectrum, SosConfig, fc_factor_1d, mode_distribution, state_count
 
 ACCEPTED = object()  # a function call that passed its checks
@@ -68,6 +69,9 @@ TARGETS = {
     "SosConfig.overflow": ("overflow", "str", lambda v: SosConfig(overflow=v).overflow),
     "BroadeningKernel.shape": ("shape", "str", lambda v: BroadeningKernel(v, 30.0).shape),
     "BroadeningKernel.fwhm": ("fwhm", "real", lambda v: BroadeningKernel("gaussian", v).fwhm),
+    # a width past ~1.8e307 pads the grid to +-inf
+    "EnergyGrid.around.fwhm": ("fwhm", "real", called(lambda v: EnergyGrid.around([0.0], v),
+                                                      "start must be finite")),
     # grids also refuse stop <= start and more than 10**7 points, naming no one field
     "EnergyGrid.start": ("start", "real",
                          called(lambda v: EnergyGrid(v, 400.0, 1.0), "must exceed", "guard")),
@@ -86,6 +90,9 @@ TARGETS = {
     "sample_mode.s": ("s", "real", called(lambda v: sample_mode(v, 1, CFG), "Poisson mean")),
     "sample_mode.mode_index": ("mode_index", "int", called(lambda v: sample_mode(0.5, v, CFG))),
     "poisson_draw.mean": ("mean", "real", called(lambda v: poisson_draw(v, RNG, 3))),
+    "substream.seed": ("seed", "int", called(lambda v: substream(v, 1, 0))),
+    "substream.mode_index": ("mode_index", "int", called(lambda v: substream(0, v, 0))),
+    "substream.chunk_index": ("chunk_index", "int", called(lambda v: substream(0, 1, v))),
     "normalize.e00": ("e00", "real",
                       called(lambda v: normalize(STICKS, "zero_zero_one", e00=v), "no stick")),
     # a reference law that is not the sampler's is refused after `runs` is checked
@@ -124,17 +131,24 @@ def is_kind(value, kind) -> bool:
         return False
 
 
+STORED = {"int": int, "real": float, "bool": bool, "str": str}  # the type each kind stores
+
+
 def check_input(target, value):
-    """`target` takes `value` unchanged, a value of its kind, or refuses
-    it with a ValueError naming its field."""
+    """`target` takes `value`, a value of its kind, and stores the Python
+    value of that kind equal to it (for a real field, an int past 2**53
+    becomes the nearest float), or refuses it with a ValueError naming
+    its field."""
     name, kind, call = TARGETS[target]
     try:
         got = call(value)
     except ValueError as exc:
         assert re.search(rf"\b{name}\b", str(exc), re.IGNORECASE), (target, value, str(exc))
         return
-    assert got is ACCEPTED or got is value, (target, value, got)
     assert is_kind(value, kind), (target, value)
+    if got is not ACCEPTED:
+        python = None if value is None else STORED[kind.rstrip("?")](value)
+        assert got == python and type(got) is type(python), (target, value, got)
 
 
 @settings(max_examples=1500, deadline=None)
@@ -154,7 +168,7 @@ def test_every_special_value(target):
     "Molecule.atom_count", "SamplerConfig.seed", "SamplerConfig.max_quanta",
     "SosConfig.max_quanta", "SosConfig.enumeration_budget", "state_count.n_modes",
     "state_count.k", "sample_mode.mode_index", "convergence_study.runs",
-    "sample_spectrum.workers",
+    "sample_spectrum.workers", "substream.seed", "substream.mode_index",
 ])
 @pytest.mark.parametrize("huge", [4**66, 10**400])
 def test_huge_integers_stay_valid(target, huge):

@@ -27,6 +27,7 @@ from vibronic.io import (
     write_spectrum,
     write_table,
 )
+from vibronic.model import Mode, Molecule
 from vibronic.sos import LineSpectrum
 
 
@@ -108,6 +109,23 @@ class TestMoleculeFile:
             read_molecule(path)
         assert main(["sos", str(path), "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("field", ["e00_cm1", "energy_cm1", "huang_rhys",
+                                       "omega", "gradient"])
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-1e999"])
+    def test_non_finite_number_named_by_key(self, tmp_path, field, text):
+        # NaN e00 and an inf energy were refused as e00 and energy, not by their keys
+        mode = ({"energy_cm1": 500.0, "omega": 2.0, "gradient": 2.0}
+                if field in ("omega", "gradient") else
+                {"energy_cm1": 500.0, "huang_rhys": 0.1})
+        doc = {"name": "t", "e00_cm1": 0.0, "transition": "absorption", "modes": [mode]}
+        (doc if field == "e00_cm1" else mode)[field] = 12345.5  # replaced by `text` below
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc).replace("12345.5", text), encoding="utf-8")
+        label = str(path) if field == "e00_cm1" else f"{path}: mode 1"
+        with pytest.raises(MoleculeFileError, match=re.escape(f"{label}: {field} must be")):
+            read_molecule(path)
+        assert main(["sos", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+
     @pytest.mark.parametrize("value", ["36", 36.0, True, None])
     def test_non_integer_atom_count_rejected(self, tmp_path, value):
         path = write_json(tmp_path, {
@@ -126,6 +144,17 @@ class TestMoleculeFile:
         })
         m = read_molecule(path)
         assert (m.e00, m.modes[0].energy, m.modes[0].huang_rhys) == (18650.0, 500.0, 1.0)
+
+    def test_numpy_numbers_round_trip(self, tmp_path):
+        # numpy numbers were stored as given, and json cannot write a float32
+        m = Molecule("n", np.float32(18650.5), "absorption",
+                     (Mode(np.float32(500.25), np.float32(0.1)), Mode(np.int64(700), np.int64(1))),
+                     np.int64(3))
+        write_molecule(m, tmp_path / "n.json")
+        assert read_molecule(tmp_path / "n.json") == m
+        assert m.e00 == 18650.5 and m.modes[0].huang_rhys == float(np.float32(0.1))
+        assert {type(x) for md in m.modes for x in (md.energy, md.huang_rhys)} == {float}
+        assert type(m.atom_count) is int
 
     def test_out_of_float_range_rejected(self, tmp_path):
         path = tmp_path / "big.json"

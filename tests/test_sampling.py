@@ -180,6 +180,26 @@ class TestSubstream:
                          lambda g: g.poisson(2.5, 1000), lambda g: g.random(3)):
                 assert np.array_equal(draw(cell), draw(fresh))
 
+    @pytest.mark.parametrize("args, match", [
+        ((0, 1.5, 0), "mode_index must be an integer, got 1.5"),
+        ((0, True, 0), "mode_index must be an integer, got True"),
+        ((0, 0, 0), "mode_index must be >= 1, got 0"),
+        ((0, 1, 1.5), "chunk_index must be an integer, got 1.5"),
+        ((0, 1, -1), r"chunk_index must be in \[0, 2\*\*64\), got -1"),
+        ((0, 1, 2**64), r"chunk_index must be in \[0, 2\*\*64\)"),
+        ((-1, 1, 0), "seed must be >= 0, got -1"),
+    ], ids=["mode-float", "mode-bool", "mode-0", "chunk-float", "chunk-negative", "chunk-2**64",
+            "seed-negative"])
+    def test_refuses_by_name(self, args, match):
+        # mode 1.5 and True silently opened mode 1's stream; chunk -1 overflowed
+        with pytest.raises(ValueError, match=match):
+            substream(*args)
+
+    def test_numpy_arguments_open_the_python_ints_stream(self):
+        want = substream(7, 2**63 + 5, 3).random(4)
+        assert np.array_equal(substream(np.uint64(7), np.uint64(2**63 + 5), np.int8(3)).random(4),
+                              want)
+
     @pytest.mark.parametrize("i", [1, 2**64 - 1])
     def test_positions_past_2_64_keep_their_own_stream(self, i):
         # position i + 2**64 shares i's counter under another key

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -632,6 +633,27 @@ class TestSosConfig:
         cfg = SosConfig(max_quanta=np.int64(2), enumeration_budget=np.int32(10**6),
                         fc_prune=np.float32(0.0))
         assert build_reference_spectrum(molecule([0.5], energies=[500.0]), cfg).total > 0.98
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_numpy_cutoff_builds_the_python_ints_reference(self, k):
+        m = pentacene_like_8()
+        want = build_reference_spectrum(m, SosConfig(max_quanta=k, overflow="cap"))
+        got = build_reference_spectrum(m, SosConfig(max_quanta=np.int64(k), overflow="cap"))
+        assert np.array_equal(got.energies, want.energies)
+        assert np.array_equal(got.intensities, want.intensities)
+        assert got.provenance == want.provenance
+
+    def test_numpy_cutoff_past_the_lattice_refused_as_python_int(self):
+        # an int64 K made the span wrap, warning and quoting a wrapped reach
+        m = pentacene_like_8()
+        with pytest.raises(ValueError) as python:
+            build_reference_spectrum(m, SosConfig(max_quanta=2**40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as numpy:
+                build_reference_spectrum(m, SosConfig(max_quanta=np.int64(2**40)))
+        assert str(numpy.value) == str(python.value)
+        assert "8.93683e+15 cm^-1" in str(numpy.value)
 
 
 class TestLineSpectrum:
