@@ -264,12 +264,19 @@ class DetectorModel:
 
         Loss thins Poisson(s) photons to Poisson(efficiency * s) and dark
         counts add Poisson(dark_mean); a click detector clips at 1 and the
-        cap at `k` (None: no cap).  Both engines take the law from here,
-        and the mean is a float64 whatever number `s` is.
+        cap at `k` (None: no cap).  Both engines take the law from here.
+        `s` must be a finite real >= 0 and `k` an integer >= 0 or None;
+        `check` refuses anything else by name, so the mean is a Python
+        float and the top a Python int or None whatever numbers are given.
         """
+        if not (type(s) is float and 0.0 <= s < math.inf
+                and (k is None or type(k) is int and k >= 0)):
+            s = check("s", s, numbers.Real, ">= 0 and finite", nonnegative)
+            if k is not None:
+                k = check("k", k, numbers.Integral, ">= 0", lambda n: n >= 0)
         if self.threshold_mode:
             k = 1 if k is None else min(k, 1)
-        return self.efficiency * float(s) + self.dark_mean, k
+        return self.efficiency * s + self.dark_mean, k
 
 
 IDEAL_DETECTOR = DetectorModel()

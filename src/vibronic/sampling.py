@@ -27,22 +27,34 @@ events (a huge recorded mean, or a small chunk),
 it draws its events one at a time and counts them per (j, line) by
 one `np.bincount`, or by `sum_by_key` where that table would pass
 `model._DENSE_SPAN` cells an event.  The call plans once, before any
-draw: it derives each mode's law and sweep length (refusing a mean
-numpy cannot draw, whichever mode it is), drops the modes that always
-record 0, and orders the rest by ascending recorded mean, equal means
-in position order.  A low-mean mode moves few events and so adds few
-lines; splitting those first keeps the line count low while most
-modes are split.  Whichever way it draws, a cell opens its sub-stream
-once, refuses a shift past the energy lattice, and moves its lines by
-one `sum_by_key` of cell + j x the mode's cells per quantum; keys are
-formed once, from the merged cells.  A call of one chunk skips the
-final merge: its cells already ascend and differ.
+draw: it derives each mode's law, sweep length and the hazards a split
+is likely to need (refusing a mean numpy cannot draw, whichever mode
+it is), drops the modes that always record 0, and orders the rest by
+ascending recorded mean, equal means in position order.  A low-mean
+mode moves few events and so adds few lines; splitting those first
+keeps the line count low while most modes are split.  Whichever way it
+draws, a cell opens its sub-stream once, refuses a shift past the
+energy lattice, and merges its moved lines, cell + j x the mode's
+cells per quantum, into distinct ascending cells; keys are formed
+once, from the merged cells.  A call of one chunk skips the final
+merge: its cells already ascend and differ.
+
+At small event counts a call costs its cells, not its events.  numpy's
+array `binomial` costs ~8-17 us a call before its ~0.1 us a line, and
+its scalar form ~1 us a line, with the same bits; so a cell of fewer
+than `_FEW_LINES` lines is split one line at a time in Python.  A
+split's moves are one ascending run per j, merged by a table where the
+cells are dense, else by one stable sort (which merges runs) and
+`np.add.reduceat`; the counts are int64, so no order of summation
+changes a bit.  On `pentacene_like_8` at K=1 and 1e3 events (a 2-core
+host, mean of 2000 calls) a call takes ~390 us: plan ~80, key ~30,
+result ~30 and the chunk's generator and eight cells ~250.
 
 Reproducibility: every (seed, mode position, chunk) cell owns a
 counter-based Philox sub-stream (Salmon et al., SC'11).  A call
-derives one 128-bit key from `SeedSequence(seed)`, and each chunk's
-Philox starts each cell at counter (0, 0, chunk, position); Philox
-counts up from there in the low 128 bits, so the cells' streams are
+derives one 128-bit key from `SeedSequence(seed)`, and each cell sets
+its thread's Philox to that key at counter (0, 0, chunk, position);
+Philox counts up from there in the low 128 bits, so the cells' streams are
 disjoint ranges of 2**128 blocks under one key, independent by
 construction and bit-identical for any worker count or order.  A
 position past 2**64 folds its high bits into the key's spawn key.
@@ -52,7 +64,9 @@ and the version pins it.
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -83,16 +97,25 @@ _CHUNK_EVENTS = 1_000_000
 _INT64_MAX = np.iinfo(np.int64).max
 POISSON_MEAN_MAX = float(_INT64_MAX - np.sqrt(_INT64_MAX) * 10)
 
-# A split step's fixed cost (one vectorized binomial call, ~10 us)
-# counted in lines (~0.1 us each per step); one per-event draw costs
-# about as much as one line-step.
+# A split step's fixed cost counted in lines: one array binomial call
+# costs ~8-17 us before ~0.1-0.15 us a line, and one per-event draw
+# (Poisson, ~30-40 ns, then its share of the (j, line) count) about as
+# much as one line-step.  It selects the draws, so the version fixes it.
 _SPLIT_STEP_LINES = 128
+
+# Under this many lines a cell is split one line at a time, one scalar
+# binomial a line (~1 us each) rather than one array call a step: the
+# same bits, with no fixed cost.  16 beat 8, 24 and 32 on
+# `pentacene_like_8`.
+_FEW_LINES = 16
 
 # numpy keeps freed blocks under 1 KiB for reuse, up to 7 of each size,
 # and its binomial checks n with three temporaries of n bytes.  A draw
 # over fewer lines is padded with empty lines to a power of two, so the
 # draws meet ten block sizes, not one for every live-line count.
 _CACHED_BYTES = 1024
+
+_THREAD = threading.local()
 
 
 @dataclass(frozen=True)
@@ -142,6 +165,15 @@ def _cell_stream(rng: np.random.Generator, key: np.ndarray, mode_index: int,
         "has_uint32": 0, "uinteger": 0,
         "state": {"key": key, "counter": [0, 0, chunk_index, mode_index % 2**64]}}
     return rng
+
+
+def _generator() -> np.random.Generator:
+    """A Generator over this thread's Philox.  `_cell_stream` sets all of
+    its state before a cell draws, so one Philox serves every call on a
+    thread (building one costs ~10 us)."""
+    if (bits := getattr(_THREAD, "philox", None)) is None:
+        bits = _THREAD.philox = np.random.Philox(0)
+    return np.random.Generator(bits)
 
 
 def substream(seed: int, mode_index: int, chunk_index: int) -> np.random.Generator:
@@ -207,10 +239,37 @@ def _padded(counts: np.ndarray) -> np.ndarray:
     return padded
 
 
-def _split(cells: np.ndarray, counts: np.ndarray, t: int, mean: float, top: int | None,
-           rng: np.random.Generator, reach: tuple[int, int]) -> tuple:
+def _law(i: int, t: int, mean: float, top: int | None, step: int, size: int) -> tuple:
+    """Plan one mode for chunks of at most `size` events: (position `i`,
+    `t` cells and `step * |t|` keys a quantum, `mean`, `top`, the sweep
+    length, and the hazards h_0, h_1, ... a split is likely to reach).
+    The hazards run until fewer than 2**-10 of a chunk's events are
+    expected to be left, or to h = 1, so a cell outruns them at most
+    once in 1024 (`_hazards` then derives the rest); there are none if
+    no cell can split."""
+    sweep = min(mean + 10.0 * math.sqrt(mean) + 10.0, math.inf if top is None else top + 1)
+    hs, left = [], float(size)
+    if (1 + _SPLIT_STEP_LINES) * sweep <= size:  # a one-line cell splits
+        for h in hazards(mean, top):
+            hs.append(h)
+            left *= 1.0 - h
+            if left < 2**-10:
+                break
+    return i, t, step * abs(t), mean, top, sweep, tuple(hs)
+
+
+def _hazards(planned: tuple, mean: float, top: int | None):
+    """`model.hazards(mean, top)`: the `planned` ones, then, should a
+    split outrun them, the rest derived afresh."""
+    yield from planned
+    yield from itertools.islice(hazards(mean, top), len(planned), None)
+
+
+def _split(cells: np.ndarray, counts: np.ndarray, t: int, hs, rng: np.random.Generator,
+           reach: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Move each line's events by j = 0, 1, ... quanta of `t` cells by
-    conditional binomials.
+    conditional binomials with the hazards `hs`; return the moved lines
+    merged.
 
     At each j, every line with events left sends Binomial(events left,
     h_j) of them to cell + j * t, drawn from `rng` over those lines in
@@ -219,11 +278,14 @@ def _split(cells: np.ndarray, counts: np.ndarray, t: int, mean: float, top: int 
     live lines alone gives the bits a draw over every line would.
     Stops when nothing is left.  `reach` = (the lines' largest |key|,
     key ticks a quantum) refuses a step past the energy lattice before
-    it is formed.  Returns the (cell, events) moves with events > 0.
+    it is formed.  A cell of fewer than `_FEW_LINES` lines goes to
+    `_split_few`.
     """
+    if cells.size < _FEW_LINES:
+        return _split_few(cells, counts, t, hs, rng, reach)
     edge, tick = reach
     moved, events = [], []
-    for j, h in enumerate(hazards(mean, top)):
+    for j, h in enumerate(hs):
         model.check_key_reach(edge + tick * j)
         if h == 1.0:  # all lines left are live
             moved.append(cells + t * j)
@@ -237,7 +299,54 @@ def _split(cells: np.ndarray, counts: np.ndarray, t: int, mean: float, top: int 
         if not live.size:
             break
         cells, counts = cells[live], take[live]
-    return np.concatenate(moved), np.concatenate(events)
+    return _merge(moved, events)
+
+
+def _split_few(cells: np.ndarray, counts: np.ndarray, t: int, hs, rng: np.random.Generator,
+               reach: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """`_split` for a cell of few lines, one line at a time: a scalar
+    draw per live line in cell order, the moves summed per cell in a
+    dict."""
+    edge, tick = reach
+    moved, lines = {}, list(zip(cells.tolist(), counts.tolist()))
+    for j, h in enumerate(hs):
+        model.check_key_reach(edge + tick * j)
+        shift, live = t * j, []
+        for c, n in lines:
+            k = n if h == 1.0 else rng.binomial(n, h)
+            if k:
+                moved[c + shift] = moved.get(c + shift, 0) + k
+            if n > k:
+                live.append((c, n - k))
+        if not live:
+            break
+        lines = live
+    cells = sorted(moved)
+    return np.array(cells, dtype=np.int64), np.array([moved[c] for c in cells], dtype=np.int64)
+
+
+def _merge(moved: list, events: list) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ascending cells and the int64 events on each, of a
+    split's moves: `moved` holds one ascending run of cells per j,
+    `events` their events (each > 0).
+
+    Dense cells are counted in a table, as `sum_by_key` counts them,
+    its span taken from the runs' ends; sparse ones are sorted (a
+    stable sort merges runs) and summed per cell by `np.add.reduceat`.
+    int64 sums do not depend on their order, so both give the counts
+    `sum_by_key` would.
+    """
+    lo = min(int(run[0]) for run in moved if run.size)
+    hi = max(int(run[-1]) for run in moved if run.size)
+    cells, counts = np.concatenate(moved), np.concatenate(events)
+    if hi - lo < model._DENSE_SPAN * cells.size:  # count per cell - lo in a table
+        table = np.bincount(cells - lo, counts)
+        at = table.nonzero()[0]
+        return lo + at, table[at].astype(np.int64)
+    order = np.argsort(cells, kind="stable")
+    cells = cells[order]
+    at = np.concatenate(([0], (cells[1:] != cells[:-1]).nonzero()[0] + 1))
+    return cells[at], np.add.reduceat(counts[order], at)
 
 
 def sample_mode(
@@ -273,15 +382,14 @@ def _spectrum_chunk(plan: list, chunk_index: int, size: int, key: np.ndarray,
     """Unique sublattice cells and counts for one chunk of events.
 
     The chunk's histogram starts as one line of `size` events at cell 0
-    (key(e00)); each planned mode (i, cells per quantum, mean, top,
-    sweep) then moves every line's events by j quanta, drawing only
-    from the (i, chunk) cell's stream under `key`, which it opens once.
-    `lattice` is `model.sublattice(m)`.
+    (key(e00)); each planned mode (`_law`) then moves every line's
+    events by j quanta, drawing only from the (i, chunk) cell's stream
+    under `key`, which it opens once.  `lattice` is `model.sublattice(m)`.
     """
     origin, step, _ = lattice
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = _generator()
     cells, counts = np.zeros(1, dtype=np.int64), np.array([size], dtype=np.int64)
-    for i, t, mean, top, sweep in plan:
+    for i, t, tick, mean, top, sweep, hs in plan:
         _cell_stream(rng, key, i, chunk_index)
         edge = max(abs(origin + step * int(cells[0])), abs(origin + step * int(cells[-1])))
         if (cells.size + _SPLIT_STEP_LINES) * sweep > size:  # per-event draws are cheaper
@@ -295,11 +403,10 @@ def _spectrum_chunk(plan: list, chunk_index: int, size: int, key: np.ndarray,
                 at, events = model.sum_by_key(at, np.ones(size, np.int64))
             j = at // cells.size  # at = (j - lo) * lines + line ascends, so j - lo does
             line = at - cells.size * j
-            model.check_key_reach(edge + step * abs(t) * (int(j[-1]) + lo))
+            model.check_key_reach(edge + tick * (int(j[-1]) + lo))
             cells, counts = model.sum_by_key(cells[line] + t * (j + lo), events)
         else:
-            moved = _split(cells, counts, t, mean, top, rng, (edge, step * abs(t)))
-            cells, counts = model.sum_by_key(*moved)
+            cells, counts = _split(cells, counts, t, _hazards(hs, mean, top), rng, (edge, tick))
     return cells, counts
 
 
@@ -319,8 +426,8 @@ def sample_spectrum(
     origin, step, quanta = lattice = model.sublattice(m)
     laws = [(i, t, *_recorded(s, i, cfg, d))  # a refused mean raises before any sub-stream opens
             for i, (s, t) in enumerate(zip(m.huang_rhys, quanta), 1)]
-    plan = [(i, t, mean, top, min(mean + 10.0 * math.sqrt(mean) + 10.0,
-                                  math.inf if top is None else top + 1))  # the sweep
+    size = min(cfg.events, _CHUNK_EVENTS)  # the largest chunk
+    plan = [_law(i, t, mean, top, step, size)
             for i, t, mean, top in sorted(laws, key=lambda law: law[2])  # ascending mean
             if mean > 0.0 and top != 0]  # silent modes draw nothing
     key, chunks = _key(cfg.seed), _chunks(cfg.events)

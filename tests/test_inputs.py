@@ -58,6 +58,9 @@ TARGETS = {
                                 lambda v: DetectorModel(dark_mean=v).dark_mean),
     "DetectorModel.threshold_mode": ("threshold_mode", "bool",
                                      lambda v: DetectorModel(threshold_mode=v).threshold_mode),
+    # the ideal detector records mean s, and top k
+    "DetectorModel.recorded.s": ("s", "real", lambda v: DetectorModel().recorded(v, None)[0]),
+    "DetectorModel.recorded.k": ("k", "int?", lambda v: DetectorModel().recorded(0.5, v)[1]),
     "SamplerConfig.events": ("events", "int", lambda v: SamplerConfig(events=v).events),
     "SamplerConfig.seed": ("seed", "int", lambda v: SamplerConfig(events=1, seed=v).seed),
     "SamplerConfig.max_quanta": ("max_quanta", "int?",
@@ -169,6 +172,7 @@ def test_every_special_value(target):
     "SosConfig.max_quanta", "SosConfig.enumeration_budget", "state_count.n_modes",
     "state_count.k", "sample_mode.mode_index", "convergence_study.runs",
     "sample_spectrum.workers", "substream.seed", "substream.mode_index",
+    "DetectorModel.recorded.k",
 ])
 @pytest.mark.parametrize("huge", [4**66, 10**400])
 def test_huge_integers_stay_valid(target, huge):

@@ -228,6 +228,16 @@ class TestDetectorModel:
         assert type(mean) is float
         assert mean == float(np.float32(0.7)) * float(np.float32(0.4))
 
+    @pytest.mark.parametrize("s, k, match", [
+        ("0.5", None, "^s must be a real number"), (True, None, "^s must be a real number"),
+        (math.inf, None, "^s must be >= 0 and finite"), (-0.1, 2, "^s must be >= 0"),
+        (0.5, 2.5, "^k must be an integer"), (0.5, True, "^k must be an integer"),
+        (0.5, -1, "^k must be >= 0"),
+    ])
+    def test_recorded_refuses_by_name(self, s, k, match):
+        with pytest.raises(ValueError, match=match):
+            DetectorModel().recorded(s, k)
+
     def test_recorded_law(self):
         assert DetectorModel().recorded(0.3, None) == (0.3, None)
         assert DetectorModel().recorded(0.3, 2) == (0.3, 2)

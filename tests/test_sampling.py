@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from vibronic import model, sampling
+from vibronic import __version__, model, sampling
 from vibronic.analysis import BroadeningKernel, EnergyGrid, broaden, fidelity, normalize
-from vibronic.fixtures import fine_acene_like, large_acene_like
+from vibronic.fixtures import fine_acene_like, large_acene_like, pentacene_like_8
 from vibronic.io import read_spectrum, write_spectrum
 from vibronic.model import TICKS_PER_CM1, Mode, Molecule, energy_keys, hazards, key_energies
 from vibronic.sampling import (
@@ -167,10 +168,11 @@ class TestPoissonDraw:
 
 class TestSubstream:
     def test_is_the_cells_stream(self):
-        # a chunk's generator, reset to cell (i, c) after another cell left
-        # it mid-buffer, draws what a fresh `substream(seed, i, c)` draws
+        # the thread's generator, reset to cell (i, c) after another cell
+        # (or call) left it mid-buffer, draws what a fresh `substream(seed,
+        # i, c)` draws
         key = sampling._key(7)
-        rng = sampling._cell_stream(np.random.Generator(np.random.Philox(key=key)), key, 3, 1)
+        rng = sampling._cell_stream(sampling._generator(), key, 3, 1)
         for i, c in ((2, 1), (5, 0), (2, 1), (2**64 - 1, 2)):
             rng.integers(2**32, size=3, dtype=np.uint32)  # leaves a half-used word
             rng.random()  # and a half-used Philox block
@@ -199,6 +201,21 @@ class TestSubstream:
         want = substream(7, 2**63 + 5, 3).random(4)
         assert np.array_equal(substream(np.uint64(7), np.uint64(2**63 + 5), np.int8(3)).random(4),
                               want)
+
+    def test_scalar_binomials_draw_the_array_bits(self):
+        # a cell of few lines draws one scalar binomial a line, in line
+        # order, for each split step: numpy gives the bits of one array draw,
+        # for n in [0, 1e6] (small n too, where it draws by inversion) and
+        # p in (0, 1), and leaves the stream at the same place
+        g = np.random.default_rng(26)
+        for trial in range(300):
+            lines = int(g.integers(1, 20))
+            n = np.where(g.random(lines) < 0.5, g.integers(0, 30, lines),
+                         g.integers(0, 10**6, lines, endpoint=True))
+            p = float(g.uniform(1e-12, 1.0))
+            array, scalar = substream(9, trial + 1, 0), substream(9, trial + 1, 0)
+            assert array.binomial(n, p).tolist() == [scalar.binomial(k, p) for k in n.tolist()]
+            assert array.random() == scalar.random()
 
     @pytest.mark.parametrize("i", [1, 2**64 - 1])
     def test_positions_past_2_64_keep_their_own_stream(self, i):
@@ -560,26 +577,32 @@ class TestSampleSpectrum:
                                            np.append(exp[big], exp[~big].sum()))
         assert p_value > 1e-4
 
-    @pytest.mark.parametrize("chunk_events, methods", [
-        (10**4, {"_sample_mode_chunk", "_split"}), (10**5, {"_split"})])
-    def test_each_cell_derives_law_and_stream_once(self, chunk_events, methods, monkeypatch):
+    @pytest.mark.parametrize("chunk_events, methods, split_means", [
+        (10**4, {"_sample_mode_chunk", "_split"}, [0.05, 0.2]),
+        (10**5, {"_split"}, [0.05, 0.2, 400.0])])
+    def test_each_cell_derives_law_and_stream_once(self, chunk_events, methods, split_means,
+                                                   monkeypatch):
         # S = 400 draws per event in chunks of 1e4 and splits in 1e5; the
-        # small modes split.  The call derives each mode's law once, and
-        # every cell opens its sub-stream (sets its Philox counter) exactly
-        # once, whichever method it takes.
+        # small modes split.  Over 3 chunks the call derives each mode's
+        # law once, and the hazards of each mode that can split once, in
+        # the plan's order, not once a cell; every cell opens its
+        # sub-stream (sets its Philox counter) exactly once, whichever
+        # method it takes.
         monkeypatch.setattr(sampling, "_CHUNK_EVENTS", chunk_events)
-        names = ("_recorded", "_cell_stream", "_sample_mode_chunk", "_split")
+        names = ("_recorded", "hazards", "_cell_stream", "_sample_mode_chunk", "_split")
         calls = {name: [] for name in names}
         for name, log in calls.items():
             real = getattr(sampling, name)
             monkeypatch.setattr(sampling, name,
                                 lambda *a, _real=real, _log=log: _log.append(a) or _real(*a))
         m = molecule([400.0, 0.2, 0.05], energies=[100.0, 230.0, 517.0], e00=1000.0)
-        cfg = SamplerConfig(events=2 * 10**5, seed=4)
+        cfg = SamplerConfig(events=3 * chunk_events, seed=4)
         sample_spectrum(m, cfg)
         cells = [(i, ci) for ci, _ in sampling._chunks(cfg.events) for i in (1, 2, 3)]
+        assert len(cells) == 9
         assert sorted(a[2:] for a in calls["_cell_stream"]) == sorted(cells)
         assert [a[1] for a in calls["_recorded"]] == [1, 2, 3]
+        assert [a[0] for a in calls["hazards"]] == split_means
         assert {name for name in methods if calls[name]} == methods
         assert len(calls["_sample_mode_chunk"]) + len(calls["_split"]) == len(cells)
         for log in calls.values():
@@ -625,6 +648,40 @@ class TestSampleSpectrum:
         for d in (IDEAL_DETECTOR, DetectorModel(threshold_mode=True)):
             a, b = sample_spectrum(m, capped, d), sample_spectrum(m, free, d)
             assert np.array_equal(a.energies, b.energies) and np.array_equal(a.counts, b.counts)
+
+
+# sha256 of a call's energies.tobytes() + counts.tobytes(), by version: the
+# version pins the draws, so sampled bytes may change only with it
+SAMPLED_BYTES = {
+    "0.3.0": {
+        "p8-K1-1e3": "78353ba1bbb115b9ce688ea1195d2c8fbd6f78f2636aa601cd430850cb0e2d98",
+        "p8-K1-1e7": "e5e5b0f2fe4a3cdea812c7ecc5131a0a70b7f10f559f7bf17e3a4dc1a49b65ee",
+        "a66-1e6": "9e02c92cccbe1d0000f9b84f11dd5d43c9342ee91283868e0763d8355e055142",
+        "p8-click-loss-dark": "8282bc5dafe2da92f6a1861e89e88ca98c6fe41181b8cdafd90b9febee826388",
+        "f6-K2": "2f55f3fe4fbbee340522816a0a7a8f2da41a029a769ea6c37b91df962f4353f4",
+    },
+}
+SAMPLED_CALLS = {
+    "p8-K1-1e3": lambda: (pentacene_like_8(), SamplerConfig(events=10**3, seed=1, max_quanta=1),
+                          IDEAL_DETECTOR),
+    "p8-K1-1e7": lambda: (pentacene_like_8(), SamplerConfig(events=10**7, seed=1, max_quanta=1),
+                          IDEAL_DETECTOR),
+    "a66-1e6": lambda: (large_acene_like(66), SamplerConfig(events=10**6, seed=1), IDEAL_DETECTOR),
+    "p8-click-loss-dark": lambda: (pentacene_like_8(), SamplerConfig(events=10**5, seed=2),
+                                   DetectorModel(efficiency=0.8, dark_mean=0.01,
+                                                 threshold_mode=True)),
+    "f6-K2": lambda: (fine_acene_like(6), SamplerConfig(events=10**6, seed=6, max_quanta=2),
+                      IDEAL_DETECTOR),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLED_CALLS))
+def test_sampled_bytes_pinned_by_version(case):
+    pins = SAMPLED_BYTES.get(__version__)
+    if pins is None:
+        pytest.skip(f"no sampled bytes recorded for version {__version__}")
+    spec = sample_spectrum(*SAMPLED_CALLS[case]())
+    assert hashlib.sha256(spec.energies.tobytes() + spec.counts.tobytes()).hexdigest() == pins[case]
 
 
 class TestExactReferenceMemory:
