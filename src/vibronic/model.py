@@ -335,33 +335,37 @@ def mode_distribution(s: float, k: int, overflow: str = "truncate",
     return p
 
 
-def tail_ratio(mean: float, j: int) -> float:
-    """P(J >= j) / P(J = j) for J ~ Poisson(mean) and j > mean.
+def tail_ratio(mean: float, j: int, down: bool = False) -> float:
+    """P(J >= j) / P(J = j) for J ~ Poisson(mean) and j > mean; with
+    `down`, P(J <= j) / P(J = j) for j < mean.
 
-    The series 1 + mean/(j+1) + mean^2/((j+1)(j+2)) + ... is summed
-    upward until a term no longer changes it; every ratio mean/i < 1,
-    so the terms fall.  It needs no pmf value, so it neither underflows
-    nor cancels deep in the tail.
+    The series 1 + mean/(j+1) + mean^2/((j+1)(j+2)) + ... (`down`: 1 +
+    j/mean + j(j-1)/mean^2 + ...) is summed until a term no longer
+    changes it; every ratio is below 1, so the terms fall.  It needs no
+    pmf value, so it neither underflows nor cancels deep in a tail.
     """
     total, term = 0.0, 1.0
     while total + term != total:
-        total, j = total + term, j + 1
-        term *= mean / j
+        total, term = total + term, term * (j / mean if down else mean / (j + 1))
+        j += -1 if down else 1
     return total
 
 
-def hazards(mean: float, top: int | None):
-    """Yield h_j = P(J = j | J >= j), j = 0, 1, ..., for the recorded
-    count J: Poisson(mean) clipped at `top` (None: unbounded), so
-    h_top = 1 and an unbounded sequence never ends.
+def hazards(mean: float, top: int | None, start: int = 0):
+    """Yield h_j = P(J = j | J >= j), j = start, start + 1, ..., for the
+    recorded count J: Poisson(mean) clipped at `top` (None: unbounded),
+    so h_top = 1 and an unbounded sequence never ends.
 
     For j <= mean, h_j = p_j / (1 - head): the tail there is >= ~1/2,
-    so the subtraction loses nothing.  Above the mean, h_j =
-    1 / `tail_ratio(mean, j)`, which needs no p_j and so cannot give
-    0/0 or a value above 1 deep in the tail.
+    so the subtraction loses nothing.  head = P(J < j) is summed from
+    j = 0 on, starting from p_(start-1) x `tail_ratio` downward when
+    `start` > 0.  Above the mean, h_j = 1 / `tail_ratio(mean, j)`,
+    which needs no p_j and so cannot give 0/0 or a value above 1 deep
+    in the tail.
     """
-    head = 0.0
-    for j in itertools.count():
+    head = (fc_factor_1d(mean, start - 1) * tail_ratio(mean, start - 1, True)
+            if 0 < start <= mean else 0.0)
+    for j in itertools.count(start):
         if j == top:
             yield 1.0
             return
@@ -471,9 +475,9 @@ def sublattice(m: Molecule) -> tuple[int, int, list[int]]:
     and one quantum of mode i moves c by the i-th signed cell count.
     Both engines work in cells and form keys once at the end.
     """
-    ticks = energy_keys(m.energies) * m.sign
-    step = math.gcd(*map(int, ticks)) or 1
-    return int(energy_keys(m.e00)), step, (ticks // step).tolist()
+    origin, *ticks = energy_keys([m.e00, *m.energies]).tolist()
+    step = math.gcd(*ticks) or 1
+    return origin, step, [m.sign * k // step for k in ticks]
 
 
 def check_key_reach(reach: int) -> None:

@@ -13,57 +13,56 @@ chunks into a `SampledSpectrum`, a `LineSpectrum` of event counts.
 the paper describes it.  `sample_spectrum` only needs the histogram,
 so it draws that directly, on SOS's sublattice (`model.sublattice`):
 a chunk carries its lines as (cell, events) pairs, and each (mode,
-chunk) cell counts how many of each line's events record j quanta,
-in one of two ways.  It splits every line's events over j = 0, 1, ...
-by conditional binomials, Binomial(events left, h_j) with the law's
-hazards h_j = P(J = j | J >= j) (`model.hazards`), the multinomial
-drawn as a sequence of binomials (Davis 1993, Comput. Stat. Data Anal.
-16:205): the same law as per-event draws.  After j = 0 a step draws
-only over the lines with events left; numpy draws nothing for a line
-with none, so this gives the bits of a draw over every line, and a
-cell's work is the lines it must split.  Where the lines x sweep
-length, with a split step's fixed cost added, would exceed the chunk's
-events (a huge recorded mean, or a small chunk),
-it draws its events one at a time and counts them per (j, line) by
-one `np.bincount`, or by `sum_by_key` where that table would pass
-`model._DENSE_SPAN` cells an event.  The call plans once, before any
-draw: it derives each mode's law, sweep length and the hazards a split
-is likely to need (refusing a mean numpy cannot draw, whichever mode
-it is), drops the modes that always record 0, and orders the rest by
-ascending recorded mean, equal means in position order.  A low-mean
-mode moves few events and so adds few lines; splitting those first
-keeps the line count low while most modes are split.  Whichever way it
-draws, a cell opens its sub-stream once, refuses a shift past the
-energy lattice, and merges its moved lines, cell + j x the mode's
-cells per quantum, into distinct ascending cells; keys are formed
-once, from the merged cells.  A call of one chunk skips the final
-merge: its cells already ascend and differ.
+chunk) cell moves every line's events down the mode's binary tree
+over its recorded count j, the multinomial drawn as a tree of
+conditional binomials (Malefaki & Iliopoulos 2007, Comput. Stat. Data
+Anal. 51:5471): a node sends Binomial(events, P(left | node)) of its
+events left and the rest right, the same law as per-event draws.
+Nodes are cut at their conditional median, so a huge mean costs about
+log2 of its spread in levels: the lines it makes, not its events.
+From where h_j = P(J = j | J >= j) >= 1/2 (`model.hazards`) on, each
+node would send count j alone left, so the tree ends in that walk:
+Binomial(events left, h_j) at j = c0, c0 + 1, ... (Davis 1993, Comput.
+Stat. Data Anal. 16:205), as a mode with h_0 >= 1/2 (a mean <= ln 2)
+or a top of 1 draws alone.  The walk also takes the unbounded tail past
+where the law sums to under 2**-54, deriving its hazards as it needs
+them, so no tail is lumped; below the mean, such a tail is one numpy's
+binomial never draws, and the tree leaves it out.
+
+The call plans once, before any draw: it derives each mode's law, tree
+and the hazards a walk is likely to need (refusing a mean numpy cannot
+draw, whichever mode it is), drops the modes that always record 0, and
+orders the rest by ascending recorded mean, equal means in position
+order: a low-mean mode moves few events and so adds few lines.  A cell
+opens its sub-stream once, refuses a move past the energy lattice, and
+merges its moved lines, cell + j x the mode's cells per quantum, into
+distinct ascending cells; keys are formed once, from the merged cells.
+A call of one chunk skips the final merge.
 
 At small event counts a call costs its cells, not its events.  numpy's
 array `binomial` costs ~8-17 us a call before its ~0.1 us a line, and
-its scalar form ~1 us a line, with the same bits; so a cell of fewer
-than `_FEW_LINES` lines is split one line at a time in Python.  A
-split's moves are one ascending run per j, merged by a table where the
-cells are dense, else by one stable sort (which merges runs) and
-`np.add.reduceat`; the counts are int64, so no order of summation
-changes a bit.  On `pentacene_like_8` at K=1 and 1e3 events (a 2-core
-host, mean of 2000 calls) a call takes ~390 us: plan ~80, key ~30,
-result ~30 and the chunk's generator and eight cells ~250.
+its scalar form ~1 us a line, with the same bits; so a walk over fewer
+than `_FEW_LINES` lines draws one line at a time in Python.  A walk's
+moves are one ascending run per j, merged by a table where the cells
+are dense, else by one stable sort and `np.add.reduceat`; int64 sums
+do not depend on their order.  On `pentacene_like_8` at K=1 and 1e3
+events (a 2-core host) a call takes ~390 us, ~250 of them in cells.
 
 Reproducibility: every (seed, mode position, chunk) cell owns a
 counter-based Philox sub-stream (Salmon et al., SC'11).  A call
 derives one 128-bit key from `SeedSequence(seed)`, and each cell sets
 its thread's Philox to that key at counter (0, 0, chunk, position);
-Philox counts up from there in the low 128 bits, so the cells' streams are
-disjoint ranges of 2**128 blocks under one key, independent by
+Philox counts up from there in the low 128 bits, so the cells' streams
+are disjoint ranges of 2**128 blocks under one key, independent by
 construction and bit-identical for any worker count or order.  A
 position past 2**64 folds its high bits into the key's spawn key.
-Chunks hold a fixed 10^6 events, so the chunking selects the draws
-and the version pins it.
+Chunks hold a fixed 10^6 events and trees are planned for them, so the
+chunking selects the draws and the version pins it.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import threading
@@ -74,8 +73,8 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import model
-from .model import (IDEAL_DETECTOR, DetectorModel, LineSpectrum, Molecule, hazards, key_energies,
-                    result_provenance)
+from .model import (IDEAL_DETECTOR, DetectorModel, LineSpectrum, Molecule, fc_factor_1d, hazards,
+                    key_energies, result_provenance, tail_ratio)
 
 __all__ = [
     "SamplerConfig",
@@ -88,8 +87,8 @@ __all__ = [
     "IDEAL_DETECTOR",
 ]
 
-# Events per chunk: it bounds a per-event cell's arrays and is the unit
-# worker threads share.  It selects the draws, so the version fixes it.
+# Events per chunk: the unit worker threads share, and the size a mode's
+# tree is planned for.  It selects the draws, so the version fixes it.
 _CHUNK_EVENTS = 1_000_000
 
 # numpy draws int64 counts; the largest mean its Poisson generator
@@ -97,13 +96,21 @@ _CHUNK_EVENTS = 1_000_000
 _INT64_MAX = np.iinfo(np.int64).max
 POISSON_MEAN_MAX = float(_INT64_MAX - np.sqrt(_INT64_MAX) * 10)
 
-# A split step's fixed cost counted in lines: one array binomial call
-# costs ~8-17 us before ~0.1-0.15 us a line, and one per-event draw
-# (Poisson, ~30-40 ns, then its share of the (j, line) count) about as
-# much as one line-step.  It selects the draws, so the version fixes it.
-_SPLIT_STEP_LINES = 128
+# A walk's planned hazards end where fewer than this many of a chunk's
+# events are expected to be left.
+_RARE = 2.0**-10
 
-# Under this many lines a cell is split one line at a time, one scalar
+# A tail of a law that sums to under this is one numpy's binomial never
+# draws (1 - p rounds to 1): a tree leaves it out below the mean, and
+# above the mean hands it to the walk.  It selects the draws, so the
+# version fixes it.
+_NEVER = 2.0**-54
+
+# The most counts a tree may span (~17 sd at a mean of ~4e9): a wider
+# one would not fit in memory, so its mode is refused.
+_WINDOW_MAX = 2**20
+
+# Under this many lines a walk draws one line at a time, one scalar
 # binomial a line (~1 us each) rather than one array call a step: the
 # same bits, with no fixed cost.  16 beat 8, 24 and 32 on
 # `pentacene_like_8`.
@@ -229,63 +236,123 @@ def _sample_mode_chunk(mean: float, top: int | None, rng: np.random.Generator,
     return counts if top is None else np.minimum(counts, top)
 
 
-def _padded(counts: np.ndarray) -> np.ndarray:
-    """`counts`, or under `_CACHED_BYTES` lines `counts` then zeros to
+def _padded(values: np.ndarray) -> np.ndarray:
+    """`values`, or under `_CACHED_BYTES` lines `values` then zeros to
     a power of two; numpy draws nothing for a line of 0 events."""
-    if counts.size >= _CACHED_BYTES:
-        return counts
-    padded = np.zeros(1 << (counts.size - 1).bit_length(), dtype=np.int64)
-    padded[:counts.size] = counts
+    if values.size >= _CACHED_BYTES:
+        return values
+    padded = np.zeros(1 << (values.size - 1).bit_length(), dtype=values.dtype)
+    padded[:values.size] = values
     return padded
 
 
-def _law(i: int, t: int, mean: float, top: int | None, step: int, size: int) -> tuple:
+def _law(i: int, t: int, mean: float, top: int | None, origin: int, step: int,
+         size: int) -> tuple:
     """Plan one mode for chunks of at most `size` events: (position `i`,
-    `t` cells and `step * |t|` keys a quantum, `mean`, `top`, the sweep
-    length, and the hazards h_0, h_1, ... a split is likely to reach).
-    The hazards run until fewer than 2**-10 of a chunk's events are
-    expected to be left, or to h = 1, so a cell outruns them at most
-    once in 1024 (`_hazards` then derives the rest); there are none if
-    no cell can split."""
-    sweep = min(mean + 10.0 * math.sqrt(mean) + 10.0, math.inf if top is None else top + 1)
-    hs, left = [], float(size)
-    if (1 + _SPLIT_STEP_LINES) * sweep <= size:  # a one-line cell splits
-        for h in hazards(mean, top):
-            hs.append(h)
-            left *= 1.0 - h
-            if left < 2**-10:
-                break
-    return i, t, step * abs(t), mean, top, sweep, tuple(hs)
+    `t` cells and `step * |t|` keys a quantum, and the law `_split`
+    draws: mean, top, the walk's first count c0, the tree (`_cuts`' prob
+    and kids, lo) or None, and the walk's hazards until fewer than
+    `_RARE` of the events are expected to be left, or to h = 1).
+
+    A mode with h_0 >= 1/2 or a top of 1 is one walk.  Else the tree's
+    leaves are lo .. c0 - 1 and the walk: below lo and from c0 on the law
+    sums to under `_NEVER` (bisection on a geometric bound of each tail),
+    unless h_j reaches 1/2 first, where c0 starts the walk instead.  A
+    mode is refused if its counts but those 6 sd below the mean pass the
+    energy lattice (`origin`: key(e00)), or if c0 - lo > `_WINDOW_MAX`."""
+    tick, tree, c0, rest = step * abs(t), None, 0, 1.0
+    if top != 1 and fc_factor_1d(mean, 0) < 0.5:
+        m, floor, end = (min(int(x), top or int(x)) for x in
+                         (mean, mean - 6.0 * math.sqrt(mean), mean + 40.0 * math.sqrt(mean) + 40))
+        model.check_key_reach(tick * floor - abs(origin))
+        lo = bisect.bisect_left(range(m), True,
+                                key=lambda j: fc_factor_1d(mean, j) * mean >= _NEVER * (mean - j))
+        c0 = min(end, m + 1 + bisect.bisect_left(range(m + 1, end), True, key=lambda j: (
+            fc_factor_1d(mean, j) * (j + 1) < _NEVER * (j + 1 - mean))))
+        if c0 - lo > _WINDOW_MAX:
+            raise ValueError(f"mode {i}: recorded mean {mean:.6g} spreads over more than 2**20 "
+                             "counts, more than the sampler plans")
+        w = np.fromiter((fc_factor_1d(mean, j) for j in range(lo, c0)), float, c0 - lo)
+        rest = fc_factor_1d(mean, c0) * tail_ratio(mean, c0) if c0 > mean else 1.0 - w.sum()
+        tails = np.cumsum(w[::-1])[::-1] + rest  # P(J >= j)
+        if (walk := np.flatnonzero(w + w >= tails)).size:  # h_j >= 1/2 from there on
+            c0, rest, w = lo + int(walk[0]), float(tails[walk[0]]), w[:walk[0]]
+        tree = (*_cuts(np.append(w, rest)), lo) if w.size else None
+    hs, left, rates = [], size * rest, hazards(mean, top, c0)
+    while left >= _RARE:  # h = 1 leaves 0
+        hs.append(next(rates))
+        left *= 1.0 - hs[-1]
+    return i, t, tick, (mean, top, c0, tree, tuple(hs))
 
 
-def _hazards(planned: tuple, mean: float, top: int | None):
-    """`model.hazards(mean, top)`: the `planned` ones, then, should a
-    split outrun them, the rest derived afresh."""
-    yield from planned
-    yield from itertools.islice(hazards(mean, top), len(planned), None)
+def _cuts(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(prob, kids) of the tree over leaves 0 .. n-1 weighing `w` > 0:
+    node k (0 the root) sends prob[k] of its events to kids[k, 0] and
+    the rest to kids[k, 1], a node or ~leaf.  A node over leaves [a, b)
+    is cut at its conditional median c (found on the weights summed from
+    whichever end holds less), clamped to [a + 1, b - 1], and
+    prob is the weight of [a, c) over that of [a, c) and [c, b), each
+    summed apart, so a node deep in a tail keeps its digits."""
+    cum, ext, n = np.cumsum(np.append(0.0, w)), np.append(w, 0.0), w.size
+    rum = np.cumsum(ext[::-1])[::-1]  # the weight from each leaf on, accurate in the upper tail
+    prob, kids = np.empty(n - 1), np.empty((n - 1, 2), np.int64)
+    a, b, ids, made = np.zeros(1, np.int64), np.array([n]), np.zeros(1, np.int64), 1
+    while ids.size:
+        c = np.where(cum[a] > rum[b], np.searchsorted(-rum, -(rum[a] + rum[b]) / 2.0),
+                     np.searchsorted(cum, (cum[a] + cum[b]) / 2.0))
+        c = np.clip(c, a + 1, b - 1)
+        mass = np.add.reduceat(ext, np.column_stack((a, c, b)).ravel())
+        prob[ids] = mass[0::3] / (mass[0::3] + mass[1::3])
+        a, b = np.column_stack((a, c)).ravel(), np.column_stack((c, b)).ravel()
+        inner = b - a > 1
+        child = np.where(inner, made + np.cumsum(inner) - 1, ~a)
+        kids[ids], made = child.reshape(-1, 2), made + int(inner.sum())
+        a, b, ids = a[inner], b[inner], child[inner]
+    return prob, kids
 
 
-def _split(cells: np.ndarray, counts: np.ndarray, t: int, hs, rng: np.random.Generator,
+def _split(cells: np.ndarray, counts: np.ndarray, t: int, law: tuple, rng: np.random.Generator,
            reach: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Move each line's events by j = 0, 1, ... quanta of `t` cells by
-    conditional binomials with the hazards `hs`; return the moved lines
-    merged.
+    """Move each line's events by j quanta of `t` cells, j drawn by the
+    mode's `law` (`_law`); return the moved lines merged.  `reach` =
+    (the lines' largest |key|, key ticks a quantum) refuses a move past
+    the energy lattice before it is formed.
 
-    At each j, every line with events left sends Binomial(events left,
-    h_j) of them to cell + j * t, drawn from `rng` over those lines in
-    cell order; a hazard of 1 sends all that is left without a draw.
-    numpy draws nothing for a line with none left, so drawing over the
-    live lines alone gives the bits a draw over every line would.
-    Stops when nothing is left.  `reach` = (the lines' largest |key|,
-    key ticks a quantum) refuses a step past the energy lattice before
-    it is formed.  A cell of fewer than `_FEW_LINES` lines goes to
-    `_split_few`.
+    The tree goes first, a level at a time: one draw from `rng` over the
+    level's (line, node, events > 0) items, in line (cell) order, then
+    node order, left to right; each sends Binomial(events, prob) left
+    and the rest right, and leaf j < c0 takes cell + j * t.  The lines
+    that reached leaf c0 then walk, in cell order: at j = c0, c0 + 1,
+    ..., every line with events left sends Binomial(events left, h_j) to
+    cell + j * t, in one draw over those lines (numpy draws nothing for
+    a line of none), and h_j = 1 sends the rest without one.  A walk of
+    fewer than `_FEW_LINES` lines goes to `_split_few`.
     """
-    if cells.size < _FEW_LINES:
-        return _split_few(cells, counts, t, hs, rng, reach)
+    mean, top, c0, tree, hs = law
     edge, tick = reach
+    if tree is not None:
+        (prob, kids, lo), leaves, nodes = tree, [], np.zeros(cells.size, np.int64)
+        while cells.size:
+            take = rng.binomial(_padded(counts), _padded(prob[nodes]))[:cells.size]
+            counts = np.column_stack((take, counts - take)).ravel()
+            at = counts.nonzero()[0]
+            cells, nodes, counts = cells[at >> 1], kids[nodes].ravel()[at], counts[at]
+            leaf = nodes < 0
+            leaves.append((cells[leaf], lo + ~nodes[leaf], counts[leaf]))
+            cells, nodes, counts = cells[~leaf], nodes[~leaf], counts[~leaf]
+        cells, j, counts = map(np.concatenate, zip(*leaves))
+        model.check_key_reach(edge + tick * int(j.max()))
+        at, walk = j < c0, np.flatnonzero(j == c0)
+        parts = [model.sum_by_key(cells[at] + t * j[at], counts[at])]
+        if walk.size:
+            walk, law = walk[np.argsort(cells[walk])], (mean, top, c0, None, hs)
+            parts.append(_split(cells[walk], counts[walk], t, law, rng, reach))
+        return _merge(*zip(*parts))
+    walk = enumerate(itertools.chain(hs, hazards(mean, top, c0 + len(hs))), c0)
+    if cells.size < _FEW_LINES:
+        return _split_few(cells, counts, t, walk, rng, reach)
     moved, events = [], []
-    for j, h in enumerate(hs):
+    for j, h in walk:
         model.check_key_reach(edge + tick * j)
         if h == 1.0:  # all lines left are live
             moved.append(cells + t * j)
@@ -302,14 +369,13 @@ def _split(cells: np.ndarray, counts: np.ndarray, t: int, hs, rng: np.random.Gen
     return _merge(moved, events)
 
 
-def _split_few(cells: np.ndarray, counts: np.ndarray, t: int, hs, rng: np.random.Generator,
+def _split_few(cells: np.ndarray, counts: np.ndarray, t: int, walk, rng: np.random.Generator,
                reach: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """`_split` for a cell of few lines, one line at a time: a scalar
-    draw per live line in cell order, the moves summed per cell in a
-    dict."""
+    """`_split`'s walk over few lines, one line at a time: a scalar draw
+    per live line in cell order, the moves summed per cell in a dict."""
     edge, tick = reach
     moved, lines = {}, list(zip(cells.tolist(), counts.tolist()))
-    for j, h in enumerate(hs):
+    for j, h in walk:
         model.check_key_reach(edge + tick * j)
         shift, live = t * j, []
         for c, n in lines:
@@ -327,8 +393,8 @@ def _split_few(cells: np.ndarray, counts: np.ndarray, t: int, hs, rng: np.random
 
 def _merge(moved: list, events: list) -> tuple[np.ndarray, np.ndarray]:
     """Distinct ascending cells and the int64 events on each, of a
-    split's moves: `moved` holds one ascending run of cells per j,
-    `events` their events (each > 0).
+    cell's moves: `moved` holds ascending runs of cells (one a walk's
+    step, or one a part of `_split`), `events` their events (each > 0).
 
     Dense cells are counted in a table, as `sum_by_key` counts them,
     its span taken from the runs' ends; sparse ones are sorted (a
@@ -383,30 +449,17 @@ def _spectrum_chunk(plan: list, chunk_index: int, size: int, key: np.ndarray,
 
     The chunk's histogram starts as one line of `size` events at cell 0
     (key(e00)); each planned mode (`_law`) then moves every line's
-    events by j quanta, drawing only from the (i, chunk) cell's stream
-    under `key`, which it opens once.  `lattice` is `model.sublattice(m)`.
+    events by j quanta (`_split`), drawing only from the (i, chunk)
+    cell's stream under `key`, which it opens once.  `lattice` is
+    `model.sublattice(m)`.
     """
     origin, step, _ = lattice
     rng = _generator()
     cells, counts = np.zeros(1, dtype=np.int64), np.array([size], dtype=np.int64)
-    for i, t, tick, mean, top, sweep, hs in plan:
+    for i, t, tick, law in plan:
         _cell_stream(rng, key, i, chunk_index)
         edge = max(abs(origin + step * int(cells[0])), abs(origin + step * int(cells[-1])))
-        if (cells.size + _SPLIT_STEP_LINES) * sweep > size:  # per-event draws are cheaper
-            j = _sample_mode_chunk(mean, top, rng, size)
-            lo = int(j.min())  # (j - lo, line) as one index cannot overflow
-            at = (j - lo) * cells.size + np.repeat(np.arange(cells.size), counts)
-            if at.max() < model._DENSE_SPAN * size:  # count events per (j - lo, line) in a table
-                at = np.flatnonzero(table := np.bincount(at))
-                events = table[at]
-            else:  # a huge mean: sort the events, allocating no lines x spread table
-                at, events = model.sum_by_key(at, np.ones(size, np.int64))
-            j = at // cells.size  # at = (j - lo) * lines + line ascends, so j - lo does
-            line = at - cells.size * j
-            model.check_key_reach(edge + tick * (int(j[-1]) + lo))
-            cells, counts = model.sum_by_key(cells[line] + t * (j + lo), events)
-        else:
-            cells, counts = _split(cells, counts, t, _hazards(hs, mean, top), rng, (edge, tick))
+        cells, counts = _split(cells, counts, t, law, rng, (edge, tick))
     return cells, counts
 
 
@@ -427,7 +480,7 @@ def sample_spectrum(
     laws = [(i, t, *_recorded(s, i, cfg, d))  # a refused mean raises before any sub-stream opens
             for i, (s, t) in enumerate(zip(m.huang_rhys, quanta), 1)]
     size = min(cfg.events, _CHUNK_EVENTS)  # the largest chunk
-    plan = [_law(i, t, mean, top, step, size)
+    plan = [_law(i, t, mean, top, origin, step, size)
             for i, t, mean, top in sorted(laws, key=lambda law: law[2])  # ascending mean
             if mean > 0.0 and top != 0]  # silent modes draw nothing
     key, chunks = _key(cfg.seed), _chunks(cfg.events)

@@ -85,15 +85,20 @@ def plan_order(m, cfg, d=IDEAL_DETECTOR):
                   key=lambda i: d.recorded(m.modes[i - 1].huang_rhys, cfg.max_quanta)[0])
 
 
-def replay_split(m, cfg, d=IDEAL_DETECTOR, order=None):
-    """Oracle: the sampler's cell rule, one dict of lines per chunk.
+def replay(m, cfg, d=IDEAL_DETECTOR, order=None):
+    """Oracle: the sampler's cells, replayed line by line in pure Python.
 
     Modes are replayed in `order` (1-based positions; the plan's order
-    by default).  Each (mode i, chunk) cell draws from `substream(seed,
-    i, chunk)`: for j = 0, 1, ..., Binomial(events left, h_j) over every
-    line in key order, a line with none left included (it draws
-    nothing), and a hazard of 1 takes all that is left.  A mode that
-    records 0 draws nothing.
+    by default); a mode that records 0 draws nothing.  Each (mode i,
+    chunk) cell draws scalar binomials from `substream(seed, i, chunk)`.
+    It takes the mode's tree from the plan (`sampling._law`; its node
+    probabilities are held to the law by `test_tree_is_the_law`) and
+    walks it a level at a time: each line in key order, and at each of
+    its nodes left to right, sends Binomial(events, P(left)) to the left
+    child and the rest to the right one; leaf j < c0 takes key + j * t.
+    Then the lines whose events reached leaf c0, in key order, walk j =
+    c0, c0 + 1, ...: Binomial(events left, h_j), h_j from
+    `model.hazards(mean, top, c0)`, all that is left at h_j = 1.
     """
     hist = {}
     for ci, size in sampling._chunks(cfg.events):
@@ -103,43 +108,48 @@ def replay_split(m, cfg, d=IDEAL_DETECTOR, order=None):
             mean, top = d.recorded(mode.huang_rhys, cfg.max_quanta)
             if mean == 0.0 or top == 0:
                 continue
+            *_, (_, _, c0, tree, _) = sampling._law(i, 1, mean, top, 0, 1,
+                                                    min(cfg.events, sampling._CHUNK_EVENTS))
             t, rng = int(energy_keys(mode.energy)) * m.sign, substream(cfg.seed, i, ci)
-            keys = sorted(lines)
-            left = np.array([lines[k] for k in keys], dtype=np.int64)
-            lines = {}
-            for j, h in enumerate(hazards(mean, top)):
-                take = left if h == 1.0 else rng.binomial(left, h)
-                for k, n in zip(keys, take.tolist()):
-                    if n:
-                        lines[k + j * t] = lines.get(k + j * t, 0) + n
-                left = left - take
-                if not left.any():
+            moved, walkers, level = {}, [], [(k, 0, n) for k, n in sorted(lines.items())]
+            if tree is None:
+                walkers, level = sorted(lines.items()), []
+            while level:
+                deeper = []
+                for k, node, n in level:
+                    left = rng.binomial(n, tree[0][node])
+                    for child, e in zip(tree[1][node].tolist(), (left, n - left)):
+                        j = tree[2] + ~child
+                        if e and child >= 0:
+                            deeper.append((k, child, e))
+                        elif e and j < c0:
+                            moved[k + j * t] = moved.get(k + j * t, 0) + e
+                        elif e:
+                            walkers.append((k, e))
+                level = deeper
+            walkers.sort()
+            for j, h in zip(itertools.count(c0), hazards(mean, top, c0)):
+                if not walkers:
                     break
+                live = []
+                for k, n in walkers:
+                    e = n if h == 1.0 else rng.binomial(n, h)
+                    if e:
+                        moved[k + j * t] = moved.get(k + j * t, 0) + e
+                    if n > e:
+                        live.append((k, n - e))
+                walkers = live
+            lines = moved
         for k, n in lines.items():
             hist[k] = hist.get(k, 0) + n
     keys = sorted(hist)
     return np.array(keys, dtype=np.int64), np.array([hist[k] for k in keys])
 
 
-def replay_per_event(m, cfg, d=IDEAL_DETECTOR):
-    """Oracle: the sampler's per-event cells, one array of event keys
-    per chunk.
-
-    Each chunk's events start at key(e00); each mode, in the plan's
-    order, then pairs the sorted keys with its `sample_mode` counts for
-    that chunk and moves each event by its count times the mode's key.
-    """
-    order = plan_order(m, cfg, d)
-    draws = {i: sample_mode(m.modes[i - 1].huang_rhys, i, cfg, d) for i in order}
-    keys = []
-    for ci, size in sampling._chunks(cfg.events):
-        e = np.full(size, int(energy_keys(m.e00)), dtype=np.int64)
-        lo = ci * sampling._CHUNK_EVENTS
-        for i in order:
-            t = int(energy_keys(m.modes[i - 1].energy)) * m.sign
-            e = np.sort(e) + t * draws[i][lo:lo + size]
-        keys.append(e)
-    return np.unique(np.concatenate(keys), return_counts=True)
+def huge_means():
+    """Three modes at recorded means 1e4, 2e3 and 0.3: two huge-mean trees
+    and one walk."""
+    return molecule([1e4, 2e3, 0.3], energies=[100.0, 230.0, 517.0])
 
 
 class TestPoissonDraw:
@@ -216,6 +226,11 @@ class TestSubstream:
             array, scalar = substream(9, trial + 1, 0), substream(9, trial + 1, 0)
             assert array.binomial(n, p).tolist() == [scalar.binomial(k, p) for k in n.tolist()]
             assert array.random() == scalar.random()
+            # and with one p a line, as a tree level draws
+            ps = g.uniform(1e-12, 1.0, lines)
+            assert (array.binomial(n, ps).tolist()
+                    == [scalar.binomial(k, q) for k, q in zip(n.tolist(), ps.tolist())])
+            assert array.random() == scalar.random()
 
     @pytest.mark.parametrize("i", [1, 2**64 - 1])
     def test_positions_past_2_64_keep_their_own_stream(self, i):
@@ -239,11 +254,86 @@ class TestHazards:
             ok = scipy.stats.poisson.pmf(j, s) > 1e-250
             assert (np.abs(h[ok] - want[ok]) <= 1e-12 * want[ok]).all(), s
 
+    def test_from_a_start(self):
+        # hazards(mean, top, start) yields what hazards(mean, top) yields
+        # from count `start` on, its head summed downward by `tail_ratio`
+        for s in (0.3, 3.0, 40.0, 400.0):
+            full = list(itertools.islice(hazards(s, None), int(s + 10 * math.sqrt(s) + 30)))
+            for start in {1, 2, max(int(s) - 1, 1), int(s), int(s) + 1, int(s) + 7} - {0}:
+                got = list(itertools.islice(hazards(s, None, start), len(full) - start))
+                assert got == pytest.approx(full[start:], rel=1e-12, abs=0.0), (s, start)
+        assert list(hazards(3.0, 5, 5)) == [1.0]
+
+    def test_tail_ratio_downward(self):
+        # P(J <= j) / P(J = j) for j below the mean
+        for s in (2.5, 40.0, 1e4):
+            for j in {max(int(s - 5 * math.sqrt(s)), 0), int(s - math.sqrt(s)), int(s) - 1}:
+                want = scipy.stats.poisson.cdf(j, s) / scipy.stats.poisson.pmf(j, s)
+                assert model.tail_ratio(s, j, down=True) == pytest.approx(want, rel=1e-10)
+
     def test_cap_takes_all_at_top(self):
         for s in (0.0, 0.3, 5.0):
             for top in (0, 1, 4):
                 h = list(hazards(s, top))
                 assert len(h) == top + 1 and h[-1] == 1.0, (s, top)
+
+
+def node_leaves(kids):
+    """{node: (a, c, b)}: each node's leaves [a, b), cut at c, from the root."""
+    out = {}
+
+    def visit(node, a):
+        left, right = kids[node].tolist()
+        c = a + 1 if left < 0 else visit(left, a)
+        b = c + 1 if right < 0 else visit(right, c)
+        assert (left >= 0 or ~left == a) and (right >= 0 or ~right == c)
+        out[node] = (a, c, b)
+        return b
+
+    visit(0, 0)
+    return out
+
+
+class TestTree:
+    """A mode's planned tree (`sampling._law`) against the law."""
+
+    @pytest.mark.parametrize("mean, top", [(0.8, None), (3.0, None), (3.0, 5), (2.5, 2),
+                                           (40.0, None), (400.0, None), (1e4, 9950), (1e4, None)])
+    @pytest.mark.parametrize("size", [10**3, 10**6])
+    def test_tree_is_the_law(self, mean, top, size):
+        # the leaves are the counts lo..c0-1, where h_j < 1/2, then the
+        # walk from c0, which starts where h_j >= 1/2, at the top, or where
+        # the law left sums to under 2**-54, as it does below lo.  Each
+        # node, cut at its conditional median (clamped so both sides hold
+        # leaves), sends its left leaves' share of the law left, summed
+        # here afresh
+        *_, (_, _, c0, tree, hs) = sampling._law(1, 1, mean, top, 0, 1, size)
+        prob, kids, lo = tree
+        pmf = [model.fc_factor_1d(mean, j) for j in range(int(mean + 60 * math.sqrt(mean) + 60))]
+        rest = 1.0 - math.fsum(pmf[:c0]) if c0 == top and c0 <= mean else math.fsum(pmf[c0:])
+        weights = pmf[lo:c0] + [rest]
+        assert math.fsum(pmf[:lo]) < 2.0**-54
+        for j in range(lo, c0 + 1):
+            tail = math.fsum(weights[j - lo:])
+            assert (2 * model.fc_factor_1d(mean, j) < tail) == (j < c0) or j == c0 == top or (
+                j == c0 and tail < 2.0**-54)
+        cuts = node_leaves(kids)
+        assert sorted(cuts) == list(range(prob.size)) and prob.size == len(weights) - 1
+        for node, (a, c, b) in cuts.items():
+            total, share = math.fsum(weights[a:b]), math.fsum(weights[a:c])
+            # fc_factor_1d's log-space form holds ~1e-12 x the mean in relative terms
+            assert prob[node] == pytest.approx(share / total, rel=1e-12 * (1 + mean), abs=1e-300)
+            assert share >= total / 2 * (1 - 1e-12) or c == b - 1
+            assert share - weights[c - 1] <= total / 2 * (1 + 1e-12) or c == a + 1
+        assert hs == tuple(itertools.islice(hazards(mean, top, c0), len(hs)))
+
+    @pytest.mark.parametrize("mean, top", [(0.3, None), (0.69, 4), (5.0, 1), (1e4, 1)])
+    def test_walk_alone(self, mean, top):
+        # h_0 >= 1/2 (a mean <= ln 2) or a top of 1: no tree, one walk from
+        # 0 with `model.hazards`' own h_j, as before version 0.4.0
+        *_, (_, _, c0, tree, hs) = sampling._law(1, 1, mean, top, 0, 1, 10**6)
+        assert tree is None and c0 == 0
+        assert hs == tuple(itertools.islice(hazards(mean, top), len(hs)))
 
 
 class TestApplyDetector:
@@ -465,6 +555,15 @@ class TestSampleSpectrum:
         assert np.array_equal(base.energies, par.energies)
         assert np.array_equal(base.counts, par.counts)
 
+    def test_worker_count_invisible_with_trees(self, monkeypatch):
+        # trees are planned once and only read by the worker threads
+        monkeypatch.setattr(sampling, "_CHUNK_EVENTS", 9000)
+        m = molecule([0.25, 3.0, 40.0])
+        cfg = SamplerConfig(events=64000, seed=13)
+        base, par = (sample_spectrum(m, cfg, workers=w) for w in (1, 4))
+        assert np.array_equal(base.energies, par.energies)
+        assert np.array_equal(base.counts, par.counts)
+
     @pytest.mark.parametrize("hr, energies", [
         ([0.5, 0.2, 0.8], [100.0, 300.0, 700.0]),
         ([0.8, 0.2, 0.5], [700.0, 300.0, 100.0]),
@@ -477,7 +576,7 @@ class TestSampleSpectrum:
         cfg = SamplerConfig(events=20000, seed=6)
         m = molecule(hr, energies=energies, e00=1000.0)
         spec = sample_spectrum(m, cfg)
-        keys, counts = replay_split(m, cfg)
+        keys, counts = replay(m, cfg)
         assert np.array_equal(spec.energies, key_energies(keys))
         assert np.array_equal(spec.counts, counts)
 
@@ -491,10 +590,10 @@ class TestSampleSpectrum:
         cfg = SamplerConfig(events=20000, seed=6)
         assert plan_order(m, cfg, d) == [2, 4, 3, 1]
         spec = sample_spectrum(m, cfg, d)
-        keys, counts = replay_split(m, cfg, d)
+        keys, counts = replay(m, cfg, d)
         assert np.array_equal(spec.energies, key_energies(keys))
         assert np.array_equal(spec.counts, counts)
-        keys, counts = replay_split(m, cfg, d, order=[1, 2, 3, 4])
+        keys, counts = replay(m, cfg, d, order=[1, 2, 3, 4])
         assert not (np.array_equal(spec.energies, key_energies(keys))
                     and np.array_equal(spec.counts, counts))
 
@@ -516,40 +615,52 @@ class TestSampleSpectrum:
         assert 0 < sum(drawn) <= 500_000, sum(drawn)
         assert all(n & (n - 1) == 0 for n in drawn if n < sampling._CACHED_BYTES)
 
-    @pytest.mark.parametrize("d, max_quanta, energies", [
-        pytest.param(IDEAL_DETECTOR, None, [100.0, 300.0, 700.0], id="ideal"),
-        pytest.param(DetectorModel(efficiency=0.7, dark_mean=0.1), 3, [100.0, 300.0, 700.0],
-                     id="loss-dark-K3"),
-        pytest.param(DetectorModel(threshold_mode=True), None, [100.0, 300.0, 700.0],
-                     id="click"),
-        pytest.param(IDEAL_DETECTOR, None, [100.001, 300.37, 700.5], id="ideal-incommensurate"),
-        pytest.param(DetectorModel(efficiency=0.7, dark_mean=0.1), 3, [100.001, 300.37, 700.5],
-                     id="loss-dark-K3-incommensurate"),
+    @pytest.mark.parametrize("d, max_quanta, hr, energies", [
+        pytest.param(IDEAL_DETECTOR, None, [0.5, 0.2, 0.8], [100.0, 300.0, 700.0], id="ideal"),
+        pytest.param(DetectorModel(efficiency=0.7, dark_mean=0.1), 3, [0.5, 0.2, 0.8],
+                     [100.0, 300.0, 700.0], id="loss-dark-K3"),
+        pytest.param(DetectorModel(threshold_mode=True), None, [0.5, 0.2, 0.8],
+                     [100.0, 300.0, 700.0], id="click"),
+        pytest.param(IDEAL_DETECTOR, None, [0.5, 0.2, 0.8], [100.001, 300.37, 700.5],
+                     id="ideal-incommensurate"),
+        pytest.param(DetectorModel(efficiency=0.7, dark_mean=0.1), 3, [0.5, 0.2, 0.8],
+                     [100.001, 300.37, 700.5], id="loss-dark-K3-incommensurate"),
+        pytest.param(IDEAL_DETECTOR, None, [0.5, 0.2, 3.0], [100.001, 300.37, 700.5],
+                     id="mean-3"),
+        pytest.param(IDEAL_DETECTOR, None, [0.5, 0.2, 400.0], [100.001, 300.37, 700.5],
+                     id="mean-400"),
     ])
-    def test_per_event_cells_replay(self, d, max_quanta, energies, monkeypatch):
-        # 60-event chunks make every cell draw per event (`_split` is
-        # removed to show it), so the spectrum is the per-event replay;
+    def test_cells_replay(self, d, max_quanta, hr, energies, monkeypatch):
+        # 400-event chunks (two and a short third), walks of few and of
+        # many lines, and trees: the spectrum is the line-by-line replay;
         # incommensurate energies put the lines far apart on the sublattice
-        monkeypatch.setattr(sampling, "_CHUNK_EVENTS", 60)
-        monkeypatch.setattr(sampling, "_split", None)
-        m = molecule([0.5, 0.2, 0.8], energies=energies, e00=1000.0)
+        monkeypatch.setattr(sampling, "_CHUNK_EVENTS", 400)
+        m = molecule(hr, energies=energies, e00=1000.0)
         cfg = SamplerConfig(events=1000, seed=21, max_quanta=max_quanta)
         spec = sample_spectrum(m, cfg, d)
-        keys, counts = replay_per_event(m, cfg, d)
+        keys, counts = replay(m, cfg, d)
         assert np.array_equal(spec.energies, key_energies(keys))
         assert np.array_equal(spec.counts, counts)
 
-    @pytest.mark.parametrize("chunk_events, per_event_draws", [(10**5, 0), (10**4, 10)])
-    def test_huge_mean_mode_law(self, chunk_events, per_event_draws, monkeypatch):
-        # S = 400 sweeps ~610 counts: a chunk of 1e5 events splits its
-        # line, one of 1e4 events draws per event; both follow the law
+    def test_emission_cells_replay(self, monkeypatch):
+        # emission moves lines down the lattice: trees and walks alike
+        monkeypatch.setattr(sampling, "_CHUNK_EVENTS", 400)
+        m = Molecule("m", 30000.0, "emission",
+                     tuple(Mode(e, s) for e, s in zip([100.001, 300.37, 700.5], [0.5, 3.0, 400.0])))
+        for d, k in ((IDEAL_DETECTOR, None), (DetectorModel(efficiency=0.7, dark_mean=0.1), 5)):
+            cfg = SamplerConfig(events=1000, seed=3, max_quanta=k)
+            spec = sample_spectrum(m, cfg, d)
+            keys, counts = replay(m, cfg, d)
+            assert np.array_equal(spec.energies, key_energies(keys))
+            assert np.array_equal(spec.counts, counts)
+
+    @pytest.mark.parametrize("chunk_events", [10**5, 10**4])
+    def test_huge_mean_mode_law(self, chunk_events, monkeypatch):
+        # S = 400 spreads over ~610 counts: one line of 1e5 events, or ten
+        # chunks of 1e4, each move down the mode's tree and follow the law
         monkeypatch.setattr(sampling, "_CHUNK_EVENTS", chunk_events)
-        draws = []
-        monkeypatch.setattr(sampling, "poisson_draw",
-                            lambda *a, **k: draws.append(a) or poisson_draw(*a, **k))
         cfg = SamplerConfig(events=10**5, seed=400)
         spec = sample_spectrum(molecule([400.0], energies=[100.0]), cfg)
-        assert len(draws) == per_event_draws
         obs = np.zeros(701)
         obs[np.rint(spec.energies / 100.0).astype(int)] = spec.counts
         exp = mode_distribution(400.0, 700, "cap") * cfg.events
@@ -557,6 +668,38 @@ class TestSampleSpectrum:
         _, p_value = scipy.stats.chisquare(np.append(obs[big], obs[~big].sum()),
                                            np.append(exp[big], exp[~big].sum()))
         assert p_value > 1e-4
+
+    @pytest.mark.parametrize("mean, top", [(1e4, None), (1e4, 9950), (1e8, None),
+                                           (1e8, 10**8 - 3000)])
+    def test_huge_mean_cell_law(self, mean, top):
+        # one cell of 1e6 events at 1 cm^-1 a quantum: capped and not,
+        # chi-square against `mode_distribution`, or scipy's Poisson law
+        # where that vector would hold 1e8 counts
+        cfg = SamplerConfig(events=10**6, seed=8, max_quanta=top)
+        spec = sample_spectrum(molecule([mean], energies=[1.0]), cfg)
+        j = np.rint(spec.energies).astype(np.int64)
+        span = np.arange(j[0] - 50, j[-1] + 51 if top is None else top + 1)
+        if mean < 1e5:
+            exp = mode_distribution(mean, span[-1], "truncate" if top is None else "cap")[span]
+        else:
+            exp = scipy.stats.poisson.pmf(span, mean)
+            exp[-1] = exp[-1] if top is None else scipy.stats.poisson.sf(top - 1, mean)
+        obs = np.zeros(span.size)
+        obs[j - span[0]] = spec.counts
+        exp *= cfg.events / exp.sum()  # all but the far tails, which hold < 1e-30
+        big = exp >= 5.0  # merge the sparse tails into one bin
+        _, p_value = scipy.stats.chisquare(np.append(obs[big], obs[~big].sum()),
+                                           np.append(exp[big], exp[~big].sum()))
+        assert p_value > 1e-4
+
+    @pytest.mark.parametrize("mean", [1e4, 1e8])
+    def test_huge_mean_click_cell(self, mean):
+        # a click detector records 1 whenever a photon arrives: at these
+        # means every event, as `mode_distribution` gives
+        d = DetectorModel(threshold_mode=True)
+        assert mode_distribution(mean, 1, "cap", d).tolist() == [0.0, 1.0]
+        spec = sample_spectrum(molecule([mean], energies=[1.0]), SamplerConfig(events=10**6), d)
+        assert spec.energies.tolist() == [1.0] and spec.counts.tolist() == [10**6]
 
     def test_fine_energies_law(self):
         # energies on 0.001 cm^-1, as computed frequencies are: 1e6 events
@@ -577,24 +720,35 @@ class TestSampleSpectrum:
                                            np.append(exp[big], exp[~big].sum()))
         assert p_value > 1e-4
 
-    @pytest.mark.parametrize("chunk_events, methods, split_means", [
-        (10**4, {"_sample_mode_chunk", "_split"}, [0.05, 0.2]),
-        (10**5, {"_split"}, [0.05, 0.2, 400.0])])
-    def test_each_cell_derives_law_and_stream_once(self, chunk_events, methods, split_means,
-                                                   monkeypatch):
-        # S = 400 draws per event in chunks of 1e4 and splits in 1e5; the
-        # small modes split.  Over 3 chunks the call derives each mode's
-        # law once, and the hazards of each mode that can split once, in
-        # the plan's order, not once a cell; every cell opens its
-        # sub-stream (sets its Philox counter) exactly once, whichever
-        # method it takes.
+    @pytest.mark.parametrize("chunk_events", [10**4, 10**5])
+    def test_each_cell_derives_law_and_stream_once(self, chunk_events, monkeypatch):
+        # S = 400 moves down a tree, the small modes walk.  Over 3 chunks
+        # the call derives and plans each mode's law once, in the plan's
+        # order, not once a cell; every cell opens its sub-stream (sets its
+        # Philox counter) exactly once, derives only hazards past those
+        # the plan holds, and draws no Poisson variate
         monkeypatch.setattr(sampling, "_CHUNK_EVENTS", chunk_events)
-        names = ("_recorded", "hazards", "_cell_stream", "_sample_mode_chunk", "_split")
+        names = ("_recorded", "_cell_stream", "_sample_mode_chunk", "poisson_draw")
         calls = {name: [] for name in names}
         for name, log in calls.items():
             real = getattr(sampling, name)
             monkeypatch.setattr(sampling, name,
                                 lambda *a, _real=real, _log=log: _log.append(a) or _real(*a))
+        planning, derived, real_law, real_hazards = [], [], sampling._law, sampling.hazards
+
+        def law(*a):
+            planning.append(a)
+            law = real_law(*a)
+            planning.append(None)
+            return law
+
+        def hazards(*a):
+            for h in real_hazards(*a):
+                derived.append((planning[-1] is not None, a))
+                yield h
+
+        monkeypatch.setattr(sampling, "_law", law)
+        monkeypatch.setattr(sampling, "hazards", hazards)
         m = molecule([400.0, 0.2, 0.05], energies=[100.0, 230.0, 517.0], e00=1000.0)
         cfg = SamplerConfig(events=3 * chunk_events, seed=4)
         sample_spectrum(m, cfg)
@@ -602,9 +756,14 @@ class TestSampleSpectrum:
         assert len(cells) == 9
         assert sorted(a[2:] for a in calls["_cell_stream"]) == sorted(cells)
         assert [a[1] for a in calls["_recorded"]] == [1, 2, 3]
-        assert [a[0] for a in calls["hazards"]] == split_means
-        assert {name for name in methods if calls[name]} == methods
-        assert len(calls["_sample_mode_chunk"]) + len(calls["_split"]) == len(cells)
+        assert [a[2] for a in planning if a] == [0.05, 0.2, 400.0]
+        assert calls["_sample_mode_chunk"] == calls["poisson_draw"] == []
+        seen = list(derived)  # before `_law` below derives its hazards again
+        laws = {mean: (c0, len(hs))
+                for mean, _, c0, _, hs in (real_law(*a)[3] for a in planning if a)}
+        assert sorted(a for plan, a in seen if plan) == sorted(
+            (mean, None, c0) for mean, (c0, n) in laws.items() for _ in range(n))
+        assert all(a[2] == sum(laws[a[0]]) for plan, a in seen if not plan)
         for log in calls.values():
             log.clear()
         sample_mode(400.0, 1, cfg)
@@ -612,10 +771,25 @@ class TestSampleSpectrum:
         assert (len(calls["_cell_stream"]) == len(calls["_sample_mode_chunk"])
                 == len(sampling._chunks(cfg.events)))
 
-    def test_huge_mean_per_event_cell_memory_bounded(self, monkeypatch):
+    def test_sample_spectrum_draws_no_poisson_variate(self, monkeypatch):
+        # every cell splits its lines, a huge mean too
+        class NoPoisson(np.random.Generator):
+            def poisson(self, *a, **k):
+                raise AssertionError("a Poisson variate was drawn")
+
+        monkeypatch.setattr(np.random, "Generator", NoPoisson)
+        with pytest.raises(AssertionError, match="Poisson"):  # the guard holds
+            sample_mode(1e4, 1, SamplerConfig(events=10))
+        for hr, k in (([0.3, 3.0, 400.0], None), ([1e4, 1e8], None), ([2.5, 1e4], 9990)):
+            m = molecule(hr, energies=[1.0, 1.5, 2.0][:len(hr)])
+            spec = sample_spectrum(m, SamplerConfig(events=10**5, seed=1, max_quanta=k))
+            assert int(spec.counts.sum()) == 10**5
+
+    def test_huge_mean_cell_memory_bounded(self, monkeypatch):
         # ~400 live lines meet S = 1e8 at 1 cm^-1 in a 1e4-event chunk: the
         # counts spread over ~7.5e4 values, so a (j, line) table of them
-        # would take ~0.3 GB; the cell sorts its 1e4 events instead
+        # would take ~0.3 GB; the cell's tree holds ~1.3e5 counts and its
+        # levels at most the events
         monkeypatch.setattr(sampling, "_CHUNK_EVENTS", 10**4)
         energies = [101.013, 203.37, 307.5, 1.0]
         m = molecule([2.0, 2.0, 2.0, 1e8], energies=energies)
@@ -625,12 +799,42 @@ class TestSampleSpectrum:
         assert int(spec.counts.sum()) == 10**4
         assert peak < 16 * 2**20, peak
 
+    def test_huge_means_memory_bounded(self):
+        # the 3-mode huge-mean call at 1e6 events peaks at 18.7 MiB (numpy
+        # 2.4.6): its trees' levels hold at most a few arrays of the items
+        # they draw.  Version 0.3.0 drew the mean-1e4 cell per event and
+        # peaked at 27.7 MiB
+        spec, peak, _ = traced(lambda: sample_spectrum(huge_means(), SamplerConfig(events=10**6)))
+        assert int(spec.counts.sum()) == 10**6
+        assert peak < 22 * 2**20, peak
+
     def test_split_cell_refuses_past_lattice(self):
-        # S = 400 splits one line of 1e5 events; counts past ~300 at
-        # 3e7 cm^-1 a quantum leave the +/-9e9 cm^-1 lattice
+        # S = 400 moves one line of 1e5 events down its tree; counts past
+        # ~300 at 3e7 cm^-1 a quantum leave the +/-9e9 cm^-1 lattice
         with pytest.raises(ValueError, match="lattice"):
             sample_spectrum(molecule([400.0], energies=[3e7]),
                             SamplerConfig(events=10**5, seed=1))
+
+    def test_cap_far_above_the_mean_draws_as_no_cap(self):
+        # a cap 40 sd above the mean, far past 2**53, binds on no count
+        # the plan or the walk reaches, so it draws as no cap
+        m = molecule([3.0, 400.0])
+        capped, free = (SamplerConfig(events=10**5, seed=8, max_quanta=k) for k in (10**17, None))
+        a, b = sample_spectrum(m, capped), sample_spectrum(m, free)
+        assert np.array_equal(a.energies, b.energies) and np.array_equal(a.counts, b.counts)
+
+    def test_huge_mean_under_a_low_cap(self):
+        # S = 1e8 capped at 2 records 2 on every event: its counts stay on
+        # the lattice at 100 cm^-1 a quantum, and its one count needs no tree
+        spec = sample_spectrum(molecule([1e8], energies=[100.0]),
+                               SamplerConfig(events=1000, max_quanta=2))
+        assert spec.energies.tolist() == [200.0] and spec.counts.tolist() == [1000]
+
+    def test_spread_past_the_plan_refused(self):
+        # S = 1e12 at 1e-4 cm^-1 a quantum stays on the lattice but spreads
+        # over ~1.2e7 counts: refused before any allocation
+        with pytest.raises(ValueError, match=r"^mode 1: recorded mean 1e\+12 spreads over"):
+            sample_spectrum(molecule([1e12], energies=[1e-4]), SamplerConfig(events=10))
 
     def test_max_quanta_caps_lattice(self):
         m = molecule([2.5], energies=[500.0])
@@ -639,7 +843,7 @@ class TestSampleSpectrum:
         assert set(spec.energies.tolist()) <= {0.0, 500.0}
 
     @pytest.mark.parametrize("cap", [2**63 - 1, 2**63, np.uint64(2**64 - 1), 10**30])
-    @pytest.mark.parametrize("events", [50, 10**5])  # per-event cells, split cells
+    @pytest.mark.parametrize("events", [50, 10**5])  # walks of few lines, of many
     def test_cap_past_int64_is_no_cap(self, cap, events):
         # numpy draws int64 counts, so such a cap never binds: it draws as no cap
         m = molecule([0.5, 3.0])
@@ -660,6 +864,16 @@ SAMPLED_BYTES = {
         "p8-click-loss-dark": "8282bc5dafe2da92f6a1861e89e88ca98c6fe41181b8cdafd90b9febee826388",
         "f6-K2": "2f55f3fe4fbbee340522816a0a7a8f2da41a029a769ea6c37b91df962f4353f4",
     },
+    # the five 0.3.0 calls draw only walks, so their bytes stand
+    "0.4.0": {
+        "p8-K1-1e3": "78353ba1bbb115b9ce688ea1195d2c8fbd6f78f2636aa601cd430850cb0e2d98",
+        "p8-K1-1e7": "e5e5b0f2fe4a3cdea812c7ecc5131a0a70b7f10f559f7bf17e3a4dc1a49b65ee",
+        "a66-1e6": "9e02c92cccbe1d0000f9b84f11dd5d43c9342ee91283868e0763d8355e055142",
+        "p8-click-loss-dark": "8282bc5dafe2da92f6a1861e89e88ca98c6fe41181b8cdafd90b9febee826388",
+        "f6-K2": "2f55f3fe4fbbee340522816a0a7a8f2da41a029a769ea6c37b91df962f4353f4",
+        "f66-1e6": "c7a95d31d6768f20cb8575d762792c15a838e1f174c1c4ec12586c0e9ff7a5f9",
+        "huge3-1e6": "f95f930ef81b079bcc3b7eff23500dba6371da25dcaaf49f40c7a5c620425591",
+    },
 }
 SAMPLED_CALLS = {
     "p8-K1-1e3": lambda: (pentacene_like_8(), SamplerConfig(events=10**3, seed=1, max_quanta=1),
@@ -672,6 +886,8 @@ SAMPLED_CALLS = {
                                                  threshold_mode=True)),
     "f6-K2": lambda: (fine_acene_like(6), SamplerConfig(events=10**6, seed=6, max_quanta=2),
                       IDEAL_DETECTOR),
+    "f66-1e6": lambda: (fine_acene_like(66), SamplerConfig(events=10**6, seed=1), IDEAL_DETECTOR),
+    "huge3-1e6": lambda: (huge_means(), SamplerConfig(events=10**6, seed=1), IDEAL_DETECTOR),
 }
 
 
