@@ -335,19 +335,18 @@ def mode_distribution(s: float, k: int, overflow: str = "truncate",
     return p
 
 
-def tail_ratio(mean: float, j: int, down: bool = False) -> float:
-    """P(J >= j) / P(J = j) for J ~ Poisson(mean) and j > mean; with
-    `down`, P(J <= j) / P(J = j) for j < mean.
+def tail_ratio(mean: float, j: int) -> float:
+    """P(J >= j) / P(J = j) for J ~ Poisson(mean) and j > mean.
 
-    The series 1 + mean/(j+1) + mean^2/((j+1)(j+2)) + ... (`down`: 1 +
-    j/mean + j(j-1)/mean^2 + ...) is summed until a term no longer
-    changes it; every ratio is below 1, so the terms fall.  It needs no
-    pmf value, so it neither underflows nor cancels deep in a tail.
+    The series 1 + mean/(j+1) + mean^2/((j+1)(j+2)) + ... is summed
+    upward until a term no longer changes it; every ratio mean/i < 1,
+    so the terms fall.  It needs no pmf value, so it neither underflows
+    nor cancels deep in the tail.
     """
     total, term = 0.0, 1.0
     while total + term != total:
-        total, term = total + term, term * (j / mean if down else mean / (j + 1))
-        j += -1 if down else 1
+        total, j = total + term, j + 1
+        term *= mean / j
     return total
 
 
@@ -357,14 +356,14 @@ def hazards(mean: float, top: int | None, start: int = 0):
     so h_top = 1 and an unbounded sequence never ends.
 
     For j <= mean, h_j = p_j / (1 - head): the tail there is >= ~1/2,
-    so the subtraction loses nothing.  head = P(J < j) is summed from
-    j = 0 on, starting from p_(start-1) x `tail_ratio` downward when
-    `start` > 0.  Above the mean, h_j = 1 / `tail_ratio(mean, j)`,
-    which needs no p_j and so cannot give 0/0 or a value above 1 deep
-    in the tail.
+    so the subtraction loses nothing.  head = P(J < j) is summed upward
+    from j = 0 whatever the start, so a later start yields the same
+    bits.  Above the mean, h_j = 1 / `tail_ratio(mean, j)`, which needs
+    no p_j and so cannot give 0/0 or a value above 1 deep in the tail.
     """
-    head = (fc_factor_1d(mean, start - 1) * tail_ratio(mean, start - 1, True)
-            if 0 < start <= mean else 0.0)
+    head = 0.0
+    for j in range(start if start <= mean and start != top else 0):
+        head += fc_factor_1d(mean, j)
     for j in itertools.count(start):
         if j == top:
             yield 1.0
