@@ -121,6 +121,11 @@ class ConvergenceReport:
     provenance: dict = field(default_factory=dict)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b by numpy's loop; BLAS's bits vary with its thread count."""
+    return float(np.einsum("i,i", a, b))
+
+
 def normalize(spec: LineSpectrum, mode: str, e00: float | None = None) -> LineSpectrum:
     """Rescale a spectrum's intensities.
 
@@ -140,7 +145,7 @@ def normalize(spec: LineSpectrum, mode: str, e00: float | None = None) -> LineSp
     elif mode == "unit_l1":
         scale = inten.sum()
     elif mode == "unit_l2":
-        scale = math.sqrt(float(inten @ inten))
+        scale = math.sqrt(_dot(inten, inten))
     elif mode == "max_one":
         scale = inten.max()
     else:
@@ -194,7 +199,7 @@ def fidelity(p: LineSpectrum, q: LineSpectrum, norm: str = "l2") -> float:
     hit = kq[at] == kp
     a, b = vp[hit], vq[at[hit]]
     if norm == "l2":
-        return float(a @ b / (np.linalg.norm(vp) * np.linalg.norm(vq)))
+        return _dot(a, b) / math.sqrt(_dot(vp, vp) * _dot(vq, vq))
     return float(np.sqrt(a * b).sum() / math.sqrt(vp.sum() * vq.sum()))
 
 

@@ -355,15 +355,14 @@ def hazards(mean: float, top: int | None, start: int = 0):
     recorded count J: Poisson(mean) clipped at `top` (None: unbounded),
     so h_top = 1 and an unbounded sequence never ends.
 
-    For j <= mean, h_j = p_j / (1 - head): the tail there is >= ~1/2,
-    so the subtraction loses nothing.  head = P(J < j) is summed upward
-    from j = 0 whatever the start, so a later start yields the same
-    bits.  Above the mean, h_j = 1 / `tail_ratio(mean, j)`, which needs
-    no p_j and so cannot give 0/0 or a value above 1 deep in the tail.
+    `start` must be 0, the top or above the mean, as the sampler's walks
+    start, so no head P(J < start) is needed.  For j <= mean, h_j = p_j
+    / (1 - head), head summed upward from 0: the tail there is >= ~1/2,
+    so the subtraction loses nothing.  Above the mean, h_j = 1 /
+    `tail_ratio(mean, j)`, which needs no p_j and so cannot give 0/0 or
+    a value above 1 deep in the tail.
     """
     head = 0.0
-    for j in range(start if start <= mean and start != top else 0):
-        head += fc_factor_1d(mean, j)
     for j in itertools.count(start):
         if j == top:
             yield 1.0

@@ -13,21 +13,18 @@ chunks into a `SampledSpectrum`, a `LineSpectrum` of event counts.
 the paper describes it.  `sample_spectrum` only needs the histogram,
 so it draws that directly, on SOS's sublattice (`model.sublattice`):
 a chunk carries its lines as (cell, events) pairs, and each (mode,
-chunk) cell moves every line's events down the mode's binary tree
-over its recorded count j, the multinomial drawn as a tree of
-conditional binomials (Malefaki & Iliopoulos 2007, Comput. Stat. Data
-Anal. 51:5471): a node sends Binomial(events, P(left | node)) of its
-events left and the rest right, the same law as per-event draws.
-Nodes are cut at their conditional median, so a huge mean costs about
-log2 of its spread in levels: the lines it makes, not its events.
-From where h_j = P(J = j | J >= j) >= 1/2 (`model.hazards`) on, each
-node would send count j alone left, so the tree ends in that walk:
-Binomial(events left, h_j) at j = c0, c0 + 1, ... (Davis 1993, Comput.
-Stat. Data Anal. 16:205), as a mode with h_0 >= 1/2 (a mean <= ln 2)
-or a top of 1 draws alone.  The walk also takes the unbounded tail past
-where the law sums to under 2**-54, deriving its hazards as it needs
-them, so no tail is lumped; below the mean, such a tail is one numpy's
-binomial never draws, and the tree leaves it out.
+chunk) cell moves every line's events by the mode's recorded count j,
+with the law of per-event draws, in one of two ways.  A recorded mean
+<= `_TREE_MEAN` (100) or a top of 1 walks: at j = 0, 1, ..., each line
+sends Binomial(events left, h_j) to count j, h_j = P(J = j | J >= j)
+(`model.hazards`; Davis 1993, Comput. Stat. Data Anal. 16:205).  A
+larger mean goes down a tree of conditional binomials (Malefaki &
+Iliopoulos 2007, Comput. Stat. Data Anal. 51:5471), each node sending
+Binomial(events, P(left | node)) left and the rest right; cut at
+conditional medians, it costs about log2 of the spread in levels.  It
+ends in the walk at the top or where the law left sums to under
+2**-54, so no unbounded tail is lumped; below the mean, such a tail is
+one numpy's binomial never draws, and the tree leaves it out.
 
 The call plans once, before any draw: it derives each mode's law, tree
 and the hazards a walk is likely to need (refusing a mean numpy cannot
@@ -37,16 +34,12 @@ order: a low-mean mode moves few events and so adds few lines.  A cell
 opens its sub-stream once, refuses a move past the energy lattice, and
 merges its moved lines, cell + j x the mode's cells per quantum, into
 distinct ascending cells; keys are formed once, from the merged cells.
-A call of one chunk skips the final merge.
 
-At small event counts a call costs its cells, not its events.  numpy's
-array `binomial` costs ~8-17 us a call before its ~0.1 us a line, and
-its scalar form ~1 us a line, with the same bits; so a walk over fewer
-than `_FEW_LINES` lines draws one line at a time in Python.  A walk's
-moves are one ascending run per j, merged by a table where the cells
-are dense, else by one stable sort and `np.add.reduceat`; int64 sums
-do not depend on their order.  On `pentacene_like_8` at K=1 and 1e3
-events (a 2-core host) a call takes ~390 us, ~250 of them in cells.
+At small event counts a call costs its cells, not its events, so a
+walk over fewer than `_FEW_LINES` lines draws one line at a time.  A
+walk's moves are one ascending run per j, merged by a table where the
+cells are dense, else by one stable sort and `np.add.reduceat`; int64
+sums do not depend on their order.
 
 Reproducibility: every (seed, mode position, chunk) cell owns a
 counter-based Philox sub-stream (Salmon et al., SC'11).  A call
@@ -102,18 +95,23 @@ _RARE = 2.0**-10
 
 # A tail of a law that sums to under this is one numpy's binomial never
 # draws (1 - p rounds to 1): a tree leaves it out below the mean, and
-# above the mean hands it to the walk.  It selects the draws, so the
-# version fixes it.
+# above the mean hands it to the walk.  The version fixes it.
 _NEVER = 2.0**-54
+
+# Only a recorded mean above this takes a tree; the version fixes it.
+# Below it the walk is faster: as the last mode at 1e6 events it took
+# 0.57/0.91/1.22x the tree's time at S = 30/90/120 on 12 modes and
+# 0.53/0.60/0.73x on 66.  Above 92.95, h_j < 1/2 on every tree leaf, so
+# a tree's walk starts only at the top or at the law's 2**-54 end.
+_TREE_MEAN = 100.0
 
 # The most counts a tree may span (~17 sd at a mean of ~4e9): a wider
 # one would not fit in memory, so its mode is refused.
 _WINDOW_MAX = 2**20
 
-# Under this many lines a walk draws one line at a time, one scalar
-# binomial a line (~1 us each) rather than one array call a step: the
-# same bits, with no fixed cost.  16 beat 8, 24 and 32 on
-# `pentacene_like_8`.
+# Under this many lines a walk draws one scalar binomial a line (~1 us
+# each), not one array call a step (~8-17 us, then ~0.1 us a line): the
+# same bits.  16 beat 8, 24 and 32 on `pentacene_like_8`.
 _FEW_LINES = 16
 
 # numpy keeps freed blocks under 1 KiB for reuse, up to 7 of each size,
@@ -254,14 +252,14 @@ def _law(i: int, t: int, mean: float, top: int | None, origin: int, step: int,
     and kids, lo) or None, and the walk's hazards until fewer than
     `_RARE` of the events are expected to be left, or to h = 1).
 
-    A mode with h_0 >= 1/2 or a top of 1 is one walk.  Else the tree's
-    leaves are lo .. c0 - 1 and the walk: below lo and from c0 on the law
-    sums to under `_NEVER` (bisection on a geometric bound of each tail),
-    unless h_j reaches 1/2 first, where c0 starts the walk instead.  A
-    mode is refused if its counts but those 6 sd below the mean pass the
-    energy lattice (`origin`: key(e00)), or if c0 - lo > `_WINDOW_MAX`."""
+    A recorded mean <= `_TREE_MEAN` or a top of 1 is one walk from 0.
+    Else the tree's leaves are lo .. c0 - 1 and the walk: below lo and
+    from c0 on the law sums to under `_NEVER` (bisection on a geometric
+    bound of each tail), or c0 is the top.  A tree is refused if its
+    counts but those 6 sd below the mean pass the energy lattice
+    (`origin`: key(e00)), or if c0 - lo > `_WINDOW_MAX`."""
     tick, tree, c0, rest = step * abs(t), None, 0, 1.0
-    if top != 1 and fc_factor_1d(mean, 0) < 0.5:
+    if top != 1 and mean > _TREE_MEAN:
         m, floor, end = (min(int(x), top or int(x)) for x in
                          (mean, mean - 6.0 * math.sqrt(mean), mean + 40.0 * math.sqrt(mean) + 40))
         model.check_key_reach(tick * floor - abs(origin))
@@ -274,9 +272,6 @@ def _law(i: int, t: int, mean: float, top: int | None, origin: int, step: int,
                              "counts, more than the sampler plans")
         w = np.fromiter((fc_factor_1d(mean, j) for j in range(lo, c0)), float, c0 - lo)
         rest = fc_factor_1d(mean, c0) * tail_ratio(mean, c0) if c0 > mean else 1.0 - w.sum()
-        tails = np.cumsum(w[::-1])[::-1] + rest  # P(J >= j)
-        if (walk := np.flatnonzero(w + w >= tails)).size:  # h_j >= 1/2 from there on
-            c0, rest, w = lo + int(walk[0]), float(tails[walk[0]]), w[:walk[0]]
         tree = (*_cuts(np.append(w, rest)), lo) if w.size else None
     hs, left, rates = [], size * rest, hazards(mean, top, c0)
     while left >= _RARE:  # h = 1 leaves 0
@@ -318,15 +313,15 @@ def _split(cells: np.ndarray, counts: np.ndarray, t: int, law: tuple, rng: np.ra
     (the lines' largest |key|, key ticks a quantum) refuses a move past
     the energy lattice before it is formed.
 
-    The tree goes first, a level at a time: one draw from `rng` over the
-    level's (line, node, events > 0) items, in line (cell) order, then
-    node order, left to right; each sends Binomial(events, prob) left
-    and the rest right, and leaf j < c0 takes cell + j * t.  The lines
-    that reached leaf c0 then walk, in cell order: at j = c0, c0 + 1,
-    ..., every line with events left sends Binomial(events left, h_j) to
-    cell + j * t, in one draw over those lines (numpy draws nothing for
-    a line of none), and h_j = 1 sends the rest without one.  A walk of
-    fewer than `_FEW_LINES` lines goes to `_split_few`.
+    A tree goes a level at a time: one draw from `rng` over the level's
+    (line, node, events > 0) items, in line (cell) order, then node
+    order, left to right; each sends Binomial(events, prob) left and the
+    rest right, and leaf j < c0 takes cell + j * t.  The lines at leaf
+    c0, or all lines if there is no tree, then walk in cell order: at
+    j = c0, c0 + 1, ..., every line with events left sends
+    Binomial(events left, h_j) to cell + j * t, in one draw over those
+    lines (numpy draws nothing for a line of none), and h_j = 1 sends
+    the rest without one.  `_split_few` walks fewer than `_FEW_LINES`.
     """
     mean, top, c0, tree, hs = law
     edge, tick = reach

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 
@@ -374,6 +375,24 @@ def test_package_import_loads_no_scipy():
     code = "import sys, vibronic; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_sums_independent_of_blas_threads():
+    # OpenBLAS splits a dot of over 10,000 elements across its threads,
+    # which changes the sum's last bits; `fidelity` and unit_l2
+    # `normalize` sum by numpy's own loop, so 1 and 2 threads agree
+    code = """if True:
+        import numpy as np
+        from vibronic.analysis import fidelity, normalize
+        from vibronic.model import LineSpectrum
+        rng = np.random.default_rng(11)
+        p, q = (LineSpectrum(np.arange(50_000.0), rng.random(50_000)) for _ in range(2))
+        print(fidelity(p, q).hex(), normalize(p, "unit_l2").intensities.sum().hex())
+    """
+    out = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": n}).stdout
+           for n in ("1", "2")]
+    assert out[0] == out[1] and out[0].strip()
 
 
 class TestConvergenceStudy:

@@ -10,7 +10,8 @@ import scipy.stats
 
 from vibronic import __version__, model, sampling
 from vibronic.analysis import BroadeningKernel, EnergyGrid, broaden, fidelity, normalize
-from vibronic.fixtures import fine_acene_like, large_acene_like, pentacene_like_8
+from vibronic.fixtures import (anthracene_like_12, fine_acene_like, large_acene_like,
+                               pentacene_like_8)
 from vibronic.io import read_spectrum, write_spectrum
 from vibronic.model import TICKS_PER_CM1, Mode, Molecule, energy_keys, hazards, key_energies
 from vibronic.sampling import (
@@ -90,15 +91,18 @@ def replay(m, cfg, d=IDEAL_DETECTOR, order=None):
 
     Modes are replayed in `order` (1-based positions; the plan's order
     by default); a mode that records 0 draws nothing.  Each (mode i,
-    chunk) cell draws scalar binomials from `substream(seed, i, chunk)`.
-    It takes the mode's tree from the plan (`sampling._law`; its node
-    probabilities are held to the law by `test_tree_is_the_law`) and
-    walks it a level at a time: each line in key order, and at each of
-    its nodes left to right, sends Binomial(events, P(left)) to the left
-    child and the rest to the right one; leaf j < c0 takes key + j * t.
-    Then the lines whose events reached leaf c0, in key order, walk j =
-    c0, c0 + 1, ...: Binomial(events left, h_j), h_j from
-    `model.hazards(mean, top, c0)`, all that is left at h_j = 1.
+    chunk) cell draws scalar binomials from `substream(seed, i, chunk)`,
+    in one of two ways.  A mode with a recorded mean <= `_TREE_MEAN` or
+    a top of 1 walks every line from c0 = 0.  A larger mean first takes
+    its tree from the plan (`sampling._law`; its node probabilities are
+    held to the law by `test_tree_is_the_law`) a level at a time: each
+    line in key order, and at each of its nodes left to right, sends
+    Binomial(events, P(left)) to the left child and the rest to the
+    right one; leaf j < c0 takes key + j * t.  Then the lines whose
+    events reached leaf c0 (the top, or the law's 2**-54 end) walk.  A
+    walk takes its lines in key order at j = c0, c0 + 1, ...:
+    Binomial(events left, h_j), h_j from `model.hazards(mean, top, c0)`,
+    all that is left at h_j = 1.
     """
     hist = {}
     for ci, size in sampling._chunks(cfg.events):
@@ -144,6 +148,12 @@ def replay(m, cfg, d=IDEAL_DETECTOR, order=None):
             hist[k] = hist.get(k, 0) + n
     keys = sorted(hist)
     return np.array(keys, dtype=np.int64), np.array([hist[k] for k in keys])
+
+
+def scaled(m, factor):
+    """`m` with every Huang-Rhys factor times `factor`."""
+    modes = tuple(dataclasses.replace(x, huang_rhys=factor * x.huang_rhys) for x in m.modes)
+    return dataclasses.replace(m, modes=modes)
 
 
 def huge_means():
@@ -255,15 +265,16 @@ class TestHazards:
             assert (np.abs(h[ok] - want[ok]) <= 1e-12 * want[ok]).all(), s
 
     def test_from_a_start(self):
-        # hazards(mean, top, start) yields the bits hazards(mean, top)
-        # yields from count `start` on: below the mean its head is summed
-        # upward from 0 as the full sequence sums it
+        # the sampler starts a walk only at 0, at the top or above the mean,
+        # where no head P(J < start) is needed: from there hazards(mean,
+        # top, start) yields the bits hazards(mean, top) yields
         for s in (0.3, 1.2, 3.0, 40.0, 400.0):
             full = list(itertools.islice(hazards(s, None), int(s + 10 * math.sqrt(s) + 30)))
-            for start in {1, 2, max(int(s) - 1, 1), int(s), int(s) + 1, int(s) + 7} - {0}:
+            for start in (int(s) + 1, int(s) + 7, int(s + 6 * math.sqrt(s)) + 1):
                 assert list(itertools.islice(hazards(s, None, start), len(full) - start)) == (
                     full[start:]), (s, start)
-        assert list(hazards(3.0, 5, 5)) == [1.0]
+            for top in (1, int(s) + 3):  # at or below the mean, and above it
+                assert list(hazards(s, top, top)) == [1.0], (s, top)
 
     def test_a_top_at_the_start_sums_no_head(self, monkeypatch):
         # a cap far below a huge mean starts the walk at the top: h_top = 1
@@ -297,26 +308,25 @@ def node_leaves(kids):
 class TestTree:
     """A mode's planned tree (`sampling._law`) against the law."""
 
-    @pytest.mark.parametrize("mean, top", [(0.8, None), (3.0, None), (3.0, 5), (2.5, 2),
-                                           (40.0, None), (400.0, None), (1e4, 9950), (1e4, None)])
+    @pytest.mark.parametrize("mean, top", [(150.0, None), (150.0, 160), (400.0, None),
+                                           (1e4, 9950), (1e4, None), (1e8, None)])
     @pytest.mark.parametrize("size", [10**3, 10**6])
     def test_tree_is_the_law(self, mean, top, size):
-        # the leaves are the counts lo..c0-1, where h_j < 1/2, then the
-        # walk from c0, which starts where h_j >= 1/2, at the top, or where
-        # the law left sums to under 2**-54, as it does below lo.  Each
-        # node, cut at its conditional median (clamped so both sides hold
-        # leaves), sends its left leaves' share of the law left, summed
-        # here afresh
+        # the leaves are the counts lo..c0-1, then the walk from c0, which
+        # starts at the top or where the law left sums to under 2**-54, as
+        # it does below lo; h_j < 1/2 on every leaf.  Each node, cut at its
+        # conditional median (clamped so both sides hold leaves), sends its
+        # left leaves' share of the law left, summed here afresh
         *_, (_, _, c0, tree, hs) = sampling._law(1, 1, mean, top, 0, 1, size)
         prob, kids, lo = tree
-        pmf = [model.fc_factor_1d(mean, j) for j in range(int(mean + 60 * math.sqrt(mean) + 60))]
-        rest = 1.0 - math.fsum(pmf[:c0]) if c0 == top and c0 <= mean else math.fsum(pmf[c0:])
-        weights = pmf[lo:c0] + [rest]
-        assert math.fsum(pmf[:lo]) < 2.0**-54
-        for j in range(lo, c0 + 1):
-            tail = math.fsum(weights[j - lo:])
-            assert (2 * model.fc_factor_1d(mean, j) < tail) == (j < c0) or j == c0 == top or (
-                j == c0 and tail < 2.0**-54)
+        pmf = [model.fc_factor_1d(mean, j) for j in range(lo, c0 + int(10 * math.sqrt(mean)) + 60)]
+        rest = (1.0 - scipy.stats.poisson.cdf(c0 - 1, mean) if c0 == top and c0 <= mean
+                else math.fsum(pmf[c0 - lo:]))
+        weights = pmf[:c0 - lo] + [rest]
+        assert scipy.stats.poisson.cdf(lo - 1, mean) < 2.0**-54
+        assert c0 == top or (c0 > mean and rest < 2.0**-54)
+        tails = np.cumsum(weights[::-1])[::-1]  # P(J >= j), j = lo..c0
+        assert (2.0 * np.array(weights[:-1]) < tails[:-1]).all()
         cuts = node_leaves(kids)
         assert sorted(cuts) == list(range(prob.size)) and prob.size == len(weights) - 1
         for node, (a, c, b) in cuts.items():
@@ -327,13 +337,35 @@ class TestTree:
             assert share - weights[c - 1] <= total / 2 * (1 + 1e-12) or c == a + 1
         assert hs == tuple(itertools.islice(hazards(mean, top, c0), len(hs)))
 
-    @pytest.mark.parametrize("mean, top", [(0.3, None), (0.69, 4), (5.0, 1), (1e4, 1)])
+    @pytest.mark.parametrize("mean, top", [(0.3, None), (0.69, 4), (0.8, None), (2.5, 2),
+                                           (3.0, None), (3.0, 5), (40.0, None), (100.0, None),
+                                           (5.0, 1), (1e4, 1)])
     def test_walk_alone(self, mean, top):
-        # h_0 >= 1/2 (a mean <= ln 2) or a top of 1: no tree, one walk from
-        # 0 with `model.hazards`' own h_j, as before version 0.4.0
+        # a recorded mean <= `_TREE_MEAN` (100) or a top of 1: no tree, one
+        # walk from 0 with `model.hazards`' own h_j, as version 0.4.0 drew
+        # means <= ln 2
         *_, (_, _, c0, tree, hs) = sampling._law(1, 1, mean, top, 0, 1, 10**6)
         assert tree is None and c0 == 0
         assert hs == tuple(itertools.islice(hazards(mean, top), len(hs)))
+
+    def test_a_tree_ends_at_its_law_end_or_top(self):
+        # above `_TREE_MEAN` every planned tree's c0 is the law's 2**-54 end
+        # or the top, where `hazards` needs no head, and h_j stays under
+        # 1/2 on every leaf: the walk could take over no sooner (h_j first
+        # reaches 1/2 near j = 2 x mean).  With `_TREE_MEAN` at 90 the
+        # trees of means up to 92.95 hold leaves with h_j >= 1/2, and this
+        # fails
+        means = np.append(np.arange(sampling._TREE_MEAN + 0.25, 130.0, 0.25),
+                          np.geomspace(130.0, 1e8, 17))
+        for mean in means.tolist():
+            for top in (None, math.floor(mean) - 3, math.floor(mean) + 1,
+                        math.floor(mean + 3 * math.sqrt(mean))):
+                *_, (_, _, c0, tree, _) = sampling._law(1, 1, mean, top, 0, 1, 10**6)
+                end = c0 > mean and scipy.stats.poisson.sf(c0 - 1, mean) < 2.0**-54
+                assert c0 == top or end, (mean, top, c0)
+                j = np.arange(max(tree[2], int(mean)), c0)  # below the mean h_j < 0.1 here
+                h = scipy.stats.poisson.pmf(j, mean) / scipy.stats.poisson.sf(j - 1, mean)
+                assert (h < 0.5).all(), (mean, top, j[h >= 0.5][:1])
 
 
 class TestApplyDetector:
@@ -558,7 +590,7 @@ class TestSampleSpectrum:
     def test_worker_count_invisible_with_trees(self, monkeypatch):
         # trees are planned once and only read by the worker threads
         monkeypatch.setattr(sampling, "_CHUNK_EVENTS", 9000)
-        m = molecule([0.25, 3.0, 40.0])
+        m = molecule([0.25, 3.0, 400.0])
         cfg = SamplerConfig(events=64000, seed=13)
         base, par = (sample_spectrum(m, cfg, workers=w) for w in (1, 4))
         assert np.array_equal(base.energies, par.energies)
@@ -692,6 +724,29 @@ class TestSampleSpectrum:
                                            np.append(exp[big], exp[~big].sum()))
         assert p_value > 1e-4
 
+    @pytest.mark.parametrize("s", [3.0, 30.0, 90.0])
+    @pytest.mark.parametrize("cap, d", [
+        pytest.param(None, IDEAL_DETECTOR, id="ideal"),
+        pytest.param("mean", IDEAL_DETECTOR, id="capped"),
+        pytest.param(None, DetectorModel(efficiency=0.8, dark_mean=0.05), id="loss-dark"),
+    ])
+    def test_walk_cell_law(self, s, cap, d):
+        # one cell of 1e6 events at 1 cm^-1 a quantum walks from 0 at these
+        # moderate means: chi-square against `mode_distribution`, capped
+        # at the recorded mean or with the tail past 60 sd in its last bin
+        mean, _ = d.recorded(s, None)
+        k = math.floor(mean) if cap else math.ceil(mean + 60 * math.sqrt(mean) + 60)
+        *_, (_, _, c0, tree, _) = sampling._law(1, 1, mean, k if cap else None, 0, 1, 10**6)
+        assert tree is None and c0 == 0
+        cfg = SamplerConfig(events=10**6, seed=30, max_quanta=k if cap else None)
+        spec = sample_spectrum(molecule([s], energies=[1.0]), cfg, d)
+        obs = np.zeros(k + 1)
+        obs[np.rint(spec.energies).astype(np.int64)] = spec.counts
+        exp = mode_distribution(s, k, "cap", d) * cfg.events
+        if not (big := exp >= 5.0).all():  # merge the sparse tails into one bin
+            obs, exp = (np.append(x[big], x[~big].sum()) for x in (obs, exp))
+        assert scipy.stats.chisquare(obs, exp)[1] > 1e-4
+
     @pytest.mark.parametrize("mean", [1e4, 1e8])
     def test_huge_mean_click_cell(self, mean):
         # a click detector records 1 whenever a photon arrives: at these
@@ -771,6 +826,24 @@ class TestSampleSpectrum:
         assert (len(calls["_cell_stream"]) == len(calls["_sample_mode_chunk"])
                 == len(sampling._chunks(cfg.events)))
 
+    def test_walks_start_where_hazards_need_no_head(self, monkeypatch):
+        # `model.hazards` sums no head P(J < start): every walk the sampler
+        # draws, planned or continued, after a tree or alone, starts at 0,
+        # at the top or above the mean
+        starts, real = set(), sampling.hazards
+
+        def hazards(*a):
+            for h in real(*a):
+                starts.add(a)
+                yield h
+
+        monkeypatch.setattr(sampling, "hazards", hazards)
+        for hr, k in (([0.3, 1.1, 3.0, 40.0, 400.0], None), ([2.5, 90.0, 1e4], 50),
+                      ([3.0, 400.0], 300), ([3.0, 150.0], 3)):
+            sample_spectrum(molecule(hr), SamplerConfig(events=10**4, seed=2, max_quanta=k))
+        assert len(starts) > 6
+        assert all(start in (0, top) or start > mean for mean, top, start in starts), starts
+
     def test_sample_spectrum_draws_no_poisson_variate(self, monkeypatch):
         # every cell splits its lines, a huge mean too
         class NoPoisson(np.random.Generator):
@@ -814,6 +887,17 @@ class TestSampleSpectrum:
         with pytest.raises(ValueError, match="lattice"):
             sample_spectrum(molecule([400.0], energies=[3e7]),
                             SamplerConfig(events=10**5, seed=1))
+
+    def test_walk_refuses_past_lattice(self):
+        # S = 40 at 3e8 cm^-1 a quantum walks from 0, so its plan checks no
+        # reach; counts past 30 leave the +/-9e9 cm^-1 lattice, and the walk
+        # refuses the step that would form such a key
+        m = molecule([40.0], energies=[3e8])
+        origin, step, (t,) = model.sublattice(m)
+        *_, (_, _, c0, tree, _) = sampling._law(1, t, 40.0, None, origin, step, 10**5)
+        assert tree is None and c0 == 0
+        with pytest.raises(ValueError, match="beyond the energy lattice"):
+            sample_spectrum(m, SamplerConfig(events=10**5, seed=1))
 
     def test_cap_far_above_the_mean_draws_as_no_cap(self):
         # a cap 40 sd above the mean, far past 2**53, binds on no count
@@ -873,6 +957,19 @@ SAMPLED_BYTES = {
         "f6-K2": "2f55f3fe4fbbee340522816a0a7a8f2da41a029a769ea6c37b91df962f4353f4",
         "f66-1e6": "c7a95d31d6768f20cb8575d762792c15a838e1f174c1c4ec12586c0e9ff7a5f9",
         "huge3-1e6": "f95f930ef81b079bcc3b7eff23500dba6371da25dcaaf49f40c7a5c620425591",
+        "a12-S6-1e6": "c67bc580d074de2d5b97141c55726d4dc294641d5cda564b5c9045ebdda58470",
+    },
+    # means in (ln 2, 100] with a top >= 2 walk now, not down trees: only
+    # the moderate-mean call's bytes change
+    "0.5.0": {
+        "p8-K1-1e3": "78353ba1bbb115b9ce688ea1195d2c8fbd6f78f2636aa601cd430850cb0e2d98",
+        "p8-K1-1e7": "e5e5b0f2fe4a3cdea812c7ecc5131a0a70b7f10f559f7bf17e3a4dc1a49b65ee",
+        "a66-1e6": "9e02c92cccbe1d0000f9b84f11dd5d43c9342ee91283868e0763d8355e055142",
+        "p8-click-loss-dark": "8282bc5dafe2da92f6a1861e89e88ca98c6fe41181b8cdafd90b9febee826388",
+        "f6-K2": "2f55f3fe4fbbee340522816a0a7a8f2da41a029a769ea6c37b91df962f4353f4",
+        "f66-1e6": "c7a95d31d6768f20cb8575d762792c15a838e1f174c1c4ec12586c0e9ff7a5f9",
+        "huge3-1e6": "f95f930ef81b079bcc3b7eff23500dba6371da25dcaaf49f40c7a5c620425591",
+        "a12-S6-1e6": "3200271f7714731b393b2fd17ac5cf3d1e0f4459792471527e0c53d1b0bcd787",
     },
 }
 SAMPLED_CALLS = {
@@ -888,6 +985,8 @@ SAMPLED_CALLS = {
                       IDEAL_DETECTOR),
     "f66-1e6": lambda: (fine_acene_like(66), SamplerConfig(events=10**6, seed=1), IDEAL_DETECTOR),
     "huge3-1e6": lambda: (huge_means(), SamplerConfig(events=10**6, seed=1), IDEAL_DETECTOR),
+    "a12-S6-1e6": lambda: (scaled(anthracene_like_12(), 6.0), SamplerConfig(events=10**6, seed=1),
+                           IDEAL_DETECTOR),
 }
 
 
