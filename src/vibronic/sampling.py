@@ -20,11 +20,12 @@ sends Binomial(events left, h_j) to count j, h_j = P(J = j | J >= j)
 (`model.hazards`; Davis 1993, Comput. Stat. Data Anal. 16:205).  A
 larger mean goes down a tree of conditional binomials (Malefaki &
 Iliopoulos 2007, Comput. Stat. Data Anal. 51:5471), each node sending
-Binomial(events, P(left | node)) left and the rest right; cut at
-conditional medians, it costs about log2 of the spread in levels.  It
-ends in the walk at the top or where the law left sums to under
-2**-54, so no unbounded tail is lumped; below the mean, such a tail is
-one numpy's binomial never draws, and the tree leaves it out.
+Binomial(events, P(left | node)) left and the rest right.  The tree is
+complete, each node cut at the midpoint of its counts, so its window
+of w counts takes ceil(log2(w + 1)) levels.  It ends in the walk at
+the top or where the law left sums to under 2**-54, so no unbounded
+tail is lumped; below the mean, such a tail is one numpy's binomial
+never draws, and the tree leaves it out.
 
 The call plans once, before any draw: it derives each mode's law, tree
 and the hazards a walk is likely to need (refusing a mean numpy cannot
@@ -99,10 +100,12 @@ _RARE = 2.0**-10
 _NEVER = 2.0**-54
 
 # Only a recorded mean above this takes a tree; the version fixes it.
-# Below it the walk is faster: as the last mode at 1e6 events it took
-# 0.57/0.91/1.22x the tree's time at S = 30/90/120 on 12 modes and
-# 0.53/0.60/0.73x on 66.  Above 92.95, h_j < 1/2 on every tree leaf, so
-# a tree's walk starts only at the top or at the law's 2**-54 end.
+# It was set where the walk beat version 0.5.0's median-cut tree (as the
+# last mode at 1e6 events, 0.57/0.91/1.22x its time at S = 30/90/120 on
+# 12 modes).  The complete tree runs 0.90/0.73/0.67x the walk's time at
+# S = 30/60/90 there, but 1.40x with every S of those 12 modes x 20 and
+# a threshold of ln 2.  Above 92.95, h_j < 1/2 on every tree leaf, so a
+# tree's walk starts only at the top or at the law's 2**-54 end.
 _TREE_MEAN = 100.0
 
 # The most counts a tree may span (~17 sd at a mean of ~4e9): a wider
@@ -248,16 +251,22 @@ def _law(i: int, t: int, mean: float, top: int | None, origin: int, step: int,
          size: int) -> tuple:
     """Plan one mode for chunks of at most `size` events: (position `i`,
     `t` cells and `step * |t|` keys a quantum, and the law `_split`
-    draws: mean, top, the walk's first count c0, the tree (`_cuts`' prob
-    and kids, lo) or None, and the walk's hazards until fewer than
-    `_RARE` of the events are expected to be left, or to h = 1).
+    draws: mean, top, the walk's first count c0, the tree (P(left) per
+    level, lo) or None, and the walk's hazards until fewer than `_RARE`
+    of the events are expected to be left, or to h = 1).
 
     A recorded mean <= `_TREE_MEAN` or a top of 1 is one walk from 0.
     Else the tree's leaves are lo .. c0 - 1 and the walk: below lo and
     from c0 on the law sums to under `_NEVER` (bisection on a geometric
-    bound of each tail), or c0 is the top.  A tree is refused if its
-    counts but those 6 sd below the mean pass the energy lattice
-    (`origin`: key(e00)), or if c0 - lo > `_WINDOW_MAX`."""
+    bound of each tail), or c0 is the top.  The tree is complete: its
+    L = (c0 - lo).bit_length() levels cut each node's leaves, padded
+    with zero weights to 2**L, at their midpoint, so node k's children
+    are 2k and 2k + 1.  A node's P(left) is its left half's weight over
+    both halves', each summed pairwise from the leaves, so a node deep
+    in a tail keeps its digits; a node whose left half weighs 0 gets 0.
+    A tree is refused if its counts but those 6 sd below the mean pass
+    the energy lattice (`origin`: key(e00)), or if c0 - lo >
+    `_WINDOW_MAX`."""
     tick, tree, c0, rest = step * abs(t), None, 0, 1.0
     if top != 1 and mean > _TREE_MEAN:
         m, floor, end = (min(int(x), top or int(x)) for x in
@@ -272,38 +281,17 @@ def _law(i: int, t: int, mean: float, top: int | None, origin: int, step: int,
                              "counts, more than the sampler plans")
         w = np.fromiter((fc_factor_1d(mean, j) for j in range(lo, c0)), float, c0 - lo)
         rest = fc_factor_1d(mean, c0) * tail_ratio(mean, c0) if c0 > mean else 1.0 - w.sum()
-        tree = (*_cuts(np.append(w, rest)), lo) if w.size else None
+        pad = np.zeros((1 << w.size.bit_length()) - w.size - 1)
+        w, levels = np.concatenate((w, [rest], pad)), []
+        while w.size > 1:  # from the leaves up
+            left, w = w[0::2], w[0::2] + w[1::2]
+            levels.append(np.divide(left, w, out=np.zeros_like(w), where=left > 0.0))
+        tree = (levels[::-1], lo) if levels else None
     hs, left, rates = [], size * rest, hazards(mean, top, c0)
     while left >= _RARE:  # h = 1 leaves 0
         hs.append(next(rates))
         left *= 1.0 - hs[-1]
     return i, t, tick, (mean, top, c0, tree, tuple(hs))
-
-
-def _cuts(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(prob, kids) of the tree over leaves 0 .. n-1 weighing `w` > 0:
-    node k (0 the root) sends prob[k] of its events to kids[k, 0] and
-    the rest to kids[k, 1], a node or ~leaf.  A node over leaves [a, b)
-    is cut at its conditional median c (found on the weights summed from
-    whichever end holds less), clamped to [a + 1, b - 1], and
-    prob is the weight of [a, c) over that of [a, c) and [c, b), each
-    summed apart, so a node deep in a tail keeps its digits."""
-    cum, ext, n = np.cumsum(np.append(0.0, w)), np.append(w, 0.0), w.size
-    rum = np.cumsum(ext[::-1])[::-1]  # the weight from each leaf on, accurate in the upper tail
-    prob, kids = np.empty(n - 1), np.empty((n - 1, 2), np.int64)
-    a, b, ids, made = np.zeros(1, np.int64), np.array([n]), np.zeros(1, np.int64), 1
-    while ids.size:
-        c = np.where(cum[a] > rum[b], np.searchsorted(-rum, -(rum[a] + rum[b]) / 2.0),
-                     np.searchsorted(cum, (cum[a] + cum[b]) / 2.0))
-        c = np.clip(c, a + 1, b - 1)
-        mass = np.add.reduceat(ext, np.column_stack((a, c, b)).ravel())
-        prob[ids] = mass[0::3] / (mass[0::3] + mass[1::3])
-        a, b = np.column_stack((a, c)).ravel(), np.column_stack((c, b)).ravel()
-        inner = b - a > 1
-        child = np.where(inner, made + np.cumsum(inner) - 1, ~a)
-        kids[ids], made = child.reshape(-1, 2), made + int(inner.sum())
-        a, b, ids = a[inner], b[inner], child[inner]
-    return prob, kids
 
 
 def _split(cells: np.ndarray, counts: np.ndarray, t: int, law: tuple, rng: np.random.Generator,
@@ -315,32 +303,31 @@ def _split(cells: np.ndarray, counts: np.ndarray, t: int, law: tuple, rng: np.ra
 
     A tree goes a level at a time: one draw from `rng` over the level's
     (line, node, events > 0) items, in line (cell) order, then node
-    order, left to right; each sends Binomial(events, prob) left and the
-    rest right, and leaf j < c0 takes cell + j * t.  The lines at leaf
-    c0, or all lines if there is no tree, then walk in cell order: at
-    j = c0, c0 + 1, ..., every line with events left sends
-    Binomial(events left, h_j) to cell + j * t, in one draw over those
-    lines (numpy draws nothing for a line of none), and h_j = 1 sends
-    the rest without one.  `_split_few` walks fewer than `_FEW_LINES`.
+    order; each sends Binomial(events, P(left)) to node 2k and the rest
+    to node 2k + 1, and after the last level leaf j < c0 takes cell + j
+    * t.  The lines at leaf c0, or all lines if there is no tree, then
+    walk in cell order: at j = c0, c0 + 1, ..., every line with events
+    left sends Binomial(events left, h_j) to cell + j * t, in one draw
+    over those lines (numpy draws nothing for a line of none), and
+    h_j = 1 sends the rest without one.  `_split_few` walks fewer than
+    `_FEW_LINES`.
     """
     mean, top, c0, tree, hs = law
     edge, tick = reach
     if tree is not None:
-        (prob, kids, lo), leaves, nodes = tree, [], np.zeros(cells.size, np.int64)
-        while cells.size:
+        (levels, lo), nodes = tree, np.zeros(cells.size, np.int64)
+        for prob in levels:
             take = rng.binomial(_padded(counts), _padded(prob[nodes]))[:cells.size]
             counts = np.column_stack((take, counts - take)).ravel()
             at = counts.nonzero()[0]
-            cells, nodes, counts = cells[at >> 1], kids[nodes].ravel()[at], counts[at]
-            leaf = nodes < 0
-            leaves.append((cells[leaf], lo + ~nodes[leaf], counts[leaf]))
-            cells, nodes, counts = cells[~leaf], nodes[~leaf], counts[~leaf]
-        cells, j, counts = map(np.concatenate, zip(*leaves))
+            up = at >> 1
+            cells, nodes, counts = cells[up], 2 * nodes[up] + (at & 1), counts[at]
+        j = lo + nodes
         model.check_key_reach(edge + tick * int(j.max()))
-        at, walk = j < c0, np.flatnonzero(j == c0)
+        at, walk = j < c0, j == c0  # a line reaches leaf c0 once, so these stay in cell order
         parts = [model.sum_by_key(cells[at] + t * j[at], counts[at])]
-        if walk.size:
-            walk, law = walk[np.argsort(cells[walk])], (mean, top, c0, None, hs)
+        if walk.any():
+            law = (mean, top, c0, None, hs)
             parts.append(_split(cells[walk], counts[walk], t, law, rng, reach))
         return _merge(*zip(*parts))
     walk = enumerate(itertools.chain(hs, hazards(mean, top, c0 + len(hs))), c0)
@@ -395,7 +382,9 @@ def _merge(moved: list, events: list) -> tuple[np.ndarray, np.ndarray]:
     its span taken from the runs' ends; sparse ones are sorted (a
     stable sort merges runs) and summed per cell by `np.add.reduceat`.
     int64 sums do not depend on their order, so both give the counts
-    `sum_by_key` would.
+    `sum_by_key` would, without its min and max passes and float
+    bincount: merged by it, `pentacene_like_8` at K=1 and 1e7 events
+    ran 1.16x slower, and by its sort branch alone 1.09x.
     """
     lo = min(int(run[0]) for run in moved if run.size)
     hi = max(int(run[-1]) for run in moved if run.size)

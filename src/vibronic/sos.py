@@ -21,11 +21,9 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import model
-# `LineSpectrum`, `fc_factor_1d` and `mode_distribution` also keep their old import path
-# here; the engine looks `mode_distribution` up in this module, so patching it here sees each call.
-from .model import (IDEAL_DETECTOR, DetectorModel, LineSpectrum, Molecule,  # noqa: F401
-                    check_key_reach, fc_factor_1d, key_energies, mode_distribution,
-                    result_provenance, sum_by_key)
+# The engine looks `mode_distribution` up in this module, so patching it here sees each call.
+from .model import (IDEAL_DETECTOR, DetectorModel, Molecule, check_key_reach, key_energies,
+                    mode_distribution, result_provenance, sum_by_key)
 
 __all__ = [
     "SosConfig",
@@ -98,7 +96,7 @@ def state_count(n_modes: int, k: int) -> int:
 
 
 def build_reference_spectrum(m: Molecule, cfg: SosConfig,
-                             d: DetectorModel = IDEAL_DETECTOR) -> LineSpectrum:
+                             d: DetectorModel = IDEAL_DETECTOR) -> model.LineSpectrum:
     """Exact reference stick spectrum up to cutoff K, as detector `d` records it.
 
     Modes are convolved one at a time on the integer energy lattice;
@@ -177,4 +175,4 @@ def build_reference_spectrum(m: Molecule, cfg: SosConfig,
     cells += origin
     prov = result_provenance(m, d, engine="sos", max_quanta=k, overflow=cfg.overflow,
                              fc_prune=cfg.fc_prune)
-    return LineSpectrum(key_energies(cells), inten, provenance=prov)
+    return model.LineSpectrum(key_energies(cells), inten, provenance=prov)

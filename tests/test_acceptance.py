@@ -24,9 +24,9 @@ from vibronic.fixtures import (
     pentacene_like_18,
 )
 from vibronic.io import read_spectrum, write_molecule, write_spectrum
-from vibronic.model import Mode, Molecule, energy_keys
+from vibronic.model import LineSpectrum, Mode, Molecule, energy_keys, fc_factor_1d
 from vibronic.sampling import DetectorModel, SamplerConfig, sample_mode, sample_spectrum
-from vibronic.sos import LineSpectrum, SosConfig, build_reference_spectrum, fc_factor_1d, state_count
+from vibronic.sos import SosConfig, build_reference_spectrum, state_count
 
 
 def report(criterion: str, passed: bool, detail: str = ""):

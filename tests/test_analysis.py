@@ -21,9 +21,9 @@ from vibronic.analysis import (
     normalize,
 )
 from vibronic.fixtures import pentacene_like_8
-from vibronic.model import Mode, Molecule, energy_keys, sum_by_key
+from vibronic.model import LineSpectrum, Mode, Molecule, energy_keys, sum_by_key
 from vibronic.sampling import DetectorModel, SamplerConfig, sample_spectrum
-from vibronic.sos import LineSpectrum, SosConfig
+from vibronic.sos import SosConfig
 
 
 def sticks(pairs):

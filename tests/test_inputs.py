@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vibronic.analysis import BroadeningKernel, EnergyGrid, convergence_study, normalize
-from vibronic.model import DetectorModel, Mode, Molecule, hr_from_gradient, prune_modes
+from vibronic.model import (DetectorModel, LineSpectrum, Mode, Molecule, fc_factor_1d,
+                            hr_from_gradient, prune_modes)
 from vibronic.sampling import SamplerConfig, poisson_draw, sample_mode, sample_spectrum, substream
-from vibronic.sos import LineSpectrum, SosConfig, fc_factor_1d, mode_distribution, state_count
+from vibronic.sos import SosConfig, mode_distribution, state_count
 
 ACCEPTED = object()  # a function call that passed its checks
 STICKS = LineSpectrum([-3.0, 0.0, 1.0, 2.5], [1.0, 2.0, 3.0, 4.0])

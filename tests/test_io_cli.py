@@ -27,8 +27,7 @@ from vibronic.io import (
     write_spectrum,
     write_table,
 )
-from vibronic.model import Mode, Molecule
-from vibronic.sos import LineSpectrum
+from vibronic.model import LineSpectrum, Mode, Molecule
 
 
 @pytest.fixture

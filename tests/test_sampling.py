@@ -13,7 +13,8 @@ from vibronic.analysis import BroadeningKernel, EnergyGrid, broaden, fidelity, n
 from vibronic.fixtures import (anthracene_like_12, fine_acene_like, large_acene_like,
                                pentacene_like_8)
 from vibronic.io import read_spectrum, write_spectrum
-from vibronic.model import TICKS_PER_CM1, Mode, Molecule, energy_keys, hazards, key_energies
+from vibronic.model import (TICKS_PER_CM1, LineSpectrum, Mode, Molecule, energy_keys, hazards,
+                            key_energies)
 from vibronic.sampling import (
     IDEAL_DETECTOR,
     DetectorModel,
@@ -23,7 +24,7 @@ from vibronic.sampling import (
     sample_spectrum,
     substream,
 )
-from vibronic.sos import LineSpectrum, SosConfig, build_reference_spectrum, mode_distribution
+from vibronic.sos import SosConfig, build_reference_spectrum, mode_distribution
 
 
 def molecule(hr, energies=None, e00=0.0):
@@ -94,15 +95,15 @@ def replay(m, cfg, d=IDEAL_DETECTOR, order=None):
     chunk) cell draws scalar binomials from `substream(seed, i, chunk)`,
     in one of two ways.  A mode with a recorded mean <= `_TREE_MEAN` or
     a top of 1 walks every line from c0 = 0.  A larger mean first takes
-    its tree from the plan (`sampling._law`; its node probabilities are
+    its tree from the plan (`sampling._law`; its P(left) per level is
     held to the law by `test_tree_is_the_law`) a level at a time: each
-    line in key order, and at each of its nodes left to right, sends
-    Binomial(events, P(left)) to the left child and the rest to the
-    right one; leaf j < c0 takes key + j * t.  Then the lines whose
-    events reached leaf c0 (the top, or the law's 2**-54 end) walk.  A
-    walk takes its lines in key order at j = c0, c0 + 1, ...:
-    Binomial(events left, h_j), h_j from `model.hazards(mean, top, c0)`,
-    all that is left at h_j = 1.
+    line in key order, and at each of its nodes k left to right, sends
+    Binomial(events, P(left)) to node 2k of the next level and the rest
+    to node 2k + 1; after the last level leaf j = lo + k < c0 takes
+    key + j * t.  Then the lines whose events reached leaf c0 (the top,
+    or the law's 2**-54 end) walk.  A walk takes its lines in key order
+    at j = c0, c0 + 1, ...: Binomial(events left, h_j), h_j from
+    `model.hazards(mean, top, c0)`, all that is left at h_j = 1.
     """
     hist = {}
     for ci, size in sampling._chunks(cfg.events):
@@ -115,23 +116,22 @@ def replay(m, cfg, d=IDEAL_DETECTOR, order=None):
             *_, (_, _, c0, tree, _) = sampling._law(i, 1, mean, top, 0, 1,
                                                     min(cfg.events, sampling._CHUNK_EVENTS))
             t, rng = int(energy_keys(mode.energy)) * m.sign, substream(cfg.seed, i, ci)
-            moved, walkers, level = {}, [], [(k, 0, n) for k, n in sorted(lines.items())]
-            if tree is None:
-                walkers, level = sorted(lines.items()), []
-            while level:
-                deeper = []
+            moved, walkers = {}, sorted(lines.items())
+            if tree is not None:
+                levels, lo = tree
+                level, walkers = [(k, 0, n) for k, n in walkers], []
+                for prob in levels:
+                    deeper = []
+                    for k, node, n in level:
+                        left = rng.binomial(n, prob[node])
+                        deeper += [(k, 2 * node + side, e)
+                                   for side, e in enumerate((left, n - left)) if e]
+                    level = deeper
                 for k, node, n in level:
-                    left = rng.binomial(n, tree[0][node])
-                    for child, e in zip(tree[1][node].tolist(), (left, n - left)):
-                        j = tree[2] + ~child
-                        if e and child >= 0:
-                            deeper.append((k, child, e))
-                        elif e and j < c0:
-                            moved[k + j * t] = moved.get(k + j * t, 0) + e
-                        elif e:
-                            walkers.append((k, e))
-                level = deeper
-            walkers.sort()
+                    if (j := lo + node) < c0:
+                        moved[k + j * t] = moved.get(k + j * t, 0) + n
+                    else:
+                        walkers.append((k, n))
             for j, h in zip(itertools.count(c0), hazards(mean, top, c0)):
                 if not walkers:
                     break
@@ -289,22 +289,6 @@ class TestHazards:
                 assert len(h) == top + 1 and h[-1] == 1.0, (s, top)
 
 
-def node_leaves(kids):
-    """{node: (a, c, b)}: each node's leaves [a, b), cut at c, from the root."""
-    out = {}
-
-    def visit(node, a):
-        left, right = kids[node].tolist()
-        c = a + 1 if left < 0 else visit(left, a)
-        b = c + 1 if right < 0 else visit(right, c)
-        assert (left >= 0 or ~left == a) and (right >= 0 or ~right == c)
-        out[node] = (a, c, b)
-        return b
-
-    visit(0, 0)
-    return out
-
-
 class TestTree:
     """A mode's planned tree (`sampling._law`) against the law."""
 
@@ -314,11 +298,13 @@ class TestTree:
     def test_tree_is_the_law(self, mean, top, size):
         # the leaves are the counts lo..c0-1, then the walk from c0, which
         # starts at the top or where the law left sums to under 2**-54, as
-        # it does below lo; h_j < 1/2 on every leaf.  Each node, cut at its
-        # conditional median (clamped so both sides hold leaves), sends its
-        # left leaves' share of the law left, summed here afresh
+        # it does below lo; h_j < 1/2 on every leaf.  The tree is complete:
+        # (c0 - lo).bit_length() levels over the leaves padded with zero
+        # weights, and node k of a level, over leaves [k * 2**d, (k + 1) *
+        # 2**d), sends its left half's share of the law to node 2k, summed
+        # here afresh (0 where that half weighs nothing)
         *_, (_, _, c0, tree, hs) = sampling._law(1, 1, mean, top, 0, 1, size)
-        prob, kids, lo = tree
+        levels, lo = tree
         pmf = [model.fc_factor_1d(mean, j) for j in range(lo, c0 + int(10 * math.sqrt(mean)) + 60)]
         rest = (1.0 - scipy.stats.poisson.cdf(c0 - 1, mean) if c0 == top and c0 <= mean
                 else math.fsum(pmf[c0 - lo:]))
@@ -327,14 +313,17 @@ class TestTree:
         assert c0 == top or (c0 > mean and rest < 2.0**-54)
         tails = np.cumsum(weights[::-1])[::-1]  # P(J >= j), j = lo..c0
         assert (2.0 * np.array(weights[:-1]) < tails[:-1]).all()
-        cuts = node_leaves(kids)
-        assert sorted(cuts) == list(range(prob.size)) and prob.size == len(weights) - 1
-        for node, (a, c, b) in cuts.items():
-            total, share = math.fsum(weights[a:b]), math.fsum(weights[a:c])
+        assert len(levels) == (c0 - lo).bit_length()
+        weights += [0.0] * (2 ** len(levels) - len(weights))
+        for depth, prob in enumerate(levels):
+            span = 2 ** (len(levels) - depth)  # leaves a node
+            assert prob.size == 2**depth
+            halves = np.array([math.fsum(weights[a:a + span // 2])
+                               for a in range(0, len(weights), span // 2)])
+            share, total = halves[0::2], halves[0::2] + halves[1::2]
+            want = np.divide(share, total, out=np.zeros_like(share), where=share > 0.0)
             # fc_factor_1d's log-space form holds ~1e-12 x the mean in relative terms
-            assert prob[node] == pytest.approx(share / total, rel=1e-12 * (1 + mean), abs=1e-300)
-            assert share >= total / 2 * (1 - 1e-12) or c == b - 1
-            assert share - weights[c - 1] <= total / 2 * (1 + 1e-12) or c == a + 1
+            assert (np.abs(prob - want) <= 1e-12 * (1 + mean) * want + 1e-300).all(), depth
         assert hs == tuple(itertools.islice(hazards(mean, top, c0), len(hs)))
 
     @pytest.mark.parametrize("mean, top", [(0.3, None), (0.69, 4), (0.8, None), (2.5, 2),
@@ -363,7 +352,7 @@ class TestTree:
                 *_, (_, _, c0, tree, _) = sampling._law(1, 1, mean, top, 0, 1, 10**6)
                 end = c0 > mean and scipy.stats.poisson.sf(c0 - 1, mean) < 2.0**-54
                 assert c0 == top or end, (mean, top, c0)
-                j = np.arange(max(tree[2], int(mean)), c0)  # below the mean h_j < 0.1 here
+                j = np.arange(max(tree[1], int(mean)), c0)  # below the mean h_j < 0.1 here
                 h = scipy.stats.poisson.pmf(j, mean) / scipy.stats.poisson.sf(j - 1, mean)
                 assert (h < 0.5).all(), (mean, top, j[h >= 0.5][:1])
 
@@ -861,8 +850,8 @@ class TestSampleSpectrum:
     def test_huge_mean_cell_memory_bounded(self, monkeypatch):
         # ~400 live lines meet S = 1e8 at 1 cm^-1 in a 1e4-event chunk: the
         # counts spread over ~7.5e4 values, so a (j, line) table of them
-        # would take ~0.3 GB; the cell's tree holds ~1.3e5 counts and its
-        # levels at most the events
+        # would take ~0.3 GB; the cell's tree holds 2**18 - 1 P(left), for
+        # ~1.7e5 counts, and its levels at most the events (peak 5.2 MiB)
         monkeypatch.setattr(sampling, "_CHUNK_EVENTS", 10**4)
         energies = [101.013, 203.37, 307.5, 1.0]
         m = molecule([2.0, 2.0, 2.0, 1e8], energies=energies)
@@ -873,7 +862,7 @@ class TestSampleSpectrum:
         assert peak < 16 * 2**20, peak
 
     def test_huge_means_memory_bounded(self):
-        # the 3-mode huge-mean call at 1e6 events peaks at 18.7 MiB (numpy
+        # the 3-mode huge-mean call at 1e6 events peaks at 18.3 MiB (numpy
         # 2.4.6): its trees' levels hold at most a few arrays of the items
         # they draw.  Version 0.3.0 drew the mean-1e4 cell per event and
         # peaked at 27.7 MiB
@@ -971,6 +960,19 @@ SAMPLED_BYTES = {
         "huge3-1e6": "f95f930ef81b079bcc3b7eff23500dba6371da25dcaaf49f40c7a5c620425591",
         "a12-S6-1e6": "3200271f7714731b393b2fd17ac5cf3d1e0f4459792471527e0c53d1b0bcd787",
     },
+    # means above 100 with a top >= 2 go down a complete tree, not one cut
+    # at conditional medians: only the calls that draw a tree change
+    "0.6.0": {
+        "p8-K1-1e3": "78353ba1bbb115b9ce688ea1195d2c8fbd6f78f2636aa601cd430850cb0e2d98",
+        "p8-K1-1e7": "e5e5b0f2fe4a3cdea812c7ecc5131a0a70b7f10f559f7bf17e3a4dc1a49b65ee",
+        "a66-1e6": "9e02c92cccbe1d0000f9b84f11dd5d43c9342ee91283868e0763d8355e055142",
+        "p8-click-loss-dark": "8282bc5dafe2da92f6a1861e89e88ca98c6fe41181b8cdafd90b9febee826388",
+        "f6-K2": "2f55f3fe4fbbee340522816a0a7a8f2da41a029a769ea6c37b91df962f4353f4",
+        "f66-1e6": "c7a95d31d6768f20cb8575d762792c15a838e1f174c1c4ec12586c0e9ff7a5f9",
+        "huge3-1e6": "c6a9e27fffd0d076e039a4c4ddfc02a1dab22f166fe4f141b5532fe50891345f",
+        "a12-S6-1e6": "3200271f7714731b393b2fd17ac5cf3d1e0f4459792471527e0c53d1b0bcd787",
+        "tree-K160-1e6": "166592bfee7bbd65c1338fb2fda907c90d71869ead3f81d421c80cb20e358664",
+    },
 }
 SAMPLED_CALLS = {
     "p8-K1-1e3": lambda: (pentacene_like_8(), SamplerConfig(events=10**3, seed=1, max_quanta=1),
@@ -987,6 +989,9 @@ SAMPLED_CALLS = {
     "huge3-1e6": lambda: (huge_means(), SamplerConfig(events=10**6, seed=1), IDEAL_DETECTOR),
     "a12-S6-1e6": lambda: (scaled(anthracene_like_12(), 6.0), SamplerConfig(events=10**6, seed=1),
                            IDEAL_DETECTOR),
+    # a walk, then S = 150 down a tree that ends at its cap of 160
+    "tree-K160-1e6": lambda: (molecule([0.4, 150.0], energies=[310.0, 117.0]),
+                              SamplerConfig(events=10**6, seed=1, max_quanta=160), IDEAL_DETECTOR),
 }
 
 

@@ -14,14 +14,13 @@ from vibronic.cli import main
 from vibronic.fixtures import (anthracene_like_12, fine_acene_like, large_acene_like,
                                naphthalene_like_9, pentacene_like_8, pentacene_like_18)
 from vibronic.io import read_spectrum, write_molecule
-from vibronic.model import IDEAL_DETECTOR, DetectorModel, Mode, Molecule, energy_keys
+from vibronic.model import (IDEAL_DETECTOR, DetectorModel, LineSpectrum, Mode, Molecule,
+                            energy_keys, fc_factor_1d)
 from vibronic.sampling import SamplerConfig, sample_spectrum
 from vibronic.sos import (
     BudgetExceededError,
-    LineSpectrum,
     SosConfig,
     build_reference_spectrum,
-    fc_factor_1d,
     mode_distribution,
     state_count,
 )
@@ -658,24 +657,25 @@ class TestSosConfig:
 
 class TestLineSpectrum:
     def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^energies must be strictly increasing$"):
             LineSpectrum(np.array([2.0, 1.0]), np.array([1.0, 1.0]))
         for energies in ([math.nan], [0.0, math.inf], [-math.inf, 0.0]):
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ValueError, match="^energies and intensities must be finite$"):
                 LineSpectrum(energies, np.ones(len(energies)))
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="equal length"):
+        with pytest.raises(ValueError, match="^energies and intensities must have equal length$"):
             LineSpectrum([0.0, 1.0], [1.0])
 
     @pytest.mark.parametrize("energies, intensities", [
         (5.0, 1.0), ([[0.0, 1.0], [2.0, 3.0]], [[1.0, 1.0], [1.0, 1.0]])])
     def test_rejects_other_dimensions(self, energies, intensities):
-        with pytest.raises(ValueError, match="one-dimensional"):
+        with pytest.raises(ValueError,
+                           match="^energies and intensities must be one-dimensional$"):
             LineSpectrum(energies, intensities)
 
     def test_rejects_negative_intensity(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^intensities must be non-negative$"):
             LineSpectrum(np.array([1.0, 2.0]), np.array([1.0, -1.0]))
         # a nan or inf would pass every other check and make fidelity
         # and normalize return nan
