@@ -10,7 +10,7 @@ sticks into band profiles.
 
 # The one copy of the version (pyproject.toml reads it); bound before
 # the submodule imports, which record it in every result's provenance.
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .analysis import (
     BroadeningKernel,

@@ -274,6 +274,7 @@ class DetectorModel:
         `s` must be a finite real >= 0 and `k` an integer >= 0 or None;
         `check` refuses anything else by name, so the mean is a Python
         float and the top a Python int or None whatever numbers are given.
+        A mean that overflows to inf is refused by its formula's name.
         """
         if not (type(s) is float and 0.0 <= s < math.inf
                 and (k is None or type(k) is int and k >= 0)):
@@ -282,7 +283,9 @@ class DetectorModel:
                 k = check("k", k, numbers.Integral, ">= 0", lambda n: n >= 0)
         if self.threshold_mode:
             k = 1 if k is None else min(k, 1)
-        return self.efficiency * s + self.dark_mean, k
+        if (mean := self.efficiency * s + self.dark_mean) == math.inf:  # finite terms overflowed
+            raise ValueError(f"efficiency * s + dark_mean must be finite, got {mean}")
+        return mean, k
 
 
 IDEAL_DETECTOR = DetectorModel()

@@ -27,14 +27,15 @@ the top or where the law left sums to under 2**-54, so no unbounded
 tail is lumped; below the mean, such a tail is one numpy's binomial
 never draws, and the tree leaves it out.
 
-The call plans once, before any draw: it derives each mode's law, tree
-and the hazards a walk is likely to need (refusing a mean numpy cannot
-draw, whichever mode it is), drops the modes that always record 0, and
-orders the rest by ascending recorded mean, equal means in position
-order: a low-mean mode moves few events and so adds few lines.  A cell
-opens its sub-stream once, refuses a move past the energy lattice, and
-merges its moved lines, cell + j x the mode's cells per quantum, into
-distinct ascending cells; keys are formed once, from the merged cells.
+The call plans once, before any draw: it derives each mode's law and
+tree (refusing a mean numpy cannot draw, whichever mode it is), drops
+the modes that always record 0, and orders the rest by ascending
+recorded mean, equal means in position order: a low-mean mode moves few
+events and so adds few lines.  A cell opens its sub-stream once,
+derives each walk's hazards as it steps, refuses a move past the energy
+lattice, and merges its moved lines, cell + j x the mode's cells per
+quantum, into distinct ascending cells; keys are formed once, from the
+merged cells.
 
 At small event counts a call costs its cells, not its events, so a
 walk over fewer than `_FEW_LINES` lines draws one line at a time.  A
@@ -50,14 +51,14 @@ Philox counts up from there in the low 128 bits, so the cells' streams
 are disjoint ranges of 2**128 blocks under one key, independent by
 construction and bit-identical for any worker count or order.  A
 position past 2**64 folds its high bits into the key's spawn key.
-Chunks hold a fixed 10^6 events and trees are planned for them, so the
-chunking selects the draws and the version pins it.
+`sample_spectrum`'s chunks hold a fixed 10^6 events, so its chunking
+selects its draws and the version pins it; `sample_mode` draws every
+event of a mode from that mode's chunk-0 stream.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -81,18 +82,14 @@ __all__ = [
     "IDEAL_DETECTOR",
 ]
 
-# Events per chunk: the unit worker threads share, and the size a mode's
-# tree is planned for.  It selects the draws, so the version fixes it.
+# Events per `sample_spectrum` chunk, the unit worker threads share.  It
+# selects the draws, so the version fixes it.
 _CHUNK_EVENTS = 1_000_000
 
 # numpy draws int64 counts; the largest mean its Poisson generator
 # accepts is int64 max - 10 sd.
 _INT64_MAX = np.iinfo(np.int64).max
 POISSON_MEAN_MAX = float(_INT64_MAX - np.sqrt(_INT64_MAX) * 10)
-
-# A walk's planned hazards end where fewer than this many of a chunk's
-# events are expected to be left.
-_RARE = 2.0**-10
 
 # A tail of a law that sums to under this is one numpy's binomial never
 # draws (1 - p rounds to 1): a tree leaves it out below the mean, and
@@ -186,7 +183,8 @@ def _generator() -> np.random.Generator:
 
 def substream(seed: int, mode_index: int, chunk_index: int) -> np.random.Generator:
     """Independent counter-based RNG stream for one (mode, chunk) cell,
-    built fresh: the stream `sample_spectrum` draws that cell from.
+    built fresh: the stream `sample_spectrum` draws that cell from, and
+    at chunk 0 the one `sample_mode` draws all the mode's events from.
     `seed` is an integer >= 0, `mode_index` the mode's 1-based number
     and `chunk_index` an integer in [0, 2**64)."""
     seed = model.check("seed", seed, Integral, ">= 0", lambda n: n >= 0)
@@ -222,19 +220,13 @@ def _recorded(s: float, mode_index: int, cfg: SamplerConfig,
     at or above the int64 maximum never binds on numpy's int64 draws,
     so it is taken as no cap."""
     k = cfg.max_quanta
-    mean, top = d.recorded(s, None if k is not None and k >= _INT64_MAX else k)
     try:
+        mean, top = d.recorded(s, None if k is not None and k >= _INT64_MAX else k)
         _check_mean(mean)
     except ValueError as exc:
         raise ValueError(f"mode {mode_index}: recorded mean efficiency*S + dark_mean: "
                          f"{exc}") from None
     return mean, top
-
-
-def _sample_mode_chunk(mean: float, top: int | None, rng: np.random.Generator,
-                       size: int) -> np.ndarray:
-    counts = poisson_draw(mean, rng, size)
-    return counts if top is None else np.minimum(counts, top)
 
 
 def _padded(values: np.ndarray) -> np.ndarray:
@@ -247,13 +239,11 @@ def _padded(values: np.ndarray) -> np.ndarray:
     return padded
 
 
-def _law(i: int, t: int, mean: float, top: int | None, origin: int, step: int,
-         size: int) -> tuple:
-    """Plan one mode for chunks of at most `size` events: (position `i`,
-    `t` cells and `step * |t|` keys a quantum, and the law `_split`
-    draws: mean, top, the walk's first count c0, the tree (P(left) per
-    level, lo) or None, and the walk's hazards until fewer than `_RARE`
-    of the events are expected to be left, or to h = 1).
+def _law(i: int, t: int, mean: float, top: int | None, origin: int, step: int) -> tuple:
+    """Plan one mode: (position `i`, `t` cells and `step * |t|` keys a
+    quantum, and the law `_split` draws: mean, top, the walk's first
+    count c0 and the tree (P(left) per level, lo) or None).  Every cell
+    of the mode shares it exactly, whatever its events.
 
     A recorded mean <= `_TREE_MEAN` or a top of 1 is one walk from 0.
     Else the tree's leaves are lo .. c0 - 1 and the walk: below lo and
@@ -267,7 +257,7 @@ def _law(i: int, t: int, mean: float, top: int | None, origin: int, step: int,
     A tree is refused if its counts but those 6 sd below the mean pass
     the energy lattice (`origin`: key(e00)), or if c0 - lo >
     `_WINDOW_MAX`."""
-    tick, tree, c0, rest = step * abs(t), None, 0, 1.0
+    tick, tree, c0 = step * abs(t), None, 0
     if top != 1 and mean > _TREE_MEAN:
         m, floor, end = (min(int(x), top or int(x)) for x in
                          (mean, mean - 6.0 * math.sqrt(mean), mean + 40.0 * math.sqrt(mean) + 40))
@@ -287,11 +277,7 @@ def _law(i: int, t: int, mean: float, top: int | None, origin: int, step: int,
             left, w = w[0::2], w[0::2] + w[1::2]
             levels.append(np.divide(left, w, out=np.zeros_like(w), where=left > 0.0))
         tree = (levels[::-1], lo) if levels else None
-    hs, left, rates = [], size * rest, hazards(mean, top, c0)
-    while left >= _RARE:  # h = 1 leaves 0
-        hs.append(next(rates))
-        left *= 1.0 - hs[-1]
-    return i, t, tick, (mean, top, c0, tree, tuple(hs))
+    return i, t, tick, (mean, top, c0, tree)
 
 
 def _split(cells: np.ndarray, counts: np.ndarray, t: int, law: tuple, rng: np.random.Generator,
@@ -312,7 +298,7 @@ def _split(cells: np.ndarray, counts: np.ndarray, t: int, law: tuple, rng: np.ra
     h_j = 1 sends the rest without one.  `_split_few` walks fewer than
     `_FEW_LINES`.
     """
-    mean, top, c0, tree, hs = law
+    mean, top, c0, tree = law
     edge, tick = reach
     if tree is not None:
         (levels, lo), nodes = tree, np.zeros(cells.size, np.int64)
@@ -327,10 +313,10 @@ def _split(cells: np.ndarray, counts: np.ndarray, t: int, law: tuple, rng: np.ra
         at, walk = j < c0, j == c0  # a line reaches leaf c0 once, so these stay in cell order
         parts = [model.sum_by_key(cells[at] + t * j[at], counts[at])]
         if walk.any():
-            law = (mean, top, c0, None, hs)
+            law = (mean, top, c0, None)
             parts.append(_split(cells[walk], counts[walk], t, law, rng, reach))
         return _merge(*zip(*parts))
-    walk = enumerate(itertools.chain(hs, hazards(mean, top, c0 + len(hs))), c0)
+    walk = enumerate(hazards(mean, top, c0), c0)
     if cells.size < _FEW_LINES:
         return _split_few(cells, counts, t, walk, rng, reach)
     moved, events = [], []
@@ -405,17 +391,19 @@ def sample_mode(
     cfg: SamplerConfig,
     d: DetectorModel = IDEAL_DETECTOR,
 ) -> np.ndarray:
-    """All `cfg.events` recorded counts for one mode, in event order.
+    """All `cfg.events` recorded counts for one mode, in event order,
+    drawn in one call from the mode's `substream(seed, mode_index, 0)`.
 
     Deterministic: the same (seed, mode_index, events) always yields a
-    bit-identical array.  `s` is a finite real >= 0 and `mode_index`,
-    the mode's 1-based number, an integer >= 1.
+    bit-identical array, and its first n counts are the n-event call's.
+    `s` is a finite real >= 0 and `mode_index`, the mode's 1-based
+    number, an integer >= 1.
     """
     s = model.check("s", s, Real, ">= 0 and finite", model.nonnegative)
     mode_index = model.check("mode_index", mode_index, Integral, ">= 1", lambda n: n >= 1)
     mean, top = _recorded(s, mode_index, cfg, d)
-    return np.concatenate([_sample_mode_chunk(mean, top, substream(cfg.seed, mode_index, ci), size)
-                           for ci, size in _chunks(cfg.events)])
+    counts = poisson_draw(mean, substream(cfg.seed, mode_index, 0), cfg.events)
+    return counts if top is None else np.minimum(counts, top, out=counts)
 
 
 class SampledSpectrum(LineSpectrum):
@@ -463,8 +451,7 @@ def sample_spectrum(
     origin, step, quanta = lattice = model.sublattice(m)
     laws = [(i, t, *_recorded(s, i, cfg, d))  # a refused mean raises before any sub-stream opens
             for i, (s, t) in enumerate(zip(m.huang_rhys, quanta), 1)]
-    size = min(cfg.events, _CHUNK_EVENTS)  # the largest chunk
-    plan = [_law(i, t, mean, top, origin, step, size)
+    plan = [_law(i, t, mean, top, origin, step)
             for i, t, mean, top in sorted(laws, key=lambda law: law[2])  # ascending mean
             if mean > 0.0 and top != 0]  # silent modes draw nothing
     key, chunks = _key(cfg.seed), _chunks(cfg.events)

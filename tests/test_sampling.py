@@ -113,8 +113,7 @@ def replay(m, cfg, d=IDEAL_DETECTOR, order=None):
             mean, top = d.recorded(mode.huang_rhys, cfg.max_quanta)
             if mean == 0.0 or top == 0:
                 continue
-            *_, (_, _, c0, tree, _) = sampling._law(i, 1, mean, top, 0, 1,
-                                                    min(cfg.events, sampling._CHUNK_EVENTS))
+            *_, (_, _, c0, tree) = sampling._law(i, 1, mean, top, 0, 1)
             t, rng = int(energy_keys(mode.energy)) * m.sign, substream(cfg.seed, i, ci)
             moved, walkers = {}, sorted(lines.items())
             if tree is not None:
@@ -294,8 +293,7 @@ class TestTree:
 
     @pytest.mark.parametrize("mean, top", [(150.0, None), (150.0, 160), (400.0, None),
                                            (1e4, 9950), (1e4, None), (1e8, None)])
-    @pytest.mark.parametrize("size", [10**3, 10**6])
-    def test_tree_is_the_law(self, mean, top, size):
+    def test_tree_is_the_law(self, mean, top):
         # the leaves are the counts lo..c0-1, then the walk from c0, which
         # starts at the top or where the law left sums to under 2**-54, as
         # it does below lo; h_j < 1/2 on every leaf.  The tree is complete:
@@ -303,7 +301,7 @@ class TestTree:
         # weights, and node k of a level, over leaves [k * 2**d, (k + 1) *
         # 2**d), sends its left half's share of the law to node 2k, summed
         # here afresh (0 where that half weighs nothing)
-        *_, (_, _, c0, tree, hs) = sampling._law(1, 1, mean, top, 0, 1, size)
+        *_, (_, _, c0, tree) = sampling._law(1, 1, mean, top, 0, 1)
         levels, lo = tree
         pmf = [model.fc_factor_1d(mean, j) for j in range(lo, c0 + int(10 * math.sqrt(mean)) + 60)]
         rest = (1.0 - scipy.stats.poisson.cdf(c0 - 1, mean) if c0 == top and c0 <= mean
@@ -324,7 +322,6 @@ class TestTree:
             want = np.divide(share, total, out=np.zeros_like(share), where=share > 0.0)
             # fc_factor_1d's log-space form holds ~1e-12 x the mean in relative terms
             assert (np.abs(prob - want) <= 1e-12 * (1 + mean) * want + 1e-300).all(), depth
-        assert hs == tuple(itertools.islice(hazards(mean, top, c0), len(hs)))
 
     @pytest.mark.parametrize("mean, top", [(0.3, None), (0.69, 4), (0.8, None), (2.5, 2),
                                            (3.0, None), (3.0, 5), (40.0, None), (100.0, None),
@@ -333,9 +330,8 @@ class TestTree:
         # a recorded mean <= `_TREE_MEAN` (100) or a top of 1: no tree, one
         # walk from 0 with `model.hazards`' own h_j, as version 0.4.0 drew
         # means <= ln 2
-        *_, (_, _, c0, tree, hs) = sampling._law(1, 1, mean, top, 0, 1, 10**6)
+        *_, (_, _, c0, tree) = sampling._law(1, 1, mean, top, 0, 1)
         assert tree is None and c0 == 0
-        assert hs == tuple(itertools.islice(hazards(mean, top), len(hs)))
 
     def test_a_tree_ends_at_its_law_end_or_top(self):
         # above `_TREE_MEAN` every planned tree's c0 is the law's 2**-54 end
@@ -349,7 +345,7 @@ class TestTree:
         for mean in means.tolist():
             for top in (None, math.floor(mean) - 3, math.floor(mean) + 1,
                         math.floor(mean + 3 * math.sqrt(mean))):
-                *_, (_, _, c0, tree, _) = sampling._law(1, 1, mean, top, 0, 1, 10**6)
+                *_, (_, _, c0, tree) = sampling._law(1, 1, mean, top, 0, 1)
                 end = c0 > mean and scipy.stats.poisson.sf(c0 - 1, mean) < 2.0**-54
                 assert c0 == top or end, (mean, top, c0)
                 j = np.arange(max(tree[1], int(mean)), c0)  # below the mean h_j < 0.1 here
@@ -434,12 +430,30 @@ class TestSampleMode:
         assert abs(out.mean() - p) < tol
         assert set(np.unique(out)) <= {0, 1}
 
-    def test_determinism(self, monkeypatch):
-        monkeypatch.setattr(sampling, "_CHUNK_EVENTS", 7000)
+    def test_determinism(self):
         cfg = SamplerConfig(events=50000, seed=31)
         a = sample_mode(0.3, 2, cfg)
         b = sample_mode(0.3, 2, cfg)
         assert np.array_equal(a, b)
+
+    def test_a_longer_call_extends_a_shorter_one(self):
+        # every event comes from the mode's one stream, so the first n
+        # counts of a longer call are the n-event call's, past 10^6 too
+        def cfg(n):
+            return SamplerConfig(events=n, seed=12, max_quanta=4)
+        longer = sample_mode(1.5, 2, cfg(10**6 + 500))
+        for n in (1, 10**6 - 1, 10**6 + 1):
+            assert np.array_equal(sample_mode(1.5, 2, cfg(n)), longer[:n])
+
+    def test_memory_is_one_array_of_counts(self):
+        # one draw, capped in place: the call peaks at about its 8 B an
+        # event.  Version 0.6.0 drew 10^6-event parts, capped each into a
+        # copy and concatenated them, peaking near 16 B an event
+        n = 2 * 10**6
+        counts, peak, _ = traced(
+            lambda: sample_mode(0.3, 1, SamplerConfig(events=n, seed=1, max_quanta=2)))
+        assert counts.size == n
+        assert peak < 1.2 * 8 * n, peak
 
     def test_per_photon_thinning_matches_direct_statistically(self):
         # every detector effect at once, capped: the sampler's direct
@@ -543,6 +557,20 @@ class TestSampleSpectrum:
         with pytest.raises(ValueError, match=r"^mode 2: recorded mean .*Poisson mean must be"):
             sample_spectrum(molecule([0.5, 2e19]), SamplerConfig(events=300), workers=workers)
         assert opened == []
+
+    @pytest.mark.parametrize("draw", [
+        pytest.param(lambda d: sample_spectrum(molecule([1e308]), SamplerConfig(events=10), d),
+                     id="sample_spectrum"),
+        pytest.param(lambda d: sample_mode(1e308, 1, SamplerConfig(events=10), d),
+                     id="sample_mode"),
+    ])
+    def test_overflowing_recorded_mean_refused(self, draw):
+        # S and dark_mean are each finite, but their sum overflows to inf:
+        # `DetectorModel.recorded` refuses it, under the sampler's mode prefix
+        want = (r"^mode 1: recorded mean efficiency\*S \+ dark_mean: "
+                r"efficiency \* s \+ dark_mean must be finite, got inf$")
+        with pytest.raises(ValueError, match=want):
+            draw(DetectorModel(dark_mean=1e308))
 
     def test_energies_on_lattice(self):
         m = molecule([0.5, 0.8], energies=[300.0, 700.0], e00=1000.0)
@@ -725,7 +753,7 @@ class TestSampleSpectrum:
         # at the recorded mean or with the tail past 60 sd in its last bin
         mean, _ = d.recorded(s, None)
         k = math.floor(mean) if cap else math.ceil(mean + 60 * math.sqrt(mean) + 60)
-        *_, (_, _, c0, tree, _) = sampling._law(1, 1, mean, k if cap else None, 0, 1, 10**6)
+        *_, (_, _, c0, tree) = sampling._law(1, 1, mean, k if cap else None, 0, 1)
         assert tree is None and c0 == 0
         cfg = SamplerConfig(events=10**6, seed=30, max_quanta=k if cap else None)
         spec = sample_spectrum(molecule([s], energies=[1.0]), cfg, d)
@@ -768,11 +796,12 @@ class TestSampleSpectrum:
     def test_each_cell_derives_law_and_stream_once(self, chunk_events, monkeypatch):
         # S = 400 moves down a tree, the small modes walk.  Over 3 chunks
         # the call derives and plans each mode's law once, in the plan's
-        # order, not once a cell; every cell opens its sub-stream (sets its
-        # Philox counter) exactly once, derives only hazards past those
-        # the plan holds, and draws no Poisson variate
+        # order, not once a cell, and the plan derives no hazards; every
+        # cell opens its sub-stream (sets its Philox counter) exactly once,
+        # each walk derives its hazards once, from its c0, and no cell
+        # draws a Poisson variate
         monkeypatch.setattr(sampling, "_CHUNK_EVENTS", chunk_events)
-        names = ("_recorded", "_cell_stream", "_sample_mode_chunk", "poisson_draw")
+        names = ("_recorded", "_cell_stream", "poisson_draw")
         calls = {name: [] for name in names}
         for name, log in calls.items():
             real = getattr(sampling, name)
@@ -787,9 +816,8 @@ class TestSampleSpectrum:
             return law
 
         def hazards(*a):
-            for h in real_hazards(*a):
-                derived.append((planning[-1] is not None, a))
-                yield h
+            derived.append((planning[-1] is not None, a))
+            return real_hazards(*a)
 
         monkeypatch.setattr(sampling, "_law", law)
         monkeypatch.setattr(sampling, "hazards", hazards)
@@ -801,19 +829,18 @@ class TestSampleSpectrum:
         assert sorted(a[2:] for a in calls["_cell_stream"]) == sorted(cells)
         assert [a[1] for a in calls["_recorded"]] == [1, 2, 3]
         assert [a[2] for a in planning if a] == [0.05, 0.2, 400.0]
-        assert calls["_sample_mode_chunk"] == calls["poisson_draw"] == []
-        seen = list(derived)  # before `_law` below derives its hazards again
-        laws = {mean: (c0, len(hs))
-                for mean, _, c0, _, hs in (real_law(*a)[3] for a in planning if a)}
-        assert sorted(a for plan, a in seen if plan) == sorted(
-            (mean, None, c0) for mean, (c0, n) in laws.items() for _ in range(n))
-        assert all(a[2] == sum(laws[a[0]]) for plan, a in seen if not plan)
+        assert calls["poisson_draw"] == []
+        assert not any(plan for plan, _ in derived)
+        starts = {law[0]: law[2] for law in (real_law(*a)[3] for a in planning if a)}
+        assert starts[0.05] == starts[0.2] == 0 < starts[400.0]
+        assert all(a == (a[0], None, starts[a[0]]) for _, a in derived)
+        walks = [a[0] for _, a in derived]
+        assert walks.count(0.05) == walks.count(0.2) == 3 and walks.count(400.0) <= 3
         for log in calls.values():
             log.clear()
         sample_mode(400.0, 1, cfg)
-        assert len(calls["_recorded"]) == 1
-        assert (len(calls["_cell_stream"]) == len(calls["_sample_mode_chunk"])
-                == len(sampling._chunks(cfg.events)))
+        assert len(calls["_recorded"]) == len(calls["poisson_draw"]) == 1
+        assert [a[2:] for a in calls["_cell_stream"]] == [(1, 0)]
 
     def test_walks_start_where_hazards_need_no_head(self, monkeypatch):
         # `model.hazards` sums no head P(J < start): every walk the sampler
@@ -883,7 +910,7 @@ class TestSampleSpectrum:
         # refuses the step that would form such a key
         m = molecule([40.0], energies=[3e8])
         origin, step, (t,) = model.sublattice(m)
-        *_, (_, _, c0, tree, _) = sampling._law(1, t, 40.0, None, origin, step, 10**5)
+        *_, (_, _, c0, tree) = sampling._law(1, t, 40.0, None, origin, step)
         assert tree is None and c0 == 0
         with pytest.raises(ValueError, match="beyond the energy lattice"):
             sample_spectrum(m, SamplerConfig(events=10**5, seed=1))
@@ -973,6 +1000,18 @@ SAMPLED_BYTES = {
         "a12-S6-1e6": "3200271f7714731b393b2fd17ac5cf3d1e0f4459792471527e0c53d1b0bcd787",
         "tree-K160-1e6": "166592bfee7bbd65c1338fb2fda907c90d71869ead3f81d421c80cb20e358664",
     },
+    # `sample_mode` draws one stream a mode; `sample_spectrum` draws as 0.6.0 did
+    "0.7.0": {
+        "p8-K1-1e3": "78353ba1bbb115b9ce688ea1195d2c8fbd6f78f2636aa601cd430850cb0e2d98",
+        "p8-K1-1e7": "e5e5b0f2fe4a3cdea812c7ecc5131a0a70b7f10f559f7bf17e3a4dc1a49b65ee",
+        "a66-1e6": "9e02c92cccbe1d0000f9b84f11dd5d43c9342ee91283868e0763d8355e055142",
+        "p8-click-loss-dark": "8282bc5dafe2da92f6a1861e89e88ca98c6fe41181b8cdafd90b9febee826388",
+        "f6-K2": "2f55f3fe4fbbee340522816a0a7a8f2da41a029a769ea6c37b91df962f4353f4",
+        "f66-1e6": "c7a95d31d6768f20cb8575d762792c15a838e1f174c1c4ec12586c0e9ff7a5f9",
+        "huge3-1e6": "c6a9e27fffd0d076e039a4c4ddfc02a1dab22f166fe4f141b5532fe50891345f",
+        "a12-S6-1e6": "3200271f7714731b393b2fd17ac5cf3d1e0f4459792471527e0c53d1b0bcd787",
+        "tree-K160-1e6": "166592bfee7bbd65c1338fb2fda907c90d71869ead3f81d421c80cb20e358664",
+    },
 }
 SAMPLED_CALLS = {
     "p8-K1-1e3": lambda: (pentacene_like_8(), SamplerConfig(events=10**3, seed=1, max_quanta=1),
@@ -993,6 +1032,31 @@ SAMPLED_CALLS = {
     "tree-K160-1e6": lambda: (molecule([0.4, 150.0], energies=[310.0, 117.0]),
                               SamplerConfig(events=10**6, seed=1, max_quanta=160), IDEAL_DETECTOR),
 }
+
+
+# sha256 of `sample_mode(2.5, 3, SamplerConfig(events=n, seed=1,
+# max_quanta=3)).tobytes()`, by version.  0.7.0 draws every event from
+# the mode's chunk-0 stream, where 0.6.0 drew each 10^6 events from a
+# stream of their own, so the first 10^6 counts keep their bytes
+MODE_BYTES = {
+    "0.6.0": {
+        10**6: "44983d6ffc7fd46bff4c0cd1ca646ffa2869e9db6fe170ba4f6789663480e23e",
+        2_500_000: "53c7b81ccaaf98c27459a469afd7a32a43d9d04d095581b36fac351a5fbbf959",
+    },
+    "0.7.0": {
+        10**6: "44983d6ffc7fd46bff4c0cd1ca646ffa2869e9db6fe170ba4f6789663480e23e",
+        2_500_000: "efd304c49c7e6a5d02b02fabc5cfdf69d8696d7691379fd069d6e36ba0df28a7",
+    },
+}
+
+
+@pytest.mark.parametrize("events", [10**6, 2_500_000])
+def test_sample_mode_bytes_pinned_by_version(events):
+    pins = MODE_BYTES.get(__version__)
+    if pins is None:
+        pytest.skip(f"no sample_mode bytes recorded for version {__version__}")
+    counts = sample_mode(2.5, 3, SamplerConfig(events=events, seed=1, max_quanta=3))
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == pins[events]
 
 
 @pytest.mark.parametrize("case", sorted(SAMPLED_CALLS))

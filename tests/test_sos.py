@@ -483,6 +483,19 @@ class TestModeDistribution:
         with pytest.raises(ValueError, match=match):
             mode_distribution(0.5, k, overflow)
 
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda m, d: mode_distribution(1e308, 1, "cap", d), id="mode_distribution"),
+        pytest.param(lambda m, d: build_reference_spectrum(m, SosConfig(max_quanta=1), d),
+                     id="build_reference_spectrum"),
+    ])
+    def test_overflowing_recorded_mean_refused(self, build):
+        # S and dark_mean are each finite, but their sum overflows to inf:
+        # refused by the recorded mean's formula, not as fc_factor_1d's s
+        m, d = molecule([1e308]), DetectorModel(dark_mean=1e308)
+        want = r"^efficiency \* s \+ dark_mean must be finite, got inf$"
+        with pytest.raises(ValueError, match=want):
+            build(m, d)
+
     def test_click_tail_against_survival_function(self):
         for s in np.geomspace(1e-9, 60.0, 50):
             got = mode_distribution(s, 3, "truncate", DETECTORS["click"])[1]
