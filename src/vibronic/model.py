@@ -21,13 +21,17 @@ The per-mode count law, shared by both engines and stated here once:
 mode i's recorded count J is Poisson(efficiency * S_i + dark_mean),
 clipped at 1 by a click detector and at the cutoff K
 (`DetectorModel.recorded`); at the ideal detector its pmf is the
-one-dimensional Franck-Condon factor (`fc_factor_1d`).  SOS convolves
-`mode_distribution`'s vector of P(J = j), j = 0..top.  The sampler
-splits events by the hazards h_j = P(J = j | J >= j) (`hazards`), which
-keep their own form rather than reading that vector: without a cap J
-is unbounded, so no finite vector holds it, and above the mean 1/h_j
-is `tail_ratio`'s upward series, which needs no pmf value, so deep in
-the tail nothing underflows to 0/0 or cancels in 1 - head.
+one-dimensional Franck-Condon factor (`fc_factor_1d`).  One function,
+`law_window`, weighs the law over a window of counts and the tail past
+it (`tail_ratio`'s upward series above the mean, 1 - head below): SOS
+convolves `mode_distribution`'s vector, its window from 0 to the top,
+and the sampler's trees take their leaves from the window
+`window_bounds` finds, so the sampler weighs no pmf value itself.  The
+sampler's walks split events by the hazards h_j = P(J = j | J >= j)
+(`hazards`), which keep their own form: without a cap J is unbounded,
+so no finite vector holds it, and above the mean 1/h_j is
+`tail_ratio`'s series, which needs no pmf value, so deep in the tail
+nothing underflows to 0/0 or cancels in 1 - head.
 
 All spectral energies (mode quanta, zero-phonon line) are in cm^-1.
 Huang-Rhys factors are dimensionless, so everything downstream of
@@ -50,6 +54,7 @@ in a dict, with no array call.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import numbers
@@ -89,6 +94,11 @@ _DENSE_SPAN = 4  # lines spanning fewer sublattice cells each are indexed densel
 # so switch to log-space evaluation.
 _LOG_SPACE_J = 20
 _LOG_DIRECT_MAX = 700.0
+
+# A tail of the law that sums to under this is one numpy's binomial never
+# draws (1 - p rounds to 1), so `window_bounds` leaves it out of a window;
+# the sampler's trees span that window, so the sampler's version fixes it.
+_NEVER = 2.0**-54
 
 
 class ValidationError(ValueError):
@@ -328,20 +338,17 @@ def mode_distribution(s: float, k: int, overflow: str = "truncate",
     under either overflow.  At the cutoff K, "truncate" keeps raw
     Poisson pmf values (sums to the regularized CDF, < 1); "cap" piles
     the tail mass P(j >= K) onto the K bin, so the vector sums to 1
-    like clipped samples do.  A K that is not an integer >= 0 (a bool
-    included) or another overflow is refused, as `SosConfig` refuses it,
-    and so is an `s` that is not a finite real >= 0.
+    like clipped samples do.  Both are `law_window`'s weights.  A K that
+    is not an integer >= 0 (a bool included) or another overflow is
+    refused, as `SosConfig` refuses it, and so is an `s` that is not a
+    finite real >= 0.
     """
     s = check("s", s, numbers.Real, ">= 0 and finite", nonnegative)
     k = check_cutoff(k, overflow)
     mean, top = d.recorded(s, k)
-    p = np.array([fc_factor_1d(mean, j) for j in range(top + 1)])
     if overflow == "cap" or top == d.recorded(s, None)[1]:
-        if mean < top:  # sum the tail upward, where 1 - head would cancel
-            p[top] *= tail_ratio(mean, top)
-        else:  # the tail is >= 1/2, so 1 - head loses nothing
-            p[top] = 1.0 - p[:top].sum()
-    return p
+        return law_window(mean, 0, top)
+    return law_window(mean, 0, top + 1)[:-1]
 
 
 def tail_ratio(mean: float, j: int) -> float:
@@ -357,6 +364,39 @@ def tail_ratio(mean: float, j: int) -> float:
         total, j = total + term, j + 1
         term *= mean / j
     return total
+
+
+def law_window(mean: float, lo: int, end: int) -> np.ndarray:
+    """P(J = j) for J ~ Poisson(mean) at j = lo..end - 1, then P(J >= end):
+    the one weighing of the law that SOS's vector and the sampler's tree
+    both take.
+
+    Above the mean the tail is fc_factor_1d(mean, end) x `tail_ratio`,
+    summed upward where 1 - head would cancel; at or below it the tail
+    is >= ~1/2, so 1 minus the window's sum loses nothing, and whatever
+    lies below `lo` (kept under `_NEVER` by `window_bounds`) joins it.
+    """
+    p = np.fromiter((fc_factor_1d(mean, j) for j in range(lo, end + 1)), float, end - lo + 1)
+    p[-1] = p[-1] * tail_ratio(mean, end) if end > mean else 1.0 - p[:-1].sum()
+    return p
+
+
+def window_bounds(mean: float, top: int | None) -> tuple[int, int]:
+    """(lo, end) of Poisson(mean) clipped at `top` (None: unbounded):
+    below lo the law sums to under `_NEVER`, and end is the top or the
+    first count above the mean from which it sums to under `_NEVER`, but
+    at most mean + 40 sd + 40.
+
+    Each end is found by bisection on the geometric bound of its tail
+    that `tail_ratio`'s series obeys, so only ~log2(mean) pmf values
+    are weighed: P(J <= j) <= p_j mean / (mean - j) below the mean, and
+    P(J >= j) <= p_j (j + 1) / (j + 1 - mean) above it.
+    """
+    m, end = (min(int(x), top or math.inf) for x in (mean, mean + 40.0 * math.sqrt(mean) + 40))
+    lo = bisect.bisect_left(range(m), True,
+                            key=lambda j: fc_factor_1d(mean, j) * mean >= _NEVER * (mean - j))
+    return lo, min(end, m + 1 + bisect.bisect_left(range(m + 1, end), True, key=lambda j: (
+        fc_factor_1d(mean, j) * (j + 1) < _NEVER * (j + 1 - mean))))
 
 
 def hazards(mean: float, top: int | None, start: int = 0):

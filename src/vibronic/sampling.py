@@ -25,7 +25,9 @@ complete, each node cut at the midpoint of its counts, so its window
 of w counts takes ceil(log2(w + 1)) levels.  It ends in the walk at
 the top or where the law left sums to under 2**-54, so no unbounded
 tail is lumped; below the mean, such a tail is one numpy's binomial
-never draws, and the tree leaves it out.
+never draws, and the tree leaves it out.  `model` weighs the law, both
+the hazards and the tree's window (`model.window_bounds`,
+`model.law_window`); this module computes no pmf value, it only draws.
 
 The call plans once, before any draw: it derives each mode's law and
 tree (refusing a mean numpy cannot draw, whichever mode it is), drops
@@ -58,7 +60,6 @@ event of a mode from that mode's chunk-0 stream.
 
 from __future__ import annotations
 
-import bisect
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -68,8 +69,8 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import model
-from .model import (IDEAL_DETECTOR, DetectorModel, LineSpectrum, Molecule, fc_factor_1d, hazards,
-                    key_energies, result_provenance, tail_ratio)
+from .model import (IDEAL_DETECTOR, DetectorModel, LineSpectrum, Molecule, hazards, key_energies,
+                    result_provenance)
 
 __all__ = [
     "SamplerConfig",
@@ -90,11 +91,6 @@ _CHUNK_EVENTS = 1_000_000
 # accepts is int64 max - 10 sd.
 _INT64_MAX = np.iinfo(np.int64).max
 POISSON_MEAN_MAX = float(_INT64_MAX - np.sqrt(_INT64_MAX) * 10)
-
-# A tail of a law that sums to under this is one numpy's binomial never
-# draws (1 - p rounds to 1): a tree leaves it out below the mean, and
-# above the mean hands it to the walk.  The version fixes it.
-_NEVER = 2.0**-54
 
 # Only a recorded mean above this takes a tree; the version fixes it.
 # It was set where the walk beat version 0.5.0's median-cut tree (as the
@@ -196,10 +192,10 @@ def substream(seed: int, mode_index: int, chunk_index: int) -> np.random.Generat
                         mode_index, chunk_index)
 
 
-def _check_mean(mean: float) -> float:
+def _check_mean(mean: float, name: str = "Poisson mean") -> float:
     if isinstance(mean, float) and 0.0 <= mean <= POISSON_MEAN_MAX:
         return mean
-    return model.check("Poisson mean", mean, Real, f"in [0, {POISSON_MEAN_MAX:.6g}]",
+    return model.check(name, mean, Real, f"in [0, {POISSON_MEAN_MAX:.6g}]",
                        lambda x: 0 <= x <= POISSON_MEAN_MAX)
 
 
@@ -216,16 +212,16 @@ def poisson_draw(mean: float, rng: np.random.Generator, size: int | None = None)
 
 def _recorded(s: float, mode_index: int, cfg: SamplerConfig,
               d: DetectorModel) -> tuple[float, int | None]:
-    """`d.recorded` for one mode, its mean refused before any draw.  A cap
-    at or above the int64 maximum never binds on numpy's int64 draws,
-    so it is taken as no cap."""
+    """`d.recorded` for one mode, its mean refused before any draw, the
+    refusal prefixed by the mode's number alone.  A cap at or above the
+    int64 maximum never binds on numpy's int64 draws, so it is taken as
+    no cap."""
     k = cfg.max_quanta
     try:
         mean, top = d.recorded(s, None if k is not None and k >= _INT64_MAX else k)
-        _check_mean(mean)
+        _check_mean(mean, "recorded Poisson mean")
     except ValueError as exc:
-        raise ValueError(f"mode {mode_index}: recorded mean efficiency*S + dark_mean: "
-                         f"{exc}") from None
+        raise ValueError(f"mode {mode_index}: {exc}") from None
     return mean, top
 
 
@@ -246,33 +242,28 @@ def _law(i: int, t: int, mean: float, top: int | None, origin: int, step: int) -
     of the mode shares it exactly, whatever its events.
 
     A recorded mean <= `_TREE_MEAN` or a top of 1 is one walk from 0.
-    Else the tree's leaves are lo .. c0 - 1 and the walk: below lo and
-    from c0 on the law sums to under `_NEVER` (bisection on a geometric
-    bound of each tail), or c0 is the top.  The tree is complete: its
-    L = (c0 - lo).bit_length() levels cut each node's leaves, padded
-    with zero weights to 2**L, at their midpoint, so node k's children
-    are 2k and 2k + 1.  A node's P(left) is its left half's weight over
-    both halves', each summed pairwise from the leaves, so a node deep
-    in a tail keeps its digits; a node whose left half weighs 0 gets 0.
+    Else the tree's leaves are lo .. c0 - 1 and the walk, (lo, c0) =
+    `model.window_bounds(mean, top)`, weighed by `model.law_window`:
+    below lo and from c0 on the law sums to under 2**-54, or c0 is the
+    top.  The tree is complete: its L = (c0 - lo).bit_length() levels
+    cut each node's leaves, padded with zero weights to 2**L, at their
+    midpoint, so node k's children are 2k and 2k + 1.  A node's P(left)
+    is its left half's weight over both halves', each summed pairwise
+    from the leaves, so a node deep in a tail keeps its digits; a node
+    whose left half weighs 0 gets 0.
     A tree is refused if its counts but those 6 sd below the mean pass
     the energy lattice (`origin`: key(e00)), or if c0 - lo >
     `_WINDOW_MAX`."""
     tick, tree, c0 = step * abs(t), None, 0
     if top != 1 and mean > _TREE_MEAN:
-        m, floor, end = (min(int(x), top or int(x)) for x in
-                         (mean, mean - 6.0 * math.sqrt(mean), mean + 40.0 * math.sqrt(mean) + 40))
+        floor = min(int(mean - 6.0 * math.sqrt(mean)), top or math.inf)
         model.check_key_reach(tick * floor - abs(origin))
-        lo = bisect.bisect_left(range(m), True,
-                                key=lambda j: fc_factor_1d(mean, j) * mean >= _NEVER * (mean - j))
-        c0 = min(end, m + 1 + bisect.bisect_left(range(m + 1, end), True, key=lambda j: (
-            fc_factor_1d(mean, j) * (j + 1) < _NEVER * (j + 1 - mean))))
+        lo, c0 = model.window_bounds(mean, top)
         if c0 - lo > _WINDOW_MAX:
             raise ValueError(f"mode {i}: recorded mean {mean:.6g} spreads over more than 2**20 "
                              "counts, more than the sampler plans")
-        w = np.fromiter((fc_factor_1d(mean, j) for j in range(lo, c0)), float, c0 - lo)
-        rest = fc_factor_1d(mean, c0) * tail_ratio(mean, c0) if c0 > mean else 1.0 - w.sum()
-        pad = np.zeros((1 << w.size.bit_length()) - w.size - 1)
-        w, levels = np.concatenate((w, [rest], pad)), []
+        w, levels = np.zeros(1 << (c0 - lo).bit_length()), []
+        w[:c0 - lo + 1] = model.law_window(mean, lo, c0)
         while w.size > 1:  # from the leaves up
             left, w = w[0::2], w[0::2] + w[1::2]
             levels.append(np.divide(left, w, out=np.zeros_like(w), where=left > 0.0))

@@ -913,13 +913,13 @@ class TestCliDetector:
         argv += ["--events", "100"] if command == "sample" else ["--events-list", "100"]
         if cause == "dark":
             argv += ["--dark", "1e300"]
-            want = "mode 1: recorded mean efficiency*S + dark_mean"
+            want = "mode 1: recorded Poisson mean must be"
         else:
             m = pentacene_like_8()
             modes = list(m.modes)
             modes[2] = replace(modes[2], huang_rhys=1e19)
             write_molecule(replace(m, modes=tuple(modes)), molecule_path)
-            want = "mode 3: recorded mean efficiency*S + dark_mean"
+            want = "mode 3: recorded Poisson mean must be"
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert want in err and ("1e+300" if cause == "dark" else "1e+19") in err

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import assume, given, strategies as st
 
+from vibronic import model, sampling
 from vibronic.model import (
     KEY_LIMIT,
     TICKS_PER_CM1,
@@ -326,3 +328,63 @@ def test_energy_keys_shapes():
     assert energy_keys([]).dtype == np.int64 and energy_keys([]).size == 0
     assert int(energy_keys(1.5)) == 1_500_000
     assert energy_keys(np.array([[0.25], [-2.0000004]])).tolist() == [[250_000], [-2_000_000]]
+
+
+def mode_distribution_as_in_0_7_0(s, k, overflow, d):
+    """Version 0.7.0's `mode_distribution`, copied."""
+    mean, top = d.recorded(s, k)
+    p = np.array([model.fc_factor_1d(mean, j) for j in range(top + 1)])
+    if overflow == "cap" or top == d.recorded(s, None)[1]:
+        if mean < top:
+            p[top] *= model.tail_ratio(mean, top)
+        else:
+            p[top] = 1.0 - p[:top].sum()
+    return p
+
+
+def tree_leaves_as_in_0_7_0(mean, lo, c0):
+    """Version 0.7.0's tree leaves, copied from `sampling._law`: P(J = j)
+    at j = lo..c0 - 1, then the rest of the law."""
+    w = np.fromiter((model.fc_factor_1d(mean, j) for j in range(lo, c0)), float, c0 - lo)
+    rest = (model.fc_factor_1d(mean, c0) * model.tail_ratio(mean, c0) if c0 > mean
+            else 1.0 - w.sum())
+    return np.concatenate((w, [rest]))
+
+
+class TestLawWindow:
+    """`model.law_window` is the one weighing of the per-mode law: SOS's
+    vectors and the sampler's tree leaves are its values, bit for bit."""
+
+    @pytest.mark.parametrize("d", [DetectorModel(), DetectorModel(efficiency=0.7, dark_mean=0.05),
+                                   DetectorModel(efficiency=0.8, dark_mean=0.01,
+                                                 threshold_mode=True)], ids=["ideal", "loss-dark",
+                                                                             "click"])
+    def test_mode_distribution_is_the_window(self, d):
+        for s in (0.0, 1e-4, 1e-2, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 1e3):
+            for k in (0, 1, 2, 3, 5, 12, 40, 160):
+                for overflow in ("cap", "truncate"):
+                    got = model.mode_distribution(s, k, overflow, d)
+                    want = mode_distribution_as_in_0_7_0(s, k, overflow, d)
+                    assert got.tobytes() == want.tobytes(), (s, k, overflow)
+
+    @pytest.mark.parametrize("mean", [150.0, 400.0, 1e4, 1e6])
+    def test_tree_leaves_are_the_window(self, mean):
+        # both tails: a window ending past the mean, or at a top at or below it
+        for top in (None, math.floor(mean) - 3, math.floor(mean) + 1,
+                    math.floor(mean + 3 * math.sqrt(mean))):
+            *_, (_, _, c0, (levels, lo)) = sampling._law(1, 1, mean, top, 0, 1)
+            assert (lo, c0) == model.window_bounds(mean, top)
+            leaves = tree_leaves_as_in_0_7_0(mean, lo, c0)
+            assert model.law_window(mean, lo, c0).tobytes() == leaves.tobytes()
+            w = np.zeros(2 ** len(levels))
+            w[:leaves.size] = leaves
+            for prob in levels[::-1]:  # from the leaves up, as the plan builds them
+                left, w = w[0::2], w[0::2] + w[1::2]
+                want = np.divide(left, w, out=np.zeros_like(w), where=left > 0.0)
+                assert prob.tobytes() == want.tobytes(), (mean, top)
+
+    def test_tail_is_the_law(self):
+        for mean, lo, end in ((0.3, 0, 3), (30.0, 0, 20), (30.0, 5, 45), (400.0, 300, 520)):
+            p = model.law_window(mean, lo, end)
+            assert p.size == end - lo + 1
+            assert p[-1] == pytest.approx(scipy.stats.poisson.sf(end - 1, mean), rel=1e-12)

@@ -2,7 +2,9 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -554,7 +556,7 @@ class TestSampleSpectrum:
         opened = []
         real = sampling._cell_stream
         monkeypatch.setattr(sampling, "_cell_stream", lambda *a: opened.append(a) or real(*a))
-        with pytest.raises(ValueError, match=r"^mode 2: recorded mean .*Poisson mean must be"):
+        with pytest.raises(ValueError, match=r"^mode 2: recorded Poisson mean must be in \[0, "):
             sample_spectrum(molecule([0.5, 2e19]), SamplerConfig(events=300), workers=workers)
         assert opened == []
 
@@ -566,9 +568,9 @@ class TestSampleSpectrum:
     ])
     def test_overflowing_recorded_mean_refused(self, draw):
         # S and dark_mean are each finite, but their sum overflows to inf:
-        # `DetectorModel.recorded` refuses it, under the sampler's mode prefix
-        want = (r"^mode 1: recorded mean efficiency\*S \+ dark_mean: "
-                r"efficiency \* s \+ dark_mean must be finite, got inf$")
+        # `DetectorModel.recorded` refuses it, under a prefix naming the
+        # mode alone, so the formula is named once
+        want = r"^mode 1: efficiency \* s \+ dark_mean must be finite, got inf$"
         with pytest.raises(ValueError, match=want):
             draw(DetectorModel(dark_mean=1e308))
 
@@ -612,6 +614,24 @@ class TestSampleSpectrum:
         base, par = (sample_spectrum(m, cfg, workers=w) for w in (1, 4))
         assert np.array_equal(base.energies, par.energies)
         assert np.array_equal(base.counts, par.counts)
+
+    def test_concurrent_callers_get_single_threaded_bytes(self):
+        # user threads that each call `sample_spectrum` at once, over 3
+        # chunks and with or without workers of their own, each get the
+        # bytes of the call alone: every thread draws through its own
+        # Philox, which a cell resets before it draws
+        m, cfg = large_acene_like(66), SamplerConfig(events=2 * 10**6 + 1, seed=5)
+        alone = sample_spectrum(m, cfg)
+        start = threading.Barrier(3)
+
+        def calls(workers):
+            start.wait()
+            return [sample_spectrum(m, cfg, workers=workers) for _ in range(3)]
+
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            for spec in itertools.chain(*pool.map(calls, [1, 2, 1])):
+                assert spec.energies.tobytes() == alone.energies.tobytes()
+                assert spec.counts.tobytes() == alone.counts.tobytes()
 
     @pytest.mark.parametrize("hr, energies", [
         ([0.5, 0.2, 0.8], [100.0, 300.0, 700.0]),
@@ -955,51 +975,9 @@ class TestSampleSpectrum:
 
 
 # sha256 of a call's energies.tobytes() + counts.tobytes(), by version: the
-# version pins the draws, so sampled bytes may change only with it
+# version pins the draws, so sampled bytes may change only with it, and a
+# version without an entry fails.  CHANGES.md keeps earlier versions' hashes
 SAMPLED_BYTES = {
-    "0.3.0": {
-        "p8-K1-1e3": "78353ba1bbb115b9ce688ea1195d2c8fbd6f78f2636aa601cd430850cb0e2d98",
-        "p8-K1-1e7": "e5e5b0f2fe4a3cdea812c7ecc5131a0a70b7f10f559f7bf17e3a4dc1a49b65ee",
-        "a66-1e6": "9e02c92cccbe1d0000f9b84f11dd5d43c9342ee91283868e0763d8355e055142",
-        "p8-click-loss-dark": "8282bc5dafe2da92f6a1861e89e88ca98c6fe41181b8cdafd90b9febee826388",
-        "f6-K2": "2f55f3fe4fbbee340522816a0a7a8f2da41a029a769ea6c37b91df962f4353f4",
-    },
-    # the five 0.3.0 calls draw only walks, so their bytes stand
-    "0.4.0": {
-        "p8-K1-1e3": "78353ba1bbb115b9ce688ea1195d2c8fbd6f78f2636aa601cd430850cb0e2d98",
-        "p8-K1-1e7": "e5e5b0f2fe4a3cdea812c7ecc5131a0a70b7f10f559f7bf17e3a4dc1a49b65ee",
-        "a66-1e6": "9e02c92cccbe1d0000f9b84f11dd5d43c9342ee91283868e0763d8355e055142",
-        "p8-click-loss-dark": "8282bc5dafe2da92f6a1861e89e88ca98c6fe41181b8cdafd90b9febee826388",
-        "f6-K2": "2f55f3fe4fbbee340522816a0a7a8f2da41a029a769ea6c37b91df962f4353f4",
-        "f66-1e6": "c7a95d31d6768f20cb8575d762792c15a838e1f174c1c4ec12586c0e9ff7a5f9",
-        "huge3-1e6": "f95f930ef81b079bcc3b7eff23500dba6371da25dcaaf49f40c7a5c620425591",
-        "a12-S6-1e6": "c67bc580d074de2d5b97141c55726d4dc294641d5cda564b5c9045ebdda58470",
-    },
-    # means in (ln 2, 100] with a top >= 2 walk now, not down trees: only
-    # the moderate-mean call's bytes change
-    "0.5.0": {
-        "p8-K1-1e3": "78353ba1bbb115b9ce688ea1195d2c8fbd6f78f2636aa601cd430850cb0e2d98",
-        "p8-K1-1e7": "e5e5b0f2fe4a3cdea812c7ecc5131a0a70b7f10f559f7bf17e3a4dc1a49b65ee",
-        "a66-1e6": "9e02c92cccbe1d0000f9b84f11dd5d43c9342ee91283868e0763d8355e055142",
-        "p8-click-loss-dark": "8282bc5dafe2da92f6a1861e89e88ca98c6fe41181b8cdafd90b9febee826388",
-        "f6-K2": "2f55f3fe4fbbee340522816a0a7a8f2da41a029a769ea6c37b91df962f4353f4",
-        "f66-1e6": "c7a95d31d6768f20cb8575d762792c15a838e1f174c1c4ec12586c0e9ff7a5f9",
-        "huge3-1e6": "f95f930ef81b079bcc3b7eff23500dba6371da25dcaaf49f40c7a5c620425591",
-        "a12-S6-1e6": "3200271f7714731b393b2fd17ac5cf3d1e0f4459792471527e0c53d1b0bcd787",
-    },
-    # means above 100 with a top >= 2 go down a complete tree, not one cut
-    # at conditional medians: only the calls that draw a tree change
-    "0.6.0": {
-        "p8-K1-1e3": "78353ba1bbb115b9ce688ea1195d2c8fbd6f78f2636aa601cd430850cb0e2d98",
-        "p8-K1-1e7": "e5e5b0f2fe4a3cdea812c7ecc5131a0a70b7f10f559f7bf17e3a4dc1a49b65ee",
-        "a66-1e6": "9e02c92cccbe1d0000f9b84f11dd5d43c9342ee91283868e0763d8355e055142",
-        "p8-click-loss-dark": "8282bc5dafe2da92f6a1861e89e88ca98c6fe41181b8cdafd90b9febee826388",
-        "f6-K2": "2f55f3fe4fbbee340522816a0a7a8f2da41a029a769ea6c37b91df962f4353f4",
-        "f66-1e6": "c7a95d31d6768f20cb8575d762792c15a838e1f174c1c4ec12586c0e9ff7a5f9",
-        "huge3-1e6": "c6a9e27fffd0d076e039a4c4ddfc02a1dab22f166fe4f141b5532fe50891345f",
-        "a12-S6-1e6": "3200271f7714731b393b2fd17ac5cf3d1e0f4459792471527e0c53d1b0bcd787",
-        "tree-K160-1e6": "166592bfee7bbd65c1338fb2fda907c90d71869ead3f81d421c80cb20e358664",
-    },
     # `sample_mode` draws one stream a mode; `sample_spectrum` draws as 0.6.0 did
     "0.7.0": {
         "p8-K1-1e3": "78353ba1bbb115b9ce688ea1195d2c8fbd6f78f2636aa601cd430850cb0e2d98",
@@ -1035,14 +1013,11 @@ SAMPLED_CALLS = {
 
 
 # sha256 of `sample_mode(2.5, 3, SamplerConfig(events=n, seed=1,
-# max_quanta=3)).tobytes()`, by version.  0.7.0 draws every event from
-# the mode's chunk-0 stream, where 0.6.0 drew each 10^6 events from a
-# stream of their own, so the first 10^6 counts keep their bytes
+# max_quanta=3)).tobytes()`, by version, kept as `SAMPLED_BYTES` is.
+# 0.7.0 draws every event from the mode's chunk-0 stream, where 0.6.0
+# drew each 10^6 events from a stream of their own, so the first 10^6
+# counts keep 0.6.0's bytes
 MODE_BYTES = {
-    "0.6.0": {
-        10**6: "44983d6ffc7fd46bff4c0cd1ca646ffa2869e9db6fe170ba4f6789663480e23e",
-        2_500_000: "53c7b81ccaaf98c27459a469afd7a32a43d9d04d095581b36fac351a5fbbf959",
-    },
     "0.7.0": {
         10**6: "44983d6ffc7fd46bff4c0cd1ca646ffa2869e9db6fe170ba4f6789663480e23e",
         2_500_000: "efd304c49c7e6a5d02b02fabc5cfdf69d8696d7691379fd069d6e36ba0df28a7",
@@ -1052,18 +1027,16 @@ MODE_BYTES = {
 
 @pytest.mark.parametrize("events", [10**6, 2_500_000])
 def test_sample_mode_bytes_pinned_by_version(events):
-    pins = MODE_BYTES.get(__version__)
-    if pins is None:
-        pytest.skip(f"no sample_mode bytes recorded for version {__version__}")
+    assert __version__ in MODE_BYTES, f"no sample_mode bytes recorded for version {__version__}"
+    pins = MODE_BYTES[__version__]
     counts = sample_mode(2.5, 3, SamplerConfig(events=events, seed=1, max_quanta=3))
     assert hashlib.sha256(counts.tobytes()).hexdigest() == pins[events]
 
 
 @pytest.mark.parametrize("case", sorted(SAMPLED_CALLS))
 def test_sampled_bytes_pinned_by_version(case):
-    pins = SAMPLED_BYTES.get(__version__)
-    if pins is None:
-        pytest.skip(f"no sampled bytes recorded for version {__version__}")
+    assert __version__ in SAMPLED_BYTES, f"no sampled bytes recorded for version {__version__}"
+    pins = SAMPLED_BYTES[__version__]
     spec = sample_spectrum(*SAMPLED_CALLS[case]())
     assert hashlib.sha256(spec.energies.tobytes() + spec.counts.tobytes()).hexdigest() == pins[case]
 

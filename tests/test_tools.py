@@ -37,7 +37,23 @@ that is code"""
 SOURCE = CODE_LINES.parents[1] / "src" / "vibronic"
 # The per-mode count law and the spectrum type: defined in model.py only.
 LAW_NAMES = {"LineSpectrum", "fc_factor_1d", "tail_ratio", "mode_distribution", "hazards",
-             "check_cutoff", "_LOG_SPACE_J", "_LOG_DIRECT_MAX"}
+             "law_window", "window_bounds", "check_cutoff", "_LOG_SPACE_J", "_LOG_DIRECT_MAX",
+             "_NEVER"}
+# The sampler only draws: it weighs no pmf value, so it names no pmf function.
+PMF_NAMES = {"fc_factor_1d", "tail_ratio"}
+
+
+def referenced(tree: ast.Module) -> set[str]:
+    """Every name a module reads, imports or takes as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
 
 
 def sos_imports(tree: ast.Module) -> set[str]:
@@ -60,6 +76,7 @@ def test_layering_law_in_model_and_no_sos_below_analysis():
     assert sos_imports(trees["sampling.py"]) == set()
     assert sos_imports(trees["io.py"]) == set()
     assert sos_imports(trees["analysis.py"]) == {"SosConfig", "build_reference_spectrum"}
+    assert not referenced(trees["sampling.py"]) & PMF_NAMES
     for name, tree in trees.items():
         defined = {node.name for node in tree.body
                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
